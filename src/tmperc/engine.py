@@ -3,9 +3,12 @@ and the halting/cheating three-stage variants.
 
 Generations are synchronous: generation t+1 infects exactly the healthy
 vertices whose infected-neighbor count against I(t) reaches their threshold.
-Propagation is frontier-based, so a full run costs O(total edges): each
-generation only touches the neighbors of the vertices infected in the
-previous one.
+Propagation is frontier-based.  A standard or coinflip generation gathers the
+F adjacency entries of the vertices infected in the previous one and sorts
+them once, so it costs O(F log F + k) whatever n is, and a whole run costs
+O(n) set-up plus O(E log E) over its E scanned edges.  The three-stage modes
+still do O(n) work per timestep: they rescan every cluster for its latent
+pool and recount the infected set.
 """
 
 from __future__ import annotations
@@ -87,18 +90,6 @@ class PercolationTrace:
     def final_fraction(self) -> float:
         return float(self.totals[-1]) / self.n
 
-    def to_record(self, config_hash: str = "", seed_key: tuple[int, ...] = ()) -> dict:
-        return {
-            "config_hash": config_hash,
-            "seed_key": list(seed_key),
-            "n": self.n,
-            "totals": self.totals.tolist(),
-            "per_cluster": self.per_cluster.tolist(),
-            "verdict": self.verdict,
-            "tau_end": self.tau_end,
-            "final_fraction": self.final_fraction,
-        }
-
 
 def _gather_neighbors(g: SampledGraph, frontier: np.ndarray) -> np.ndarray:
     starts = g.indptr[frontier]
@@ -106,101 +97,62 @@ def _gather_neighbors(g: SampledGraph, frontier: np.ndarray) -> np.ndarray:
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    flat = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, lengths)
-    return g.indices[flat]
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return g.indices[np.arange(total, dtype=np.int64) + shift]
 
 
-class StandardRun:
-    """Steppable synchronous-threshold run; interventions mutate it mid-flight.
+def _tally(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct entries of ``values`` and how often each occurs.
 
-    Invariant between steps: ``counts`` holds infected-neighbor counts
-    against I(t-1) (the frontier of generation t has not yet been folded
-    in), which is exactly the state a subsequent step needs.
+    One sort and a scan for run heads: O(F log F) in the F entries, with no
+    n-sized temporary.  The ascending order fixes the coinflip draw order.
+    """
+    s = np.sort(values)
+    bound = np.ones(s.size + 1, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=bound[1:-1])
+    bounds = np.flatnonzero(bound)
+    return s[bounds[:-1]], bounds[1:] - bounds[:-1]
+
+
+class _Run:
+    """State and commit path shared by the standard and coinflip runs.
+
+    A subclass picks each generation's newly infected vertices in
+    ``_next_infected``; ``step`` commits them and owns the totals,
+    per-cluster counts, verdict and generation cap.
     """
 
-    def __init__(
-        self,
-        g: SampledGraph,
-        thresholds: np.ndarray,
-        seeds: np.ndarray,
-        config: EngineConfig | None = None,
-    ):
+    def __init__(self, g: SampledGraph, seeds: np.ndarray, config: EngineConfig):
         self.g = g
-        self.config = config or EngineConfig()
-        self.thresholds = np.array(thresholds, dtype=np.int64, copy=True)
-        if self.thresholds.shape != (g.n,):
-            raise ValueError("need one threshold per vertex")
-        if self.thresholds.size and self.thresholds.min() < 1:
-            raise ValueError("thresholds must be >= 1")
+        self.config = config
         seeds = np.asarray(seeds, dtype=np.int64)
         if seeds.size and (seeds.min() < 0 or seeds.max() >= g.n):
             raise ValueError("seed ids outside the vertex range")
         self.infected = np.zeros(g.n, dtype=bool)
         self.infected[seeds] = True
-        self.counts = np.zeros(g.n, dtype=np.int64)
+        self.counts = np.zeros(g.n, dtype=np.int64)  # infected neighbors seen so far
         self.frontier = seeds
         self.generation = 0
         self.totals = [int(seeds.size)]
         self.per_cluster = [np.bincount(g.clusters[seeds], minlength=g.k)]
         self.verdict: str | None = None
-        self._settle_initial_verdict()
-
-    def _stop_threshold(self) -> float:
-        return self.config.stop_fraction * self.g.n
-
-    def _settle_initial_verdict(self) -> None:
-        if self.totals[0] >= self._stop_threshold():
+        if self.totals[0] >= config.stop_fraction * g.n:
             self.verdict = SPREAD
         elif self.totals[0] == 0:
             self.verdict = HALTED
 
-    def clone(self) -> "StandardRun":
-        dup = object.__new__(StandardRun)
-        dup.g = self.g
-        dup.config = self.config
-        dup.thresholds = self.thresholds.copy()
-        dup.infected = self.infected.copy()
-        dup.counts = self.counts.copy()
-        dup.frontier = self.frontier.copy()
-        dup.generation = self.generation
-        dup.totals = list(self.totals)
-        dup.per_cluster = [arr.copy() for arr in self.per_cluster]
-        dup.verdict = self.verdict
-        return dup
+    def _frontier_tally(self) -> tuple[np.ndarray, np.ndarray]:
+        """Vertices adjacent to the frontier, ascending, and their frontier-neighbor counts."""
+        return _tally(_gather_neighbors(self.g, self.frontier))
 
-    def _candidates(self) -> np.ndarray:
-        """Vertices that generation t+1 would infect, without committing."""
-        if self.frontier.size == 0:
-            return np.empty(0, dtype=np.int64)
-        nbrs = _gather_neighbors(self.g, self.frontier)
-        if nbrs.size == 0:
-            return nbrs
-        touched = np.unique(nbrs)
-        delta = np.bincount(nbrs, minlength=self.g.n)
-        ready = (
-            ~self.infected[touched]
-        ) & (self.counts[touched] + delta[touched] >= self.thresholds[touched])
-        return touched[ready]
+    def _next_infected(self) -> np.ndarray:
+        raise NotImplementedError
 
     def step(self) -> int:
         """Advance one generation; returns the number of newly infected vertices."""
         if self.verdict is not None:
             raise EngineError("run already finished")
-        if self.frontier.size:
-            nbrs = _gather_neighbors(self.g, self.frontier)
-            if nbrs.size:
-                self.counts += np.bincount(nbrs, minlength=self.g.n)
-            touched = np.unique(nbrs)
-        else:
-            touched = np.empty(0, dtype=np.int64)
-        if touched.size:
-            ready = (~self.infected[touched]) & (
-                self.counts[touched] >= self.thresholds[touched]
-            )
-            newly = touched[ready]
-        else:
-            newly = np.empty(0, dtype=np.int64)
+        newly = self._next_infected()
         self.infected[newly] = True
         self.frontier = newly
         self.generation += 1
@@ -209,7 +161,7 @@ class StandardRun:
         self.per_cluster.append(
             self.per_cluster[-1] + np.bincount(self.g.clusters[newly], minlength=self.g.k)
         )
-        if total >= self._stop_threshold():
+        if total >= self.config.stop_fraction * self.g.n:
             self.verdict = SPREAD
         elif newly.size == 0:
             self.verdict = HALTED
@@ -239,28 +191,6 @@ class StandardRun:
             return None  # crossed the trigger and the stop fraction in one step
         return self.verdict
 
-    def current_exposure(self) -> np.ndarray:
-        """Infected-neighbor counts against the full current infected set I(t)."""
-        exposure = self.counts.copy()
-        if self.frontier.size:
-            nbrs = _gather_neighbors(self.g, self.frontier)
-            if nbrs.size:
-                exposure += np.bincount(nbrs, minlength=self.g.n)
-        return exposure
-
-    def replace_graph(self, new_g: SampledGraph) -> None:
-        """Swap in an edge-deleted graph, recounting exposures against I(t-1)."""
-        if new_g.n != self.g.n:
-            raise ValueError("replacement graph must keep the vertex set")
-        prev_infected = self.infected.copy()
-        prev_infected[self.frontier] = False
-        counts = np.zeros(new_g.n, dtype=np.int64)
-        eu, ev = new_g.edge_u, new_g.edge_v
-        np.add.at(counts, ev[prev_infected[eu]], 1)
-        np.add.at(counts, eu[prev_infected[ev]], 1)
-        self.counts = counts
-        self.g = new_g
-
     def finish(self) -> str:
         verdict = self.run()
         assert verdict is not None
@@ -276,6 +206,74 @@ class StandardRun:
             verdict=self.verdict,
             final_infected=np.flatnonzero(self.infected),
         )
+
+
+class StandardRun(_Run):
+    """Steppable synchronous-threshold run; interventions mutate it mid-flight.
+
+    Invariant between steps: ``counts`` holds infected-neighbor counts
+    against I(t-1) (the frontier of generation t has not yet been folded
+    in), which is exactly the state a subsequent step needs.
+    """
+
+    def __init__(
+        self,
+        g: SampledGraph,
+        thresholds: np.ndarray,
+        seeds: np.ndarray,
+        config: EngineConfig | None = None,
+    ):
+        self.thresholds = np.array(thresholds, dtype=np.int64, copy=True)
+        if self.thresholds.shape != (g.n,):
+            raise ValueError("need one threshold per vertex")
+        if self.thresholds.size and self.thresholds.min() < 1:
+            raise ValueError("thresholds must be >= 1")
+        super().__init__(g, seeds, config or EngineConfig())
+
+    def clone(self) -> "StandardRun":
+        dup = object.__new__(StandardRun)
+        dup.g = self.g
+        dup.config = self.config
+        dup.thresholds = self.thresholds.copy()
+        dup.infected = self.infected.copy()
+        dup.counts = self.counts.copy()
+        dup.frontier = self.frontier.copy()
+        dup.generation = self.generation
+        dup.totals = list(self.totals)
+        dup.per_cluster = [arr.copy() for arr in self.per_cluster]
+        dup.verdict = self.verdict
+        return dup
+
+    def _candidates(self) -> np.ndarray:
+        """Vertices that generation t+1 would infect, without committing."""
+        touched, hits = self._frontier_tally()
+        ready = ~self.infected[touched] & (self.counts[touched] + hits >= self.thresholds[touched])
+        return touched[ready]
+
+    def _next_infected(self) -> np.ndarray:
+        touched, hits = self._frontier_tally()
+        self.counts[touched] += hits
+        ready = ~self.infected[touched] & (self.counts[touched] >= self.thresholds[touched])
+        return touched[ready]
+
+    def current_exposure(self) -> np.ndarray:
+        """Infected-neighbor counts against the full current infected set I(t)."""
+        exposure = self.counts.copy()
+        touched, hits = self._frontier_tally()
+        exposure[touched] += hits
+        return exposure
+
+    def replace_graph(self, new_g: SampledGraph) -> None:
+        """Swap in an edge-deleted graph, recounting exposures against I(t-1)."""
+        if new_g.n != self.g.n:
+            raise ValueError("replacement graph must keep the vertex set")
+        prev_infected = self.infected.copy()
+        prev_infected[self.frontier] = False
+        eu, ev = new_g.edge_u, new_g.edge_v
+        self.counts = np.bincount(ev[prev_infected[eu]], minlength=new_g.n) + np.bincount(
+            eu[prev_infected[ev]], minlength=new_g.n
+        )
+        self.g = new_g
 
 
 def run_standard(
@@ -314,6 +312,38 @@ class CoinflipState:
             raise ValueError("forcing cap must exceed every susceptibility count")
 
 
+class _CoinflipRun(_Run):
+    def __init__(
+        self,
+        g: SampledGraph,
+        cf: CoinflipState,
+        seeds: np.ndarray,
+        config: EngineConfig,
+        rng: np.random.Generator,
+    ):
+        super().__init__(g, seeds, config)
+        self.cf = cf
+        self.rng = rng
+
+    def _next_infected(self) -> np.ndarray:
+        cf = self.cf
+        touched, hits = self._frontier_tally()
+        healthy = ~self.infected[touched]
+        touched = touched[healthy]
+        old = self.counts[touched]
+        new = old + hits[healthy]
+        self.counts[touched] = new
+        infect = new >= cf.r_max
+        flips = new - np.maximum(old, cf.s[touched])
+        eligible = np.flatnonzero((flips > 0) & ~infect)
+        if eligible.size:
+            flip_n = flips[eligible]
+            draws = self.rng.random(int(flip_n.sum()))
+            success = draws < np.repeat(cf.z[touched[eligible]], flip_n)
+            infect[eligible] = np.logical_or.reduceat(success, np.cumsum(flip_n) - flip_n)
+        return touched[infect]
+
+
 def run_coinflip(
     g: SampledGraph,
     cf: CoinflipState,
@@ -327,69 +357,11 @@ def run_coinflip(
     is a pure function of (graph, state, seeds, rng seed).  A vertex whose
     total contact count reaches r_max is infected unconditionally.
     """
-    config = config or EngineConfig(mode="coinflip")
     if rng is None:
         raise ValueError("coinflip mode requires an explicit rng")
-    seeds = np.asarray(seeds, dtype=np.int64)
-    n = g.n
-    infected = np.zeros(n, dtype=bool)
-    infected[seeds] = True
-    counts = np.zeros(n, dtype=np.int64)  # infected neighbors seen so far
-    frontier = seeds
-    totals = [int(seeds.size)]
-    per_cluster = [np.bincount(g.clusters[seeds], minlength=g.k)]
-    stop_at = config.stop_fraction * n
-    verdict: str | None = None
-    if totals[0] >= stop_at:
-        verdict = SPREAD
-    elif totals[0] == 0:
-        verdict = HALTED
-    generation = 0
-    while verdict is None:
-        nbrs = _gather_neighbors(g, frontier)
-        newly: np.ndarray
-        if nbrs.size:
-            delta = np.bincount(nbrs, minlength=n)
-            touched = np.unique(nbrs)
-            touched = touched[~infected[touched]]
-            old = counts[touched]
-            new = old + delta[touched]
-            counts[touched] = new
-            forced = touched[new >= cf.r_max]
-            flips = new - np.maximum(old, cf.s[touched])
-            eligible = (flips > 0) & (new < cf.r_max)
-            flip_ids = touched[eligible]
-            flip_n = flips[eligible]
-            hit = np.zeros(flip_ids.size, dtype=bool)
-            if flip_ids.size:
-                draws = rng.random(int(flip_n.sum()))
-                bounds = np.cumsum(flip_n)
-                success = draws < np.repeat(cf.z[flip_ids], flip_n)
-                hit = np.logical_or.reduceat(success, np.concatenate([[0], bounds[:-1]]))
-            newly = np.union1d(forced, flip_ids[hit])
-        else:
-            newly = np.empty(0, dtype=np.int64)
-        infected[newly] = True
-        frontier = newly
-        generation += 1
-        total = totals[-1] + int(newly.size)
-        totals.append(total)
-        per_cluster.append(per_cluster[-1] + np.bincount(g.clusters[newly], minlength=g.k))
-        if total >= stop_at:
-            verdict = SPREAD
-        elif newly.size == 0:
-            verdict = HALTED
-        elif config.max_generations is not None and generation >= config.max_generations:
-            raise EngineError(
-                f"generation cap {config.max_generations} reached while still spreading"
-            )
-    return PercolationTrace(
-        n=n,
-        totals=np.asarray(totals, dtype=np.int64),
-        per_cluster=np.asarray(per_cluster, dtype=np.int64),
-        verdict=verdict,
-        final_infected=np.flatnonzero(infected),
-    )
+    run = _CoinflipRun(g, cf, seeds, config or EngineConfig(mode="coinflip"), rng)
+    run.finish()
+    return run.trace()
 
 
 HEALTHY, LATENT, CONTAGIOUS = 0, 1, 2
@@ -451,9 +423,8 @@ def _run_three_stage(
             promoted.append(choice)
         promoted_arr = np.asarray(promoted, dtype=np.int64)
         status[promoted_arr] = CONTAGIOUS
-        nbrs = _gather_neighbors(g, promoted_arr)
-        if nbrs.size:
-            contagious_nbrs += np.bincount(nbrs, minlength=n)
+        touched, hits = _tally(_gather_neighbors(g, promoted_arr))
+        contagious_nbrs[touched] += hits
         fresh_latent = np.flatnonzero(
             (status == HEALTHY) & (contagious_nbrs >= thresholds)
         )

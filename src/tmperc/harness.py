@@ -9,13 +9,14 @@ serial execution emit identical files.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -614,37 +615,49 @@ def _format_value(value) -> str:
 
 
 def emit(table: ResultTable, path_base: str, formats: tuple[str, ...] = ("csv", "jsonl")) -> list[str]:
-    """Write the table as CSV and/or JSON lines; returns the paths written."""
+    """Write the table as CSV and/or JSON lines; returns the paths written.
+
+    Each file is written beside its final path and renamed into place, so a
+    failed write leaves any earlier file at that path intact.
+    """
     paths = []
     directory = os.path.dirname(path_base)
     if directory:
         os.makedirs(directory, exist_ok=True)
     if "csv" in formats:
-        path = path_base + ".csv"
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(f"# config_hash={table.config_hash} name={table.name}\n")
-                fh.write(",".join(table.columns) + "\n")
-                for row in table.rows:
-                    fh.write(",".join(_format_value(row.get(c)) for c in table.columns) + "\n")
-        except OSError as exc:
-            raise OSError(f"writing {path}: {exc}") from exc
-        paths.append(path)
+        paths.append(_write_replace(path_base + ".csv", _csv_lines(table)))
     if "jsonl" in formats:
-        path = path_base + ".jsonl"
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps({"config_hash": table.config_hash, "name": table.name}) + "\n")
-                for row in table.rows:
-                    clean = {
-                        k: (None if isinstance(v, float) and math.isnan(v) else v)
-                        for k, v in row.items()
-                    }
-                    fh.write(json.dumps(clean, sort_keys=True) + "\n")
-        except OSError as exc:
-            raise OSError(f"writing {path}: {exc}") from exc
-        paths.append(path)
+        paths.append(_write_replace(path_base + ".jsonl", _jsonl_lines(table)))
     return paths
+
+
+def _csv_lines(table: ResultTable) -> Iterator[str]:
+    yield f"# config_hash={table.config_hash} name={table.name}\n"
+    yield ",".join(table.columns) + "\n"
+    for row in table.rows:
+        yield ",".join(_format_value(row.get(c)) for c in table.columns) + "\n"
+
+
+def _jsonl_lines(table: ResultTable) -> Iterator[str]:
+    yield json.dumps({"config_hash": table.config_hash, "name": table.name}) + "\n"
+    for row in table.rows:
+        clean = {k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in row.items()}
+        yield json.dumps(clean, sort_keys=True) + "\n"
+
+
+def _write_replace(path: str, lines: Iterator[str]) -> str:
+    """Write ``lines`` to a temporary file beside ``path``, then rename it over ``path``."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"writing {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+    return path
 
 
 def read_table(path: str) -> ResultTable:

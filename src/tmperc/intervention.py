@@ -869,14 +869,25 @@ def _proportional(counts: tuple[int, ...], total: int) -> tuple[int, ...]:
         out = [total // k] * k
     else:
         out = [int(round(c * total / base)) for c in counts]
-    out[out.index(max(out))] += total - sum(out)
-    return tuple(out)
+    return tuple(_settle_residual(out, total))
 
 
 def _proportional_map(shares: Mapping[int, int], total: int) -> dict[int, int]:
     base = sum(shares.values())
     keys = sorted(shares)
-    out = {r: int(round(shares[r] * total / base)) for r in keys}
-    biggest = max(keys, key=lambda r: out[r])
-    out[biggest] += total - sum(out.values())
+    out = [int(round(shares[r] * total / base)) for r in keys]
+    return dict(zip(keys, _settle_residual(out, total)))
+
+
+def _settle_residual(out: list[int], total: int) -> list[int]:
+    """Make the rounded shares sum to ``total``, largest share first.
+
+    A surplus goes to the largest entry (the first one on ties); a deficit is
+    taken from the largest entries in turn, never driving one below 0.
+    """
+    residual = total - sum(out)
+    for i in sorted(range(len(out)), key=lambda i: -out[i]):
+        change = max(residual, -out[i])
+        out[i] += change
+        residual -= change
     return out

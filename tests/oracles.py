@@ -152,3 +152,138 @@ def tv_distance_2d(a: np.ndarray, b: np.ndarray) -> float:
     pa[: a.shape[0], : a.shape[1]] = a
     pb[: b.shape[0], : b.shape[1]] = b
     return 0.5 * float(np.abs(pa - pb).sum())
+
+
+# ---------------------------------------------------------------------------
+# engine reference: the generation step as the engine wrote it before its
+# sort-based scatter kernel (hash ``np.unique`` plus ``np.bincount`` with
+# minlength=n, O(n) per generation).  Traces must match it exactly.
+
+
+def _neighbors(g, frontier: np.ndarray) -> np.ndarray:
+    """Adjacency lists of ``frontier`` concatenated, one slice per vertex."""
+    if len(frontier) == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate([g.indices[g.indptr[v] : g.indptr[v + 1]] for v in frontier])
+
+
+def _reference_run(g, seeds: np.ndarray, stop_fraction: float, advance):
+    """Shared verdict loop; ``advance(infected, frontier)`` returns the newly infected."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    infected = np.zeros(g.n, dtype=bool)
+    infected[seeds] = True
+    frontier = seeds
+    totals = [int(seeds.size)]
+    per_cluster = [np.bincount(g.clusters[seeds], minlength=g.k)]
+    stop_at = stop_fraction * g.n
+    verdict = "spread" if totals[0] >= stop_at else ("halted" if totals[0] == 0 else None)
+    while verdict is None:
+        newly = advance(infected, frontier)
+        infected[newly] = True
+        frontier = newly
+        totals.append(totals[-1] + int(newly.size))
+        per_cluster.append(per_cluster[-1] + np.bincount(g.clusters[newly], minlength=g.k))
+        if totals[-1] >= stop_at:
+            verdict = "spread"
+        elif newly.size == 0:
+            verdict = "halted"
+    return np.asarray(totals), np.asarray(per_cluster), verdict, np.flatnonzero(infected)
+
+
+def reference_standard(g, thresholds: np.ndarray, seeds: np.ndarray, stop_fraction: float):
+    """(totals, per_cluster, verdict, final_infected) of a threshold run."""
+    counts = np.zeros(g.n, dtype=np.int64)
+
+    def advance(infected, frontier):
+        nbrs = _neighbors(g, frontier)
+        if nbrs.size:
+            counts[:] += np.bincount(nbrs, minlength=g.n)
+        touched = np.unique(nbrs)
+        ready = (~infected[touched]) & (counts[touched] >= thresholds[touched])
+        return touched[ready]
+
+    return _reference_run(g, seeds, stop_fraction, advance)
+
+
+def reference_coinflip(g, s: np.ndarray, z: np.ndarray, r_max: int, seeds: np.ndarray,
+                       stop_fraction: float, rng: np.random.Generator):
+    """Coinflip run drawing its coins in ascending vertex order, like the engine."""
+    counts = np.zeros(g.n, dtype=np.int64)
+
+    def advance(infected, frontier):
+        nbrs = _neighbors(g, frontier)
+        if nbrs.size == 0:
+            return np.empty(0, dtype=np.int64)
+        delta = np.bincount(nbrs, minlength=g.n)
+        touched = np.unique(nbrs)
+        touched = touched[~infected[touched]]
+        old = counts[touched]
+        new = old + delta[touched]
+        counts[touched] = new
+        forced = touched[new >= r_max]
+        flips = new - np.maximum(old, s[touched])
+        eligible = (flips > 0) & (new < r_max)
+        flip_ids = touched[eligible]
+        flip_n = flips[eligible]
+        hit = np.zeros(flip_ids.size, dtype=bool)
+        if flip_ids.size:
+            draws = rng.random(int(flip_n.sum()))
+            bounds = np.cumsum(flip_n)
+            success = draws < np.repeat(z[flip_ids], flip_n)
+            hit = np.logical_or.reduceat(success, np.concatenate([[0], bounds[:-1]]))
+        return np.union1d(forced, flip_ids[hit])
+
+    return _reference_run(g, seeds, stop_fraction, advance)
+
+
+def reference_three_stage(g, thresholds: np.ndarray, seeds: np.ndarray, stop_fraction: float,
+                          rng: np.random.Generator, cheating: bool):
+    """(totals, per_cluster, verdict, final_infected, contagious_per_cluster)."""
+    healthy, latent, contagious = 0, 1, 2
+    n, k = g.n, g.k
+    seeds = np.asarray(seeds, dtype=np.int64)
+    status = np.zeros(n, dtype=np.int8)
+    status[seeds] = latent
+    contagious_nbrs = np.zeros(n, dtype=np.int64)
+    totals = [int(seeds.size)]
+    per_cluster = [np.bincount(g.clusters[seeds], minlength=k)]
+    stop_at = stop_fraction * n
+    verdict = "spread" if totals[0] >= stop_at else None
+    while verdict is None:
+        latent_per_cluster = np.bincount(g.clusters[status == latent], minlength=k)
+        out = latent_per_cluster.sum() == 0 if cheating else np.any(latent_per_cluster == 0)
+        if out:
+            verdict = "spread" if totals[-1] >= stop_at else "halted"
+            break
+        promoted = []
+        for cluster in range(k):
+            lo, hi = cluster * g.eta, (cluster + 1) * g.eta
+            pool = np.flatnonzero(status[lo:hi] == latent)
+            if pool.size == 0:
+                pool = np.flatnonzero(status[lo:hi] == healthy)
+                if pool.size == 0:
+                    continue
+            promoted.append(lo + int(pool[rng.integers(pool.size)]))
+        promoted_arr = np.asarray(promoted, dtype=np.int64)
+        status[promoted_arr] = contagious
+        nbrs = _neighbors(g, promoted_arr)
+        if nbrs.size:
+            contagious_nbrs += np.bincount(nbrs, minlength=n)
+        status[(status == healthy) & (contagious_nbrs >= thresholds)] = latent
+        totals.append(int(np.count_nonzero(status)))
+        per_cluster.append(np.bincount(g.clusters[status != healthy], minlength=k))
+        if totals[-1] >= stop_at:
+            verdict = "spread"
+    return (
+        np.asarray(totals),
+        np.asarray(per_cluster),
+        verdict,
+        np.flatnonzero(status != healthy),
+        np.bincount(g.clusters[status == contagious], minlength=k),
+    )
+
+
+def reference_exposure(g, infected: np.ndarray) -> np.ndarray:
+    """Infected-neighbor count of every vertex, recounted from the edge list."""
+    ids = np.flatnonzero(infected)
+    return np.bincount(_neighbors(g, ids), minlength=g.n)

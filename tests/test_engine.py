@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from oracles import dense_fixpoint
+from oracles import (
+    dense_fixpoint,
+    reference_coinflip,
+    reference_exposure,
+    reference_standard,
+    reference_three_stage,
+)
 from tmperc import template as tpl
 from tmperc.engine import (
     EngineConfig,
     EngineError,
     StandardRun,
+    _gather_neighbors,
+    _tally,
     run_cheating3,
     run_coinflip,
     run_halting3,
@@ -43,6 +51,27 @@ def random_instance(rng, max_n=12):
     thresholds = rng.integers(1, 4, size=n)
     seeds = np.flatnonzero(rng.random(n) < 0.3)
     return g, thresholds, seeds
+
+
+def medium_instance(rng):
+    """A few hundred to two thousand vertices: frontiers of tens to hundreds."""
+    template = [tpl.make_single(), tpl.make_planted(2), tpl.make_ring(5, 1)][int(rng.integers(3))]
+    eta = int(rng.integers(60, 2000 // template.k))
+    n = template.k * eta
+    p = float(rng.uniform(3.0, 12.0)) / n * template.k / template.k_p
+    params = TMParams(template, n, p, float(rng.uniform(0.0, p)))
+    g = sample_graph(params, substream(7001, int(rng.integers(1 << 30))))
+    thresholds = rng.integers(1, 4, size=n)
+    seeds = np.flatnonzero(rng.random(n) < rng.uniform(0.01, 0.2))
+    return g, thresholds, seeds
+
+
+def assert_trace_equals(trace, expected):
+    totals, per_cluster, verdict, final_infected = expected[:4]
+    assert np.array_equal(trace.totals, totals)
+    assert np.array_equal(trace.per_cluster, per_cluster)
+    assert trace.verdict == verdict
+    assert np.array_equal(trace.final_infected, final_infected)
 
 
 def test_no_seeds_halts_at_generation_zero():
@@ -254,3 +283,77 @@ def test_engine_config_validation():
         EngineConfig(stop_fraction=0.0)
     with pytest.raises(ValueError):
         EngineConfig(mode="wiggle")
+
+
+# ---------------------------------------------------------------------------
+# scatter kernel and the pre-kernel reference step
+
+
+def test_tally_matches_np_unique():
+    rng = np.random.default_rng(50)
+    cases = [np.empty(0, dtype=np.int64), np.array([7]), np.array([3, 3, 3]), np.arange(5)[::-1]]
+    for _ in range(200):
+        cases.append(rng.integers(0, int(rng.integers(1, 500)), size=int(rng.integers(0, 2000))))
+    g = path_graph(6)  # empty and single-vertex frontiers, as the engine gathers them
+    for frontier in (np.empty(0, dtype=np.int64), np.array([0]), np.array([3])):
+        cases.append(_gather_neighbors(g, frontier))
+    for values in cases:
+        touched, hits = _tally(np.asarray(values, dtype=np.int64))
+        expected, counts = np.unique(values, return_counts=True)
+        assert np.array_equal(touched, expected)
+        assert np.array_equal(hits, counts)
+
+
+def test_standard_matches_reference_step():
+    rng = np.random.default_rng(51)
+    for i in range(120):
+        g, thresholds, seeds = (medium_instance if i % 2 else random_instance)(rng)
+        stop = float(rng.choice([0.5, 0.9, 1.0]))
+        trace = run_standard(g, thresholds, seeds, EngineConfig(stop_fraction=stop))
+        assert_trace_equals(trace, reference_standard(g, thresholds, seeds, stop))
+
+
+def test_candidates_and_exposure_match_reference():
+    rng = np.random.default_rng(52)
+    for i in range(60):
+        g, thresholds, seeds = (medium_instance if i % 2 else random_instance)(rng)
+        run = StandardRun(g, thresholds, seeds, EngineConfig(stop_fraction=1.0))
+        while True:
+            exposure = reference_exposure(g, run.infected)
+            assert np.array_equal(run.current_exposure(), exposure)
+            ready = np.flatnonzero(~run.infected & (exposure >= run.thresholds))
+            assert np.array_equal(run._candidates(), ready)
+            if run.verdict is not None:
+                break
+            run.step()
+
+
+def test_coinflip_matches_reference_draw_for_draw():
+    rng = np.random.default_rng(53)
+    for i in range(100):
+        g, _, seeds = (medium_instance if i % 2 else random_instance)(rng)
+        r_max = int(rng.integers(2, 8))
+        s = rng.integers(0, r_max, size=g.n)
+        z = rng.uniform(0.0, 1.0, size=g.n)
+        stop = float(rng.choice([0.5, 1.0]))
+        ours, theirs = substream(54, i), substream(54, i)
+        config = EngineConfig(stop_fraction=stop)
+        trace = run_coinflip(g, CoinflipState(s, z, r_max), seeds, config, ours)
+        expected = reference_coinflip(g, s, z, r_max, seeds, stop, theirs)
+        assert_trace_equals(trace, expected)
+        assert ours.random() == theirs.random()  # same number of coins drawn
+
+
+def test_three_stage_matches_reference():
+    rng = np.random.default_rng(55)
+    for i in range(60):
+        g, thresholds, seeds = (medium_instance if i % 3 == 0 else random_instance)(rng)
+        cheating = bool(i % 2)
+        stop = float(rng.choice([0.5, 1.0]))
+        run = run_cheating3 if cheating else run_halting3
+        ours, theirs = substream(56, i), substream(56, i)
+        trace = run(g, thresholds, seeds, EngineConfig(stop_fraction=stop), ours)
+        expected = reference_three_stage(g, thresholds, seeds, stop, theirs, cheating)
+        assert_trace_equals(trace, expected)
+        assert np.array_equal(trace.contagious_per_cluster, expected[4])
+        assert ours.random() == theirs.random()

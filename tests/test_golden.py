@@ -1,0 +1,97 @@
+"""Golden fixed-seed outputs: refactors and speedups must keep every byte.
+
+Each config is small (n = 2000, a few graphs) but runs the real sweep
+drivers end to end and emits through ``harness.emit``.  The sha256 of the
+CSV was recorded before the engine's scatter kernel replaced ``np.unique``
+and ``np.bincount(minlength=n)``; a change to any digest means some row
+changed and must be explained, not re-recorded silently.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from tmperc import harness
+
+N = 2000
+
+CONFIGS = {
+    "dichotomy": {
+        "name": "golden-dichotomy",
+        "master_seed": 106,
+        "graph": {
+            "template": {"kind": "ring", "k": 8, "reach": 1},
+            "n": N,
+            "near_degree": 5.0,
+            "far_degree": 5.0,
+        },
+        "thresholds": {"zeta": {"2": 0.5, "3": 0.5}},
+        "sweep": {"axis": "zeta_fraction", "threshold": 3, "complement": 2, "values": [0.0, 0.5]},
+        "graphs": 3,
+        "trials": 4,
+        "seed_factors": [0.9, 1.1],
+    },
+    "coinflip": {
+        "name": "golden-coinflip",
+        "master_seed": 108,
+        "graph": {"template": {"kind": "single"}, "n": N, "near_degree": 10.0},
+        "thresholds": {"coinflip": {"s": 1, "z": 0.5, "r_max": 20}},
+        "sweep": {"axis": "coin_z", "values": [0.4, 0.6]},
+        "graphs": 3,
+        "trials": 4,
+        "seed_factors": [0.9, 1.1],
+    },
+    "bolster": {
+        "name": "golden-bolster",
+        "master_seed": 109,
+        "graph": {"template": {"kind": "single"}, "n": N, "p": 0.0035},
+        "thresholds": {"zeta": {"2": 1.0}},
+        "sweep": {"axis": "alpha", "values": [0.2, 0.6, 1.0]},
+        "graphs": 3,
+        "trials": 1,
+        "intervention": {
+            "variant": "bolster_a",
+            "lambda": 0.1,
+            "baseline_seed_factor": 1.6,
+            "compute_boundary": True,
+        },
+    },
+    "diminish": {
+        "name": "golden-diminish",
+        "master_seed": 109,
+        "graph": {"template": {"kind": "planted", "k": 2}, "n": N, "p": 0.006, "q": 0.002},
+        "thresholds": {"zeta": {"2": 1.0}},
+        "sweep": {"axis": "alpha", "values": [0.2, 0.6, 1.0]},
+        "graphs": 3,
+        "trials": 1,
+        "intervention": {
+            "variant": "diminish",
+            "lambda": 0.1,
+            "baseline_seed_factor": 1.6,
+            "compute_boundary": True,
+        },
+    },
+}
+
+DIGESTS = {
+    "dichotomy": "fd9fb2453f93b3bbe3e13fc6c0b0609fffadc9bbec272c1e07eeb46184531fb5",
+    "coinflip": "6319f74236a55092a2fb53a9ac610602b2097742947d821d31fce1b519517764",
+    "bolster": "c01346e3b0c44727af8260b12218aafdd9308458e3072b5d5b6c917ecce6b770",
+    "diminish": "9896cf6e2a8c8fb78417618e7b3d2899312cf4c0cb11fe5248111ea7691558e4",
+}
+
+
+def _csv_digest(name: str, tmp_path) -> str:
+    config = harness.load_config(CONFIGS[name])
+    run = harness.run_intervention if "intervention" in CONFIGS[name] else harness.run_dichotomy
+    base = str(tmp_path / name)
+    harness.emit(run(config), base, formats=("csv",))
+    with open(base + ".csv", "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_digest(name, tmp_path):
+    assert _csv_digest(name, tmp_path) == DIGESTS[name]

@@ -116,6 +116,25 @@ def test_emit_roundtrip_and_empty_table(tmp_path):
     assert len(lines) == 2
 
 
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell cannot be formatted")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_emit_failure_keeps_previous_file(tmp_path, fmt):
+    base = str(tmp_path / "rows")
+    good = harness.ResultTable("good", "cafe", ["a"], [{"a": i} for i in range(3)])
+    harness.emit(good, base)
+    before = open(f"{base}.{fmt}", "rb").read()
+    # the second row fails after the header and first row are written
+    bad = harness.ResultTable("bad", "beef", ["a"], [{"a": 1}, {"a": _Unprintable()}])
+    with pytest.raises((RuntimeError, TypeError)):
+        harness.emit(bad, base, formats=(fmt,))
+    assert open(f"{base}.{fmt}", "rb").read() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "rows.jsonl"]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     config = harness.load_config(base_config(trials=2, graphs=2))
     first = harness.run_dichotomy(config)

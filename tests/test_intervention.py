@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from oracles import enum_residual_er, enum_residual_tm, enum_thinning, tv_distance, tv_distance_2d
+from tmperc import harness
 from tmperc import intervention as iv
 from tmperc import template as tpl
 from tmperc.analytic import AnalyticModel, critical_seed
@@ -442,3 +444,64 @@ def test_modification2_weaken_voids_decay_guarantee():
     weaken = iv.Bolster({2: {2: 0.5, 3: 0.5}}, allow_weaken=True)
     surrogate = iv.surrogate_bolster(state, weaken, params, profile)
     assert surrogate.flags["modification2"]
+
+
+# ---------------------------------------------------------------------------
+# proportional rescaling of observed counts (boundary_scan's hypothetical states)
+
+
+def _old_proportional(counts, total):
+    """The rounding rule before deficits spilled: the whole residual on the largest."""
+    base = sum(counts)
+    out = [total // len(counts)] * len(counts) if base == 0 else [
+        int(round(c * total / base)) for c in counts
+    ]
+    out[out.index(max(out))] += total - sum(out)
+    return tuple(out)
+
+
+def test_proportional_spills_deficit_instead_of_going_negative():
+    # 7 ones rounded to 5 * 1/7 each give 7; the old rule put -1 on one entry
+    counts = (0, 0, 1, 1, 1, 1, 0, 1, 1, 1)
+    assert min(_old_proportional(counts, 5)) == -1
+    assert iv._proportional(counts, 5) == (0, 0, 0, 0, 1, 1, 0, 1, 1, 1)
+    shares = dict(enumerate(counts))
+    assert iv._proportional_map(shares, 5) == dict(enumerate((0, 0, 0, 0, 1, 1, 0, 1, 1, 1)))
+
+
+@given(
+    st.lists(st.integers(0, 60), min_size=1, max_size=12),
+    st.integers(0, 600),
+)
+@example([0, 0, 1, 1, 1, 1, 0, 1, 1, 1], 5)
+def test_proportional_properties(counts, total):
+    out = iv._proportional(tuple(counts), total)
+    assert min(out) >= 0
+    assert sum(out) == total
+    old = _old_proportional(counts, total)
+    if min(old) >= 0:
+        assert out == old
+    if sum(counts):
+        mapped = iv._proportional_map(dict(enumerate(counts)), total)
+        assert tuple(mapped.values()) == out
+
+
+def test_boundary_scan_on_sparse_ring_cluster_counts():
+    # graph 9 of this ring sweep at seed 2 scales 5 infected over 7 of 10
+    # clusters; the negative cluster count used to make build_profile raise
+    raw = {
+        "name": "ring-diminish",
+        "master_seed": 2,
+        "graph": {"template": {"kind": "ring", "k": 10, "reach": 1}, "n": 10000,
+                  "p": 0.003, "q": 0.002},
+        "thresholds": {"zeta": {"3": 1.0}},
+        "sweep": {"axis": "alpha", "values": [0.1, 0.25, 0.4, 0.55, 0.7, 0.85]},
+        "graphs": 10,
+        "trials": 1,
+        "intervention": {"variant": "diminish", "lambda": 0.1, "baseline_seed_factor": 1.3,
+                         "alpha_q_ratio": 2 / 3, "compute_boundary": True},
+    }
+    config = harness.load_config(raw)
+    rows = harness._intervention_graph_task((config.raw, 9))
+    assert [row["point"] for row in rows] == list(range(6))
+    assert rows[2]["boundary_i_cur"] == 648.5
