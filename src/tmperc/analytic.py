@@ -9,15 +9,18 @@ Central objects, for integer generations t:
 The critical seed size is the least phi with f(phi, t) >= 0 for every
 integer t in [1, floor(1/(3*phi_edge))] where phi_edge = p*k_p + q*k_q;
 the bottleneck generation t* is the (smallest) minimizer of f at that seed
-size.  All binomial mass is computed in log space; survival probabilities
-take the tail sum directly when the head is close to 1 so small activation
-probabilities keep full relative accuracy.
+size.  f is affine in phi, so the critical seed is a closed form: the
+largest per-generation root (k*t - n*A(t)) / (1 - A(t)), rounded up.  All
+binomial mass is computed in log space by one convolution kernel,
+``log_sum_row``; survival probabilities take the tail sum directly when the
+head is close to 1 so small activation probabilities keep full relative
+accuracy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -93,20 +96,24 @@ def log_binom_row(trials: np.ndarray | int, prob: float, j_max: int) -> np.ndarr
     return out[:, 0] if scalar else out
 
 
-def log_sum_row(t: int, params: TMParams, j_max: int) -> np.ndarray:
+def log_sum_row(t: np.ndarray | int, params: TMParams, j_max: int) -> np.ndarray:
     """log Pr[Bin(k_p*t, p) + Bin(k_q*t, q) = j] for j = 0..j_max.
 
     The whole row is one masked (j_max+1) x (j_max+1) log-convolution: entry
     (j, i) holds log_b[i] + log_c[j-i] for i <= j and -inf above the
     diagonal, reduced by a single logsumexp over i.  Its temporaries grow as
     j_max**2, and pi_r's full-support fallback can pass j_max up to
-    (k_p + k_q) * t.
+    (k_p + k_q) * t.  Like ``log_binom_row``, a t array adds a trailing axis:
+    the result is (j_max+1,) for scalar t, else (j_max+1, len(t)).  The array
+    form sums over i in index order, while numpy may sum the scalar form's
+    contiguous rows pairwise, so the two can differ in the last bits.
     """
     log_b = log_binom_row(params.k_p * t, params.p, j_max)
     log_c = log_binom_row(params.k_q * t, params.q, j_max)
     j = np.arange(j_max + 1)
     lag = j[:, None] - j[None, :]  # j - i
-    terms = np.where(lag >= 0, log_b[None, :] + log_c[np.maximum(lag, 0)], _NEG_INF)
+    mask = (lag >= 0).reshape(lag.shape + (1,) * (log_b.ndim - 1))
+    terms = np.where(mask, log_b[None] + log_c[np.maximum(lag, 0)], _NEG_INF)
     return logsumexp(terms, axis=1)
 
 
@@ -221,12 +228,7 @@ class AnalyticModel:
         params, dist = self.params, self.dist
         r_m = dist.r_max
         t_arr = np.arange(t_hi + 1, dtype=np.int64)
-        log_b = log_binom_row(params.k_p * t_arr, params.p, r_m - 1)
-        log_c = log_binom_row(params.k_q * t_arr, params.q, r_m - 1)
-        log_d = np.empty((r_m, t_hi + 1))
-        for j in range(r_m):
-            stack = log_b[: j + 1] + log_c[j::-1]
-            log_d[j] = logsumexp(stack, axis=0)
+        log_d = log_sum_row(t_arr, params, r_m - 1)
         head = np.cumsum(np.exp(log_d), axis=0)  # head[j] = Pr[sum <= j]
         pi = np.clip(1.0 - head, 0.0, 1.0)  # row r-1 holds pi_r = 1 - head[r-1]
         total_trials = (params.k_p + params.k_q) * t_arr
@@ -258,24 +260,19 @@ class CriticalResult:
 
     phi_critical: int | None
     t_star: int | None
-    f_curve: np.ndarray | None
     assumptions: AssumptionReport
     t_max: int | None
 
-    def to_dict(self) -> dict:
-        return {
-            "phi_critical": self.phi_critical,
-            "t_star": self.t_star,
-            "t_max": self.t_max,
-            "assumptions": self.assumptions.to_dict(),
-        }
-
 
 def critical_seed(model: AnalyticModel) -> CriticalResult:
-    """Least phi with f(phi, t) >= 0 on the whole horizon, by bisection in phi.
+    """Least phi with f(phi, t) >= 0 on the whole horizon, in closed form.
 
-    f is non-decreasing in phi pointwise (slope 1 - A(t) >= 0), so
-    feasibility is monotone and bisection applies.  The minimizing t is
+    f(phi, t) = n*A(t) - k*t + phi*(1 - A(t)) is affine in phi, so each t
+    with A(t) < 1 needs phi >= (k*t - n*A(t)) / (1 - A(t)), and a t with
+    A(t) = 1 needs only k*t <= n.  The largest of those roots, rounded up,
+    is stepped by one until the feasibility test on the table holds at phi
+    and fails at phi - 1, which absorbs the rounding of the division.  (The
+    bisection this replaces is kept as a test oracle.)  The minimizing t is
     found by full scan of the table; ties break to the smallest t.
     """
     params = model.params
@@ -284,7 +281,7 @@ def critical_seed(model: AnalyticModel) -> CriticalResult:
         raise ValueError(
             "empty horizon: expected degree so large that floor(1/(3*phi)) < 1"
         )
-    infeasible = CriticalResult(None, None, None, model.assumptions, model.t_max)
+    infeasible = CriticalResult(None, None, model.assumptions, model.t_max)
     if model.t_max is None:
         # no edges: f(phi, t) = phi - k*t goes negative within the horizon
         return infeasible
@@ -299,19 +296,16 @@ def critical_seed(model: AnalyticModel) -> CriticalResult:
 
     if not feasible(n):
         return infeasible
-    lo, hi = 0, n  # invariant: hi feasible
-    if feasible(0):
-        hi = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    phi_star = hi
+    below = a_arr < 1.0
+    roots = (k * t_arr[below] - n * a_arr[below]) / (1.0 - a_arr[below])
+    phi_star = min(n, math.ceil(roots.max(initial=0.0)))
+    while not feasible(phi_star):
+        phi_star += 1
+    while phi_star > 0 and feasible(phi_star - 1):
+        phi_star -= 1
     curve = (n - phi_star) * a_arr - k * t_arr + phi_star
     t_star = int(t_arr[int(np.argmin(curve))])
-    return CriticalResult(phi_star, t_star, curve, model.assumptions, model.t_max)
+    return CriticalResult(phi_star, t_star, model.assumptions, model.t_max)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .analytic import (
     pi_r,
 )
 from .engine import EngineConfig, run_standard
-from .intervention import ObservedState, residual_er
+from .intervention import ObservedState, residual_tm
 from .rngutil import substream
 from .tmgraph import TMParams, ThresholdDistribution, sample_graph
 
@@ -186,7 +186,7 @@ def check_residual_enumeration(instances: int = 25) -> CheckResult:
             healthy_by_threshold={r: n - m - delta}, tau=2,
         )
         params = TMParams(params_template, n, p)
-        mine = residual_er(obs, r, params)
+        mine = residual_tm(obs, r, params, 0)[0][:, 0]
         law: dict[int, float] = {}
         for vec in itertools.product([0, 1], repeat=m + delta):
             weight = 1.0

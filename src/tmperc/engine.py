@@ -50,15 +50,12 @@ class EngineConfig:
     productive generations, so hitting a smaller cap is reported as an error.
     """
 
-    mode: str = "standard"
     stop_fraction: float = 0.9
     max_generations: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.stop_fraction <= 1.0:
             raise ValueError(f"stop_fraction {self.stop_fraction} outside (0, 1]")
-        if self.mode not in ("standard", "coinflip", "halting3", "cheating3"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -359,7 +356,7 @@ def run_coinflip(
     """
     if rng is None:
         raise ValueError("coinflip mode requires an explicit rng")
-    run = _CoinflipRun(g, cf, seeds, config or EngineConfig(mode="coinflip"), rng)
+    run = _CoinflipRun(g, cf, seeds, config or EngineConfig(), rng)
     run.finish()
     return run.trace()
 
@@ -458,7 +455,7 @@ def run_halting3(
     if rng is None:
         raise ValueError("three-stage modes require an explicit rng")
     return _run_three_stage(
-        g, thresholds, seeds, config or EngineConfig(mode="halting3"), rng, cheating=False
+        g, thresholds, seeds, config or EngineConfig(), rng, cheating=False
     )
 
 
@@ -473,5 +470,5 @@ def run_cheating3(
     if rng is None:
         raise ValueError("three-stage modes require an explicit rng")
     return _run_three_stage(
-        g, thresholds, seeds, config or EngineConfig(mode="cheating3"), rng, cheating=True
+        g, thresholds, seeds, config or EngineConfig(), rng, cheating=True
     )

@@ -21,7 +21,7 @@ from typing import Any, Iterator, Mapping
 import numpy as np
 
 from . import rngutil
-from .analytic import AnalyticModel, CoinflipModel, CriticalResult, coinflip_reduce, critical_seed
+from .analytic import AnalyticModel, CoinflipModel, coinflip_reduce, critical_seed
 from .engine import (
     EngineConfig,
     CoinflipState,
@@ -343,14 +343,17 @@ def analytic_summary(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
+def _factor_key(factor: float) -> int:
+    """Substream index of a seed factor (0 for the seed-count axis's NaN)."""
+    return int(round(factor * 1000)) if not math.isnan(factor) else 0
+
+
 def _dichotomy_graph_task(args: tuple) -> list[dict]:
-    raw, point_idx, graph_idx = args
+    raw, point_idx, graph_idx, result = args
     config = ExperimentConfig(raw)
     params = params_from_config(config)
     value = config.sweep_values[point_idx]
     dist = distribution_at(config, value)
-    model = AnalyticModel(params, dist)
-    result = critical_seed(model)
     phi_crit = result.phi_critical
     seed = config.master_seed
     engine_config = EngineConfig(stop_fraction=config.stop_fraction)
@@ -373,20 +376,10 @@ def _dichotomy_graph_task(args: tuple) -> list[dict]:
             seed_counts.append((factor, int(round(factor * phi_crit))))
     for factor, count in seed_counts:
         for trial in range(config.trials):
-            stream = rngutil.substream(
-                seed, rngutil.ENGINE, point_idx, graph_idx, trial, int(round(factor * 1000)) if not math.isnan(factor) else 0
-            )
+            key = (point_idx, graph_idx, trial, _factor_key(factor))
+            stream = rngutil.substream(seed, rngutil.ENGINE, *key)
             seeds = select_seeds(
-                min(count, params.n),
-                params.n,
-                rngutil.substream(
-                    seed,
-                    rngutil.SEEDS,
-                    point_idx,
-                    graph_idx,
-                    trial,
-                    int(round(factor * 1000)) if not math.isnan(factor) else 0,
-                ),
+                min(count, params.n), params.n, rngutil.substream(seed, rngutil.SEEDS, *key)
             )
             if cf_base is None:
                 trace = run_standard(g, thresholds, seeds, engine_config)
@@ -415,11 +408,11 @@ def run_dichotomy(config: ExperimentConfig, jobs: int = 1) -> ResultTable:
     """Simulate around the analytic critical seed size for every sweep point."""
     if config.intervention is not None:
         raise ConfigError("dichotomy configs must not carry an intervention section")
-    tasks = [
-        (config.raw, point_idx, graph_idx)
-        for point_idx in range(len(config.sweep_values))
-        for graph_idx in range(config.graphs)
-    ]
+    params = params_from_config(config)
+    tasks = []
+    for point_idx, value in enumerate(config.sweep_values):
+        result = critical_seed(AnalyticModel(params, distribution_at(config, value)))
+        tasks.extend((config.raw, point_idx, g_idx, result) for g_idx in range(config.graphs))
     rows: list[dict] = []
     for chunk in _execute(tasks, _dichotomy_graph_task, jobs):
         rows.extend(chunk)
@@ -478,26 +471,30 @@ def _variant_at(section: Mapping[str, Any], alpha: float, thresholds: tuple[int,
     raise ConfigError(f"unknown intervention variant {kind!r}")
 
 
+def _baseline_seed_count(config: ExperimentConfig) -> int:
+    """Seed count of the baseline runs: given, or a factor of the critical seed."""
+    section = config.intervention
+    if "baseline_seed_count" in section:
+        return int(section["baseline_seed_count"])
+    model = AnalyticModel(params_from_config(config), distribution_at(config, None))
+    phi_crit = critical_seed(model).phi_critical
+    if phi_crit is None:
+        raise ConfigError("baseline has no finite critical seed; set baseline_seed_count")
+    return int(round(section["baseline_seed_factor"] * phi_crit))
+
+
 def _intervention_graph_task(args: tuple) -> list[dict]:
-    raw, graph_idx = args
+    raw, graph_idx, baseline = args
     config = ExperimentConfig(raw)
     section = config.intervention
     assert section is not None
     params = params_from_config(config)
     dist = distribution_at(config, None)
-    model = AnalyticModel(params, dist)
-    base_crit = critical_seed(model)
     seed = config.master_seed
     g = sample_graph(params, rngutil.substream(seed, rngutil.GRAPH, 0, graph_idx))
     thresholds = assign_thresholds(
         dist, params.n, rngutil.substream(seed, rngutil.THRESHOLDS, 0, graph_idx)
     )
-    if "baseline_seed_count" in section:
-        baseline = int(section["baseline_seed_count"])
-    else:
-        if base_crit.phi_critical is None:
-            raise ConfigError("baseline has no finite critical seed; set baseline_seed_count")
-        baseline = int(round(section["baseline_seed_factor"] * base_crit.phi_critical))
     seeds = select_seeds(
         baseline, params.n, rngutil.substream(seed, rngutil.SEEDS, 0, graph_idx)
     )
@@ -585,7 +582,8 @@ def run_intervention(config: ExperimentConfig, jobs: int = 1) -> ResultTable:
         raise ConfigError("intervention configs need an intervention section")
     if config.raw["sweep"]["axis"] != "alpha":
         raise ConfigError("intervention sweeps use the alpha axis")
-    tasks = [(config.raw, graph_idx) for graph_idx in range(config.graphs)]
+    baseline = _baseline_seed_count(config)
+    tasks = [(config.raw, graph_idx, baseline) for graph_idx in range(config.graphs)]
     rows: list[dict] = []
     for chunk in _execute(tasks, _intervention_graph_task, jobs):
         rows.extend(chunk)

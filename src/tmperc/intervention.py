@@ -12,8 +12,9 @@ critical seed size decides success.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -39,13 +40,9 @@ __all__ = [
     "bolster_a",
     "bolster_b",
     "delay_to_bolster",
-    "residual_er",
     "residual_tm",
     "build_profile",
     "thin_residual",
-    "surrogate_bolster",
-    "surrogate_diminish",
-    "surrogate_sequester",
     "build_surrogate",
     "predict",
     "run_to_trigger",
@@ -263,35 +260,17 @@ def _pmf_row(trials: int, prob: float, j_cap: int | None = None) -> tuple[np.nda
     return row, dropped
 
 
-def residual_er(observed: ObservedState, r: int, params: TMParams) -> np.ndarray:
-    """Distribution of the infected-neighbor count a of a surviving vertex.
-
-    Single-block case: exposure to I(tau-1) is a binomial conditioned on
-    staying below r (the vertex survived), exposure to the fresh infections
-    I(tau) - I(tau-1) is an unconditioned binomial; a is their sum.
-    """
-    if params.k != 1:
-        raise ValueError("residual_er applies to single-cluster parameters")
-    joint = residual_tm(observed, r, params, 0)
-    return joint[:, 0]
-
-
 def residual_tm(
     observed: ObservedState, r: int, params: TMParams, cluster: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Joint law of (near, far) infected-neighbor counts for a healthy vertex.
 
     The exposure to I(tau-1) is a pair of binomials jointly conditioned on
-    total at most r-1; fresh exposure convolves in independently.  Returns a
-    2D array indexed by (near count b, far count c).
+    total at most r-1 (the vertex survived); fresh exposure to I(tau) -
+    I(tau-1) convolves in independently.  Returns the 2D array indexed by
+    (near count b, far count c) and the binomial tail mass truncated from
+    the fresh exposure.  On a single cluster column 0 is the exposure law.
     """
-    joint, _ = _residual_tm_with_drop(observed, r, params, cluster)
-    return joint
-
-
-def _residual_tm_with_drop(
-    observed: ObservedState, r: int, params: TMParams, cluster: int
-) -> tuple[np.ndarray, float]:
     near_set = params.template.neighbors[cluster]
     m_near = sum(observed.i_prev_cluster[i] for i in near_set)
     m_far = observed.i_prev - m_near
@@ -338,16 +317,12 @@ class ResidualProfile:
     cluster_tv_max: float
 
     def marginal(self, r: int) -> np.ndarray:
-        joint = self.joints[r]
-        idx = np.add.outer(np.arange(joint.shape[0]), np.arange(joint.shape[1]))
-        return np.bincount(idx.ravel(), weights=joint.ravel())
+        return _marginal(self.joints[r])
 
     def mixture_marginal(self) -> np.ndarray:
-        parts = {r: self.weights[r] * self.marginal(r) for r in self.joints}
-        size = max(p.size for p in parts.values())
-        out = np.zeros(size)
-        for p in parts.values():
-            out[: p.size] += p
+        out = np.zeros(0)
+        for r in self.joints:
+            out = _padded_add(out, self.weights[r] * self.marginal(r))
         return out
 
     def decay_violations(self) -> list[tuple[int, float]]:
@@ -364,13 +339,18 @@ class ResidualProfile:
         return bad
 
 
-def _tv_distance(a: np.ndarray, b: np.ndarray) -> float:
-    size = max(a.size, b.size)
-    pa = np.zeros(size)
-    pb = np.zeros(size)
-    pa[: a.size] = a
-    pb[: b.size] = b
-    return 0.5 * float(np.abs(pa - pb).sum())
+def _marginal(joint: np.ndarray) -> np.ndarray:
+    """Law of near + far exposure from a (near, far) joint."""
+    idx = np.add.outer(np.arange(joint.shape[0]), np.arange(joint.shape[1]))
+    return np.bincount(idx.ravel(), weights=joint.ravel())
+
+
+def _padded_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b after zero-padding both to their common n-d bounding shape."""
+    out = np.zeros(np.maximum(a.shape, b.shape))
+    out[tuple(slice(size) for size in a.shape)] += a
+    out[tuple(slice(size) for size in b.shape)] += b
+    return out
 
 
 def build_profile(observed: ObservedState, params: TMParams) -> ResidualProfile:
@@ -391,21 +371,17 @@ def build_profile(observed: ObservedState, params: TMParams) -> ResidualProfile:
     per_cluster_mixtures: list[np.ndarray] = []
     dropped = 0.0
     for cluster in range(params.k):
-        mixture = None
+        mixture = np.zeros(0)
         for r in weights:
-            joint, drop = _residual_tm_with_drop(observed, r, params, cluster)
+            joint, drop = residual_tm(observed, r, params, cluster)
             dropped = max(dropped, drop)
-            marg_w = weights[r]
-            if r not in joints:
-                joints[r] = np.zeros((0, 0))
-            joints[r] = _accumulate(joints[r], cluster_weight[cluster] * joint)
-            contrib = marg_w * _joint_marginal(joint)
-            mixture = contrib if mixture is None else _add_padded(mixture, contrib)
+            share = cluster_weight[cluster] * joint
+            joints[r] = _padded_add(joints.get(r, np.zeros((0, 0))), share)
+            mixture = _padded_add(mixture, weights[r] * _marginal(joint))
         per_cluster_mixtures.append(mixture)
     tv_max = 0.0
-    for i in range(len(per_cluster_mixtures)):
-        for j in range(i + 1, len(per_cluster_mixtures)):
-            tv_max = max(tv_max, _tv_distance(per_cluster_mixtures[i], per_cluster_mixtures[j]))
+    for a, b in itertools.combinations(per_cluster_mixtures, 2):
+        tv_max = max(tv_max, 0.5 * float(np.abs(_padded_add(a, -b)).sum()))
     phi_edge = params.phi
     gate_ok = phi_edge > 0 and observed.i_cur < params.k / (3.0 * phi_edge)
     return ResidualProfile(
@@ -415,28 +391,6 @@ def build_profile(observed: ObservedState, params: TMParams) -> ResidualProfile:
         dropped_mass=dropped,
         cluster_tv_max=tv_max,
     )
-
-
-def _joint_marginal(joint: np.ndarray) -> np.ndarray:
-    idx = np.add.outer(np.arange(joint.shape[0]), np.arange(joint.shape[1]))
-    return np.bincount(idx.ravel(), weights=joint.ravel())
-
-
-def _add_padded(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    size = max(a.size, b.size)
-    out = np.zeros(size)
-    out[: a.size] += a
-    out[: b.size] += b
-    return out
-
-
-def _accumulate(acc: np.ndarray, joint: np.ndarray) -> np.ndarray:
-    rows = max(acc.shape[0], joint.shape[0])
-    cols = max(acc.shape[1], joint.shape[1])
-    out = np.zeros((rows, cols))
-    out[: acc.shape[0], : acc.shape[1]] += acc
-    out[: joint.shape[0], : joint.shape[1]] += joint
-    return out
 
 
 def thin_residual(profile: ResidualProfile, alpha_p: float, alpha_q: float) -> ResidualProfile:
@@ -463,10 +417,7 @@ def thin_residual(profile: ResidualProfile, alpha_p: float, alpha_q: float) -> R
 
 def _thinning_matrix(size: int, alpha: float) -> np.ndarray:
     """T[b, d] = Pr[Bin(d, alpha) = b] for 0 <= b, d < size."""
-    out = np.zeros((size, size))
-    for d in range(size):
-        out[: d + 1, d] = np.exp(log_binom_row(d, alpha, d))
-    return out
+    return np.exp(log_binom_row(np.arange(size), alpha, size - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -499,43 +450,44 @@ class SurrogateSpec:
         j2 = float(self.j[1]) if self.j.size >= 2 else 0.0
         return j1 == 0.0 or j1 < (2.0 / 3.0) * j2
 
-    def to_dict(self) -> dict:
-        return {
-            "j": self.j.tolist(),
-            "seed_count": self.seed_count,
-            "n": self.params.n,
-            "p": self.params.p,
-            "q": self.params.q,
-            "flags": dict(self.flags),
-        }
 
+def build_surrogate(
+    observed: ObservedState,
+    variant: Variant,
+    params: TMParams,
+    profile: ResidualProfile | None = None,
+) -> SurrogateSpec:
+    """Residual-threshold law of the healthy population after the intervention.
 
-def _surrogate_flags(profile: ResidualProfile, **extra) -> dict:
+    A healthy vertex with old threshold r and exposure a < r draws new
+    threshold r' from the variant's law and lands at residual threshold
+    s = r' - a; exposure a >= r means the vertex is already doomed and joins
+    the seed mass.  Delay is its geometric Bolster.  Diminish and Sequester
+    thin the residual exposures by the retention rates and keep every
+    threshold (the identity law); only Diminish also thins the surrogate's
+    future edges, since Sequester spares healthy-healthy edges.
+    """
+    if not isinstance(variant, (Bolster, Delay, Diminish)):
+        raise TypeError(f"unknown intervention variant {variant!r}")
+    profile = profile or build_profile(observed, params)
     flags = {
         "too_late": not profile.gate_ok,
         "profile_decay_violations": len(profile.decay_violations()) if profile.gate_ok else 0,
         "cluster_tv_max": profile.cluster_tv_max,
         "cluster_heterogeneous": profile.cluster_tv_max > 0.05,
     }
-    flags.update(extra)
-    return flags
-
-
-def surrogate_bolster(
-    observed: ObservedState,
-    bolster: Bolster,
-    params: TMParams,
-    profile: ResidualProfile | None = None,
-) -> SurrogateSpec:
-    """Residual-threshold law after reassigning thresholds from zeta_prime.
-
-    A healthy vertex with old threshold r and exposure a < r draws new
-    threshold r' and lands at residual threshold s = r' - a; exposure
-    a >= r means the vertex is already doomed and joins the seed mass.
-    """
-    profile = profile or build_profile(observed, params)
-    r_cap = bolster.r_max_prime
-    j = np.zeros(r_cap)
+    p, q = params.p, params.q
+    if isinstance(variant, Delay):
+        variant = delay_to_bolster(variant, tuple(sorted(observed.healthy_by_threshold)))
+    if isinstance(variant, Bolster):
+        flags["modification2"] = variant.allow_weaken
+        bolster = variant
+    else:
+        if not isinstance(variant, Sequester):
+            p, q = variant.alpha_p * p, variant.alpha_q * q
+        profile = thin_residual(profile, variant.alpha_p, variant.alpha_q)
+        bolster = Bolster({r: {r: 1.0} for r in profile.weights})
+    j = np.zeros(bolster.r_max_prime)
     for r, weight in profile.weights.items():
         if weight <= 0.0:
             continue
@@ -553,95 +505,10 @@ def surrogate_bolster(
                 s = new_r - a
                 if s >= 1 and prob > 0.0:
                     j[s - 1] += mass * prob
-    seed = observed.healthy_total * max(0.0, 1.0 - float(j.sum()))
-    j_params = TMParams(
-        params.template,
-        observed.healthy_total,
-        params.p,
-        params.q,
-        allow_fractional_clusters=True,
-    )
-    flags = _surrogate_flags(profile, modification2=bolster.allow_weaken)
-    return SurrogateSpec(j, seed, j_params, observed.healthy_total, flags)
-
-
-def _residual_threshold_j(profile: ResidualProfile) -> np.ndarray:
-    """j_s mass at s = r - a for surviving exposure a < r, mixed over r."""
-    r_cap = max(profile.weights)
-    j = np.zeros(r_cap)
-    for r, weight in profile.weights.items():
-        if weight <= 0.0:
-            continue
-        marg = profile.marginal(r)
-        for a in range(min(r, marg.size)):
-            j[r - a - 1] += weight * marg[a]
-    return j
-
-
-def surrogate_diminish(
-    observed: ObservedState,
-    alpha_p: float,
-    alpha_q: float,
-    params: TMParams,
-    profile: ResidualProfile | None = None,
-) -> SurrogateSpec:
-    """Thin the residual exposures and the future edges by the retention rates."""
-    profile = profile or build_profile(observed, params)
-    thinned = thin_residual(profile, alpha_p, alpha_q)
-    j = _residual_threshold_j(thinned)
-    seed = observed.healthy_total * max(0.0, 1.0 - float(j.sum()))
-    j_params = TMParams(
-        params.template,
-        observed.healthy_total,
-        alpha_p * params.p,
-        alpha_q * params.q,
-        allow_fractional_clusters=True,
-    )
-    flags = _surrogate_flags(profile)
-    return SurrogateSpec(j, seed, j_params, observed.healthy_total, flags)
-
-
-def surrogate_sequester(
-    observed: ObservedState,
-    alpha_p: float,
-    alpha_q: float,
-    params: TMParams,
-    profile: ResidualProfile | None = None,
-) -> SurrogateSpec:
-    """Same residual thinning as Diminish, but healthy-healthy edges survive."""
-    profile = profile or build_profile(observed, params)
-    thinned = thin_residual(profile, alpha_p, alpha_q)
-    j = _residual_threshold_j(thinned)
-    seed = observed.healthy_total * max(0.0, 1.0 - float(j.sum()))
-    j_params = TMParams(
-        params.template,
-        observed.healthy_total,
-        params.p,
-        params.q,
-        allow_fractional_clusters=True,
-    )
-    flags = _surrogate_flags(profile)
-    return SurrogateSpec(j, seed, j_params, observed.healthy_total, flags)
-
-
-def build_surrogate(
-    observed: ObservedState,
-    variant: Variant,
-    params: TMParams,
-    profile: ResidualProfile | None = None,
-) -> SurrogateSpec:
-    if isinstance(variant, Sequester):
-        return surrogate_sequester(observed, variant.alpha_p, variant.alpha_q, params, profile)
-    if isinstance(variant, Diminish):
-        return surrogate_diminish(observed, variant.alpha_p, variant.alpha_q, params, profile)
-    if isinstance(variant, Delay):
-        thresholds = tuple(sorted(observed.healthy_by_threshold))
-        return surrogate_bolster(
-            observed, delay_to_bolster(variant, thresholds), params, profile
-        )
-    if isinstance(variant, Bolster):
-        return surrogate_bolster(observed, variant, params, profile)
-    raise TypeError(f"unknown intervention variant {variant!r}")
+    healthy = observed.healthy_total
+    seed = healthy * max(0.0, 1.0 - float(j.sum()))
+    j_params = TMParams(params.template, healthy, p, q, allow_fractional_clusters=True)
+    return SurrogateSpec(j, seed, j_params, healthy, flags)
 
 
 PREDICTED_HALT = "predicted-halt"
@@ -660,18 +527,6 @@ class Verdict:
     band: tuple[float, float]
     epsilon: float
     flags: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "phi_J": self.phi_J,
-            "Phi_J": self.Phi_J,
-            "t_star_J": self.t_star_J,
-            "band_low": self.band[0],
-            "band_high": self.band[1],
-            "epsilon": self.epsilon,
-            "flags": dict(self.flags),
-        }
 
 
 def predict(surrogate: SurrogateSpec, epsilon: float = 0.1) -> Verdict:
@@ -756,10 +611,8 @@ def apply_in_simulation(
         variant = delay_to_bolster(variant, thresholds)
     if isinstance(variant, Bolster):
         _apply_bolster(run, variant, rng)
-    elif isinstance(variant, Sequester):
-        _apply_edge_removal(run, variant.alpha_p, variant.alpha_q, rng, infected_only=True)
     elif isinstance(variant, Diminish):
-        _apply_edge_removal(run, variant.alpha_p, variant.alpha_q, rng, infected_only=False)
+        _apply_edge_removal(run, variant, rng)
     else:
         raise TypeError(f"unknown intervention variant {variant!r}")
     run.finish()
@@ -783,23 +636,15 @@ def _apply_bolster(run: StandardRun, bolster: Bolster, rng: np.random.Generator)
         run.thresholds[ids] = rng.choice(values, size=ids.size, p=probs / probs.sum())
 
 
-def _apply_edge_removal(
-    run: StandardRun,
-    alpha_p: float,
-    alpha_q: float,
-    rng: np.random.Generator,
-    infected_only: bool,
-) -> None:
+def _apply_edge_removal(run: StandardRun, variant: Diminish, rng: np.random.Generator) -> None:
+    """Drop edges at the variant's retention rates; Sequester spares healthy-healthy edges."""
     g = run.g
     if g.num_edges == 0:
         return
-    near = g.edge_is_near()
-    retain_prob = np.where(near, alpha_p, alpha_q)
-    draws = rng.random(g.num_edges)
-    keep = draws < retain_prob
-    if infected_only:
-        at_risk = run.infected[g.edge_u] | run.infected[g.edge_v]
-        keep = np.where(at_risk, keep, True)
+    retain_prob = np.where(g.edge_is_near(), variant.alpha_p, variant.alpha_q)
+    keep = rng.random(g.num_edges) < retain_prob
+    if isinstance(variant, Sequester):
+        keep |= ~(run.infected[g.edge_u] | run.infected[g.edge_v])
     run.replace_graph(g.subgraph(keep))
 
 

@@ -18,7 +18,6 @@ THRESHOLDS = 2
 SEEDS = 3
 ENGINE = 4
 INTERVENTION = 5
-HARNESS = 6
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:

@@ -139,9 +139,6 @@ class ThresholdDistribution:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.zeta, dtype=float)
 
-    def as_mapping(self) -> dict[int, float]:
-        return {r + 1: z for r, z in enumerate(self.zeta) if z > 0}
-
 
 class SampledGraph:
     """Concrete undirected graph with cluster bookkeeping.

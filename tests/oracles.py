@@ -2,7 +2,9 @@
 
 Everything here is deliberately brute force: exact rational arithmetic,
 dense fixpoint iteration, exhaustive enumeration over edge indicator
-vectors.  None of it shares code with the library paths it checks.
+vectors.  None of it shares code with the library paths it checks; the
+two analytic oracles at the end reuse only ``log_binom_row``, which is
+itself checked against exact rationals.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import logsumexp
+
+from tmperc.analytic import log_binom_row
 
 
 def exact_pi(t: int, r: int, k_p: int, k_q: int, p: float, q: float) -> Fraction:
@@ -287,3 +292,58 @@ def reference_exposure(g, infected: np.ndarray) -> np.ndarray:
     """Infected-neighbor count of every vertex, recounted from the edge list."""
     ids = np.flatnonzero(infected)
     return np.bincount(_neighbors(g, ids), minlength=g.n)
+
+
+def loop_activation_table(params, dist, t_hi: int) -> np.ndarray:
+    """A(t) for t = 0..t_hi by one logsumexp per convolution index j.
+
+    The table ``AnalyticModel`` built before ``log_sum_row`` took an array
+    of generations; it must agree bit for bit with the model's table.
+    """
+    r_m = dist.r_max
+    t_arr = np.arange(t_hi + 1, dtype=np.int64)
+    log_b = log_binom_row(params.k_p * t_arr, params.p, r_m - 1)
+    log_c = log_binom_row(params.k_q * t_arr, params.q, r_m - 1)
+    log_d = np.empty((r_m, t_hi + 1))
+    for j in range(r_m):
+        log_d[j] = logsumexp(log_b[: j + 1] + log_c[j::-1], axis=0)
+    pi = np.clip(1.0 - np.cumsum(np.exp(log_d), axis=0), 0.0, 1.0)
+    total_trials = (params.k_p + params.k_q) * t_arr
+    for i in range(r_m):
+        pi[i, total_trials < i + 1] = 0.0
+    table = dist.as_array() @ pi
+    table[0] = 0.0
+    return table
+
+
+def bisect_critical_seed(model) -> tuple[int | None, int | None]:
+    """(phi_critical, t_star) by bisection over phi on the model's A table.
+
+    The search ``critical_seed`` ran before its closed form: least phi in
+    [0, n] with (n - phi)*A(t) - k*t + phi >= 0 at every t of the horizon,
+    and the smallest minimizing t at that phi.
+    """
+    n, k = model.params.n, model.params.k
+    if model.t_max is not None and model.t_max < 1:
+        raise ValueError("empty horizon")
+    if model.t_max is None or k * model.t_max > n:
+        return None, None
+    t_arr = np.arange(1, model.t_max + 1)
+    a_arr = model.A[1 : model.t_max + 1]
+
+    def feasible(phi: int) -> bool:
+        return bool(np.min((n - phi) * a_arr - k * t_arr + phi) >= 0.0)
+
+    if not feasible(n):
+        return None, None
+    lo, hi = 0, n
+    if feasible(0):
+        hi = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    curve = (n - hi) * a_arr - k * t_arr + hi
+    return hi, int(t_arr[int(np.argmin(curve))])

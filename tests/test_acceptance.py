@@ -119,7 +119,7 @@ def test_acceptance_2_residual_exactness():
             healthy_by_threshold={r: n - m - delta}, tau=2,
         )
         params = TMParams(tpl.make_single(), n, p)
-        mine = iv.residual_er(state, r, params)
+        mine = iv.residual_tm(state, r, params, 0)[0][:, 0]
         truth = enum_residual_er(m, delta, p, r)
         worst = max(worst, tv_distance(mine, truth))
         instances += 1
@@ -144,7 +144,7 @@ def test_acceptance_2_residual_exactness():
             tau=2,
         )
         params = TMParams(template, n, p, q)
-        mine = iv.residual_tm(state, r, params, 0)
+        mine, _ = iv.residual_tm(state, r, params, 0)
         truth = enum_residual_tm(m_near, d_near, m_far, d_far, p, q, r)
         worst = max(worst, tv_distance_2d(mine, truth))
         instances += 1
@@ -261,7 +261,7 @@ def test_acceptance_3_residual_decay():
             support = list(range(r, r + 4))
             weights = rng.dirichlet(np.ones(len(support)))
             law[r] = dict(zip(support, map(float, weights)))
-        surrogate = iv.surrogate_bolster(state, iv.Bolster(law), params, profile)
+        surrogate = iv.build_surrogate(state, iv.Bolster(law), params, profile)
         if not surrogate.j_decay_ok:
             j_violations += 1
     elapsed = time.monotonic() - start

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import exact_pi, exact_sum_pmf, janson_phi
+from oracles import (
+    bisect_critical_seed,
+    exact_pi,
+    exact_sum_pmf,
+    janson_phi,
+    loop_activation_table,
+)
 from tmperc import template as tpl
 from tmperc.analytic import (
     AnalyticModel,
@@ -250,6 +256,70 @@ def test_critical_seed_bisection_matches_linear_scan():
         if np.min((params.n - phi) * a_arr - t_arr + phi) >= 0
     )
     assert result.phi_critical == scan
+
+
+def _random_model(rng: np.random.Generator) -> AnalyticModel:
+    """A model on a random template, size, density and threshold law (r_max 1..21)."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        template = tpl.make_single()
+    elif kind == 1:
+        template = tpl.make_planted(int(rng.integers(2, 6)))
+    elif kind == 2:
+        template = tpl.make_ring(int(rng.integers(5, 11)), int(rng.integers(1, 3)))
+    else:
+        template = tpl.make_cube3()
+    n = template.k * int(rng.integers(1, 300))
+    eta = n / template.k
+    # edgeless now and then, else sparse to dense
+    degree = float(10 ** rng.uniform(-1.5, 2.0)) if rng.random() < 0.97 else 0.0
+    share = float(rng.uniform(0.2, 1.0)) if template.k_q else 1.0
+    p = min(1.0, share * degree / (template.k_p * eta))
+    q = min(p, (1.0 - share) * degree / (template.k_q * eta)) if template.k_q else 0.0
+    r_max = int(rng.integers(1, 22))
+    weights = rng.random(r_max) * (rng.random(r_max) < 0.6)
+    if not weights.any():
+        weights[-1] = 1.0
+    dist = ThresholdDistribution(tuple(float(w) for w in weights / weights.sum()))
+    return AnalyticModel(TMParams(template, n, p, q), dist)
+
+
+def test_closed_form_critical_seed_and_table_match_oracles():
+    rng = np.random.default_rng(41)
+    seen = {"empty horizon": 0, "edgeless": 0, "k*t_max > n": 0, "phi = 0": 0, "phi > 0": 0}
+    for _ in range(3000):
+        model = _random_model(rng)
+        oracle_table = loop_activation_table(model.params, model.dist, model.t_table)
+        assert np.array_equal(model.A, oracle_table)
+        if model.t_max is not None and model.t_max < 1:
+            with pytest.raises(ValueError):
+                critical_seed(model)
+            seen["empty horizon"] += 1
+            continue
+        result = critical_seed(model)
+        assert (result.phi_critical, result.t_star) == bisect_critical_seed(model)
+        if result.phi_critical is None:
+            seen["edgeless" if model.t_max is None else "k*t_max > n"] += 1
+        else:
+            seen["phi = 0" if result.phi_critical == 0 else "phi > 0"] += 1
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_closed_form_critical_seed_with_certain_activation():
+    # A(t) = 1 makes f independent of phi; no sampled model reaches it inside
+    # the horizon, so random non-decreasing tables with a tail of ones stand in
+    rng = np.random.default_rng(42)
+    for _ in range(500):
+        n = int(rng.integers(10, 5000))
+        t_max = int(rng.integers(1, 60))
+        params = single_params(n, 1.0 / (3.0 * t_max + 1.0))
+        model = AnalyticModel(params, ThresholdDistribution.point_mass(2))
+        assert model.t_max == t_max
+        table = np.concatenate([[0.0], np.sort(rng.random(t_max) ** float(rng.uniform(0.2, 5.0)))])
+        table[int(rng.integers(1, t_max + 2)) :] = 1.0
+        model.A = table
+        result = critical_seed(model)
+        assert (result.phi_critical, result.t_star) == bisect_critical_seed(model)
 
 
 def test_critical_seed_monotone_in_weaker_thresholds():

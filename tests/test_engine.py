@@ -281,8 +281,6 @@ def test_three_stage_requires_rng():
 def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(stop_fraction=0.0)
-    with pytest.raises(ValueError):
-        EngineConfig(mode="wiggle")
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Each config is small (n = 2000, a few graphs) but runs the real sweep
 drivers end to end and emits through ``harness.emit``.  The sha256 of the
 CSV was recorded before the engine's scatter kernel replaced ``np.unique``
-and ``np.bincount(minlength=n)``; a change to any digest means some row
-changed and must be explained, not re-recorded silently.
+and ``np.bincount(minlength=n)``; the sequester, delay and bolster_b digests
+were recorded before the three surrogate builders merged into one.  A change
+to any digest means some row changed and must be explained, not re-recorded
+silently.
 """
 
 from __future__ import annotations
@@ -73,6 +75,57 @@ CONFIGS = {
             "compute_boundary": True,
         },
     },
+    "sequester": {
+        "name": "golden-sequester",
+        "master_seed": 109,
+        "graph": {"template": {"kind": "planted", "k": 2}, "n": N, "p": 0.006, "q": 0.002},
+        "thresholds": {"zeta": {"2": 0.6, "3": 0.4}},
+        "sweep": {"axis": "alpha", "values": [0.2, 0.6, 1.0]},
+        "graphs": 3,
+        "trials": 1,
+        "intervention": {
+            "variant": "sequester",
+            "lambda": 0.1,
+            "baseline_seed_factor": 1.6,
+            "compute_boundary": True,
+        },
+    },
+    "delay": {
+        "name": "golden-delay",
+        "master_seed": 109,
+        "graph": {"template": {"kind": "single"}, "n": N, "p": 0.0035},
+        "thresholds": {"zeta": {"2": 0.6, "3": 0.4}},
+        "sweep": {"axis": "alpha", "values": [0.2, 0.6, 1.0]},
+        "graphs": 3,
+        "trials": 1,
+        "intervention": {
+            "variant": "delay",
+            "lambda": 0.1,
+            "baseline_seed_factor": 1.6,
+            "r_max_prime": 8,
+            "compute_boundary": True,
+        },
+    },
+    "bolster_b": {
+        "name": "golden-bolster-b",
+        "master_seed": 109,
+        "graph": {
+            "template": {"kind": "ring", "k": 8, "reach": 1},
+            "n": N,
+            "p": 0.004,
+            "q": 0.001,
+        },
+        "thresholds": {"zeta": {"2": 0.6, "3": 0.4}},
+        "sweep": {"axis": "alpha", "values": [0.2, 0.6, 1.0]},
+        "graphs": 3,
+        "trials": 1,
+        "intervention": {
+            "variant": "bolster_b",
+            "lambda": 0.1,
+            "baseline_seed_factor": 1.6,
+            "compute_boundary": True,
+        },
+    },
 }
 
 DIGESTS = {
@@ -80,6 +133,9 @@ DIGESTS = {
     "coinflip": "6319f74236a55092a2fb53a9ac610602b2097742947d821d31fce1b519517764",
     "bolster": "c01346e3b0c44727af8260b12218aafdd9308458e3072b5d5b6c917ecce6b770",
     "diminish": "9896cf6e2a8c8fb78417618e7b3d2899312cf4c0cb11fe5248111ea7691558e4",
+    "sequester": "b5a2d064cd1de329f4a0ac27b56684213ea64e81f7635c249f5c7e7cdc58e56d",
+    "delay": "2cf0506295f4c59c4bac6c0adf1b0cd5951f2761c37dae17fb06d82fad8454a0",
+    "bolster_b": "274a26ab91dd57cfe14423bb555362b2e51a0f873fc4dbb1508e091c0dd335bd",
 }
 
 

@@ -35,7 +35,7 @@ def er_state(n, i_cur, i_prev, r, healthy_r=None):
 
 def test_residual_er_no_previous_infections_is_plain_binomial():
     params = TMParams(tpl.make_single(), 100, 0.2)
-    out = iv.residual_er(er_state(100, 7, 0, 2), 2, params)
+    out = iv.residual_tm(er_state(100, 7, 0, 2), 2, params, 0)[0][:, 0]
     expected = np.array([math.comb(7, a) * 0.2**a * 0.8 ** (7 - a) for a in range(8)])
     assert tv_distance(out, expected) < 1e-12
 
@@ -43,7 +43,7 @@ def test_residual_er_no_previous_infections_is_plain_binomial():
 def test_residual_er_pure_conditional_when_no_growth():
     params = TMParams(tpl.make_single(), 100, 0.3)
     m = 6
-    out = iv.residual_er(er_state(100, m, m, 2), 2, params)
+    out = iv.residual_tm(er_state(100, m, m, 2), 2, params, 0)[0][:, 0]
     b = [math.comb(m, d) * 0.3**d * 0.7 ** (m - d) for d in range(m + 1)]
     norm = b[0] + b[1]
     assert out[0] == pytest.approx(b[0] / norm, rel=1e-12)
@@ -59,7 +59,7 @@ def test_residual_er_matches_enumeration_randomized():
         r = int(rng.integers(1, 4))
         p = float(rng.uniform(0.05, 0.6))
         params = TMParams(tpl.make_single(), 50, p)
-        mine = iv.residual_er(er_state(50, m + delta, m, r), r, params)
+        mine = iv.residual_tm(er_state(50, m + delta, m, r), r, params, 0)[0][:, 0]
         truth = enum_residual_er(m, delta, p, r)
         assert tv_distance(mine, truth) < 1e-10
 
@@ -67,10 +67,8 @@ def test_residual_er_matches_enumeration_randomized():
 def test_residual_tm_reduces_to_er_when_far_is_empty():
     params = TMParams(tpl.make_single(), 60, 0.25)
     state = er_state(60, 9, 4, 3)
-    joint = iv.residual_tm(state, 3, params, 0)
-    flat = iv.residual_er(state, 3, params)
+    joint, _ = iv.residual_tm(state, 3, params, 0)
     assert joint.shape[1] == 1 or np.allclose(joint[:, 1:], 0.0)
-    assert tv_distance(joint[:, 0], flat) < 1e-12
 
 
 def test_residual_tm_symmetric_clusters_cluster_independent():
@@ -80,7 +78,7 @@ def test_residual_tm_symmetric_clusters_cluster_independent():
         i_cur_cluster=(2, 2, 2, 2), i_prev_cluster=(1, 1, 1, 1),
         healthy_by_threshold={2: 32}, tau=2,
     )
-    joints = [iv.residual_tm(state, 2, params, c) for c in range(4)]
+    joints = [iv.residual_tm(state, 2, params, c)[0] for c in range(4)]
     for other in joints[1:]:
         assert tv_distance_2d(joints[0], other) < 1e-12
 
@@ -107,7 +105,7 @@ def test_residual_tm_matches_joint_enumeration():
             tau=2,
         )
         params = TMParams(template, n, p, q)
-        mine = iv.residual_tm(state, r, params, 0)
+        mine, _ = iv.residual_tm(state, r, params, 0)
         truth = enum_residual_tm(m_near, d_near, m_far, d_far, p, q, r)
         assert tv_distance_2d(mine, truth) < 1e-10
 
@@ -173,7 +171,7 @@ def uniform_r2_profile(n=10000, i_cur=300, i_prev=200):
 def test_surrogate_bolster_point_mass_expansion():
     params, state, profile = uniform_r2_profile()
     bolster = iv.Bolster({2: {3: 1.0}})
-    surrogate = iv.surrogate_bolster(state, bolster, params, profile)
+    surrogate = iv.build_surrogate(state, bolster, params, profile)
     marg = profile.marginal(2)
     assert surrogate.j[2] == pytest.approx(marg[0], rel=1e-12)  # j_3 = Pr[H_0]
     assert surrogate.j[1] == pytest.approx(marg[1], rel=1e-12)  # j_2 = Pr[H_1]
@@ -208,7 +206,7 @@ def test_delay_is_geometric_bolster():
     assert sum(law.values()) == pytest.approx(1.0)
     params, state, profile = uniform_r2_profile()
     via_delay = iv.build_surrogate(state, delay, params, profile)
-    via_bolster = iv.surrogate_bolster(state, iv.delay_to_bolster(delay, (2,)), params, profile)
+    via_bolster = iv.build_surrogate(state, iv.delay_to_bolster(delay, (2,)), params, profile)
     assert np.allclose(via_delay.j, via_bolster.j)
 
 
@@ -216,7 +214,7 @@ def test_bolster_j_decay_under_gate():
     params, state, profile = uniform_r2_profile()
     assert profile.gate_ok
     for alpha in (0.0, 0.3, 0.7, 1.0):
-        surrogate = iv.surrogate_bolster(state, iv.bolster_a(alpha, (2,)), params, profile)
+        surrogate = iv.build_surrogate(state, iv.bolster_a(alpha, (2,)), params, profile)
         assert surrogate.j_decay_ok
 
 
@@ -233,11 +231,11 @@ def test_bolster_rejects_bad_laws():
 
 def test_surrogate_diminish_identity_and_annihilation():
     params, state, profile = uniform_r2_profile()
-    noop = iv.surrogate_diminish(state, 1.0, 1.0, params, profile)
+    noop = iv.build_surrogate(state, iv.Diminish(1.0, 1.0), params, profile)
     plain_j = np.array([profile.marginal(2)[1], profile.marginal(2)[0]])
     assert np.allclose(noop.j, plain_j)
     assert noop.params.p == params.p
-    dead = iv.surrogate_diminish(state, 0.0, 0.0, params, profile)
+    dead = iv.build_surrogate(state, iv.Diminish(0.0, 0.0), params, profile)
     assert dead.j[1] == pytest.approx(1.0, abs=1e-12)  # all mass at full threshold
     assert dead.seed_count == pytest.approx(0.0, abs=1e-9)
     assert dead.params.p == 0.0
@@ -250,7 +248,8 @@ def test_surrogate_diminish_monte_carlo():
     params = TMParams(tpl.make_single(), n, 7 / n)
     m, delta, r, alpha = 250, 120, 2, 0.5
     state = er_state(n, m + delta, m, r)
-    surrogate = iv.surrogate_diminish(state, alpha, alpha, params, iv.build_profile(state, params))
+    profile = iv.build_profile(state, params)
+    surrogate = iv.build_surrogate(state, iv.Diminish(alpha, alpha), params, profile)
     rng = np.random.default_rng(77)
     samples = 1_000_000
     prior = rng.binomial(m, params.p, size=4 * samples)
@@ -268,8 +267,8 @@ def test_surrogate_diminish_monte_carlo():
 def test_sequester_keeps_probabilities_and_shares_j():
     params, state, profile = uniform_r2_profile()
     for alpha in (0.0, 0.5, 1.0):
-        dim = iv.surrogate_diminish(state, alpha, alpha, params, profile)
-        seq = iv.surrogate_sequester(state, alpha, alpha, params, profile)
+        dim = iv.build_surrogate(state, iv.Diminish(alpha, alpha), params, profile)
+        seq = iv.build_surrogate(state, iv.Sequester(alpha, alpha), params, profile)
         assert np.allclose(dim.j, seq.j)
         assert seq.params.p == params.p and seq.params.q == params.q
         assert seq.params.p >= dim.params.p and seq.params.q >= dim.params.q
@@ -283,7 +282,7 @@ def test_diminish_verdict_monotone_in_alpha():
     alphas = np.linspace(0.05, 1.0, 12)
     phis, seeds, outcomes = [], [], []
     for alpha in alphas:
-        surrogate = iv.surrogate_diminish(state, alpha, alpha, params, profile)
+        surrogate = iv.build_surrogate(state, iv.Diminish(alpha, alpha), params, profile)
         verdict = iv.predict(surrogate)
         phis.append(math.inf if verdict.Phi_J is None else verdict.Phi_J)
         seeds.append(verdict.phi_J)
@@ -318,7 +317,7 @@ def test_predict_noop_bolster_past_bottleneck_is_spread():
 
 def test_verdict_band_membership():
     params, state, profile = uniform_r2_profile()
-    surrogate = iv.surrogate_bolster(state, iv.bolster_a(0.5, (2,)), params, profile)
+    surrogate = iv.build_surrogate(state, iv.bolster_a(0.5, (2,)), params, profile)
     verdict = iv.predict(surrogate, epsilon=0.1)
     lo, hi = verdict.band
     if verdict.outcome == iv.UNCERTAIN:
@@ -430,8 +429,8 @@ def test_boundary_scan_brackets_actual_state():
 
 def test_modification1_save_vertices_changes_surrogate():
     params, state, profile = uniform_r2_profile()
-    plain = iv.surrogate_bolster(state, iv.Bolster({2: {4: 1.0}}), params, profile)
-    saving = iv.surrogate_bolster(
+    plain = iv.build_surrogate(state, iv.Bolster({2: {4: 1.0}}), params, profile)
+    saving = iv.build_surrogate(
         state, iv.Bolster({2: {4: 1.0}}, save_vertices=True), params, profile
     )
     # saving vertices moves doomed mass back into the threshold law
@@ -442,7 +441,7 @@ def test_modification1_save_vertices_changes_surrogate():
 def test_modification2_weaken_voids_decay_guarantee():
     params, state, profile = uniform_r2_profile()
     weaken = iv.Bolster({2: {2: 0.5, 3: 0.5}}, allow_weaken=True)
-    surrogate = iv.surrogate_bolster(state, weaken, params, profile)
+    surrogate = iv.build_surrogate(state, weaken, params, profile)
     assert surrogate.flags["modification2"]
 
 
@@ -502,6 +501,6 @@ def test_boundary_scan_on_sparse_ring_cluster_counts():
                          "alpha_q_ratio": 2 / 3, "compute_boundary": True},
     }
     config = harness.load_config(raw)
-    rows = harness._intervention_graph_task((config.raw, 9))
+    rows = harness._intervention_graph_task((config.raw, 9, harness._baseline_seed_count(config)))
     assert [row["point"] for row in rows] == list(range(6))
     assert rows[2]["boundary_i_cur"] == 648.5
