@@ -294,8 +294,6 @@ def critical_seed(model: AnalyticModel) -> CriticalResult:
     def feasible(phi: int) -> bool:
         return bool(np.min((n - phi) * a_arr - k * t_arr + phi) >= 0.0)
 
-    if not feasible(n):
-        return infeasible
     below = a_arr < 1.0
     roots = (k * t_arr[below] - n * a_arr[below]) / (1.0 - a_arr[below])
     phi_star = min(n, math.ceil(roots.max(initial=0.0)))

@@ -6,15 +6,16 @@ vertices whose infected-neighbor count against I(t) reaches their threshold.
 Propagation is frontier-based.  A standard or coinflip generation gathers the
 F adjacency entries of the vertices infected in the previous one and sorts
 them once, so it costs O(F log F + k) whatever n is, and a whole run costs
-O(n) set-up plus O(E log E) over its E scanned edges.  The three-stage modes
-still do O(n) work per timestep: they rescan every cluster for its latent
-pool and recount the infected set.
+O(n) set-up plus O(E log E) over its E scanned edges.  A three-stage
+timestep scatters the same way from the vertices it promotes; its only O(n)
+work is the scan of every cluster for its latent pool, which fixes the draw
+order, and its out-of-latents test is an O(k) count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,11 +113,13 @@ def _tally(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Run:
-    """State and commit path shared by the standard and coinflip runs.
+    """State and commit path shared by the standard, coinflip and three-stage runs.
 
     A subclass picks each generation's newly infected vertices in
-    ``_next_infected``; ``step`` commits them and owns the totals,
-    per-cluster counts, verdict and generation cap.
+    ``_next_infected`` and may redefine when a run has stalled in
+    ``_stalled``; ``step`` commits the vertices and owns the totals,
+    per-cluster counts, verdict and generation cap, and ``finish`` is the
+    one loop that drives generations.
     """
 
     def __init__(self, g: SampledGraph, seeds: np.ndarray, config: EngineConfig):
@@ -127,6 +130,8 @@ class _Run:
             raise ValueError("seed ids outside the vertex range")
         self.infected = np.zeros(g.n, dtype=bool)
         self.infected[seeds] = True
+        if np.count_nonzero(self.infected) != seeds.size:
+            raise ValueError("duplicate seed ids")
         self.counts = np.zeros(g.n, dtype=np.int64)  # infected neighbors seen so far
         self.frontier = seeds
         self.generation = 0
@@ -135,8 +140,12 @@ class _Run:
         self.verdict: str | None = None
         if self.totals[0] >= config.stop_fraction * g.n:
             self.verdict = SPREAD
-        elif self.totals[0] == 0:
+        elif self._stalled():
             self.verdict = HALTED
+
+    def _stalled(self) -> bool:
+        """True when no further generation can infect anyone."""
+        return self.frontier.size == 0
 
     def _frontier_tally(self) -> tuple[np.ndarray, np.ndarray]:
         """Vertices adjacent to the frontier, ascending, and their frontier-neighbor counts."""
@@ -160,7 +169,7 @@ class _Run:
         )
         if total >= self.config.stop_fraction * self.g.n:
             self.verdict = SPREAD
-        elif newly.size == 0:
+        elif self._stalled():
             self.verdict = HALTED
         elif (
             self.config.max_generations is not None
@@ -171,27 +180,10 @@ class _Run:
             )
         return int(newly.size)
 
-    def run(self, until_infected: int | None = None) -> str | None:
-        """Run to a verdict, or pause once the infected count exceeds the trigger.
-
-        Returns the verdict, or None when paused at the trigger.
-        """
-        while self.verdict is None:
-            if until_infected is not None and self.totals[-1] > until_infected:
-                return None
-            self.step()
-        if (
-            until_infected is not None
-            and self.verdict == SPREAD
-            and self.totals[-1] > until_infected
-        ):
-            return None  # crossed the trigger and the stop fraction in one step
-        return self.verdict
-
     def finish(self) -> str:
-        verdict = self.run()
-        assert verdict is not None
-        return verdict
+        while self.verdict is None:
+            self.step()
+        return self.verdict
 
     def trace(self) -> PercolationTrace:
         if self.verdict is None:
@@ -228,18 +220,8 @@ class StandardRun(_Run):
         super().__init__(g, seeds, config or EngineConfig())
 
     def clone(self) -> "StandardRun":
-        dup = object.__new__(StandardRun)
-        dup.g = self.g
-        dup.config = self.config
-        dup.thresholds = self.thresholds.copy()
-        dup.infected = self.infected.copy()
-        dup.counts = self.counts.copy()
-        dup.frontier = self.frontier.copy()
-        dup.generation = self.generation
-        dup.totals = list(self.totals)
-        dup.per_cluster = [arr.copy() for arr in self.per_cluster]
-        dup.verdict = self.verdict
-        return dup
+        """Independent copy of the run state; the graph is shared, not copied."""
+        return copy.deepcopy(self, {id(self.g): self.g})
 
     def _candidates(self) -> np.ndarray:
         """Vertices that generation t+1 would infect, without committing."""
@@ -278,9 +260,8 @@ def run_standard(
     thresholds: np.ndarray,
     seeds: np.ndarray,
     config: EngineConfig | None = None,
-    rng: np.random.Generator | None = None,
 ) -> PercolationTrace:
-    """Deterministic threshold percolation (rng accepted for interface symmetry)."""
+    """Deterministic threshold percolation."""
     run = StandardRun(g, thresholds, seeds, config)
     run.finish()
     return run.trace()
@@ -361,87 +342,62 @@ def run_coinflip(
     return run.trace()
 
 
-HEALTHY, LATENT, CONTAGIOUS = 0, 1, 2
+class _ThreeStageRun(StandardRun):
+    """Halting/cheating three-stage process on the standard commit path.
 
-
-def _run_three_stage(
-    g: SampledGraph,
-    thresholds: np.ndarray,
-    seeds: np.ndarray,
-    config: EngineConfig,
-    rng: np.random.Generator,
-    cheating: bool,
-) -> PercolationTrace:
-    """Shared core of the halting/cheating three-stage processes.
-
-    Each timestep promotes one latent vertex per cluster to contagious
-    (uniformly at random); healthy vertices with enough contagious neighbors
-    turn latent.  Halting stops the first time any cluster runs out of
-    latents; cheating promotes a random healthy vertex there instead and
-    stops once every cluster is out of latents.
+    "Infected" means latent or contagious, and ``counts`` holds
+    contagious-neighbor counts.  Each timestep promotes one latent vertex
+    per cluster to contagious, uniformly at random; healthy vertices with
+    enough contagious neighbors turn latent.  Halting stops the first time
+    any cluster runs out of latents; cheating promotes a random healthy
+    vertex there instead and stops once every cluster is out of latents.
     """
-    thresholds = np.asarray(thresholds, dtype=np.int64)
-    seeds = np.asarray(seeds, dtype=np.int64)
-    n, k = g.n, g.k
-    status = np.zeros(n, dtype=np.int8)
-    status[seeds] = LATENT
-    contagious_nbrs = np.zeros(n, dtype=np.int64)
 
-    def infected_mask() -> np.ndarray:
-        return status != HEALTHY
+    def __init__(
+        self,
+        g: SampledGraph,
+        thresholds: np.ndarray,
+        seeds: np.ndarray,
+        config: EngineConfig | None,
+        rng: np.random.Generator | None,
+        cheating: bool,
+    ):
+        if rng is None:
+            raise ValueError("three-stage modes require an explicit rng")
+        self.rng = rng
+        self.cheating = cheating
+        self.contagious = np.zeros(g.n, dtype=bool)
+        self.contagious_per_cluster = np.zeros(g.k, dtype=np.int64)
+        super().__init__(g, thresholds, seeds, config)
 
-    totals = [int(seeds.size)]
-    per_cluster = [np.bincount(g.clusters[seeds], minlength=k)]
-    stop_at = config.stop_fraction * n
-    verdict: str | None = SPREAD if totals[0] >= stop_at else None
-    timestep = 0
-    cap = config.max_generations if config.max_generations is not None else n + 2
-    while verdict is None:
-        latent_per_cluster = np.bincount(g.clusters[status == LATENT], minlength=k)
-        if cheating:
-            if int(latent_per_cluster.sum()) == 0:
-                verdict = SPREAD if totals[-1] >= stop_at else HALTED
-                break
-        else:
-            if np.any(latent_per_cluster == 0):
-                verdict = SPREAD if totals[-1] >= stop_at else HALTED
-                break
-        promoted: list[int] = []
-        for cluster in range(k):
-            lo, hi = cluster * g.eta, (cluster + 1) * g.eta
-            pool = np.flatnonzero(status[lo:hi] == LATENT)
-            if pool.size == 0:
-                if not cheating:
-                    raise AssertionError("halting mode checked latents above")
-                pool = np.flatnonzero(status[lo:hi] == HEALTHY)
-                if pool.size == 0:
-                    continue
-            choice = lo + int(pool[rng.integers(pool.size)])
-            promoted.append(choice)
-        promoted_arr = np.asarray(promoted, dtype=np.int64)
-        status[promoted_arr] = CONTAGIOUS
-        touched, hits = _tally(_gather_neighbors(g, promoted_arr))
-        contagious_nbrs[touched] += hits
-        fresh_latent = np.flatnonzero(
-            (status == HEALTHY) & (contagious_nbrs >= thresholds)
+    def _stalled(self) -> bool:
+        latent = self.per_cluster[-1] - self.contagious_per_cluster
+        return not (latent.any() if self.cheating else latent.all())
+
+    def _next_infected(self) -> np.ndarray:
+        g = self.g
+        promoted = []
+        for lo in range(0, g.n, g.eta):
+            infected = self.infected[lo : lo + g.eta]
+            pool = np.flatnonzero(infected & ~self.contagious[lo : lo + g.eta])
+            if pool.size == 0 and self.cheating:
+                pool = np.flatnonzero(~infected)
+            if pool.size:
+                promoted.append(lo + int(pool[self.rng.integers(pool.size)]))
+        promoted = np.asarray(promoted, dtype=np.int64)
+        self.contagious[promoted] = True
+        self.contagious_per_cluster += np.bincount(g.clusters[promoted], minlength=g.k)
+        touched, hits = _tally(_gather_neighbors(g, promoted))
+        self.counts[touched] += hits
+        ready = ~(self.infected | self.contagious)[touched] & (
+            self.counts[touched] >= self.thresholds[touched]
         )
-        status[fresh_latent] = LATENT
-        timestep += 1
-        total = int(np.count_nonzero(infected_mask()))
-        totals.append(total)
-        per_cluster.append(np.bincount(g.clusters[infected_mask()], minlength=k))
-        if total >= stop_at:
-            verdict = SPREAD
-        elif timestep >= cap:
-            raise EngineError(f"three-stage run exceeded {cap} timesteps")
-    return PercolationTrace(
-        n=n,
-        totals=np.asarray(totals, dtype=np.int64),
-        per_cluster=np.asarray(per_cluster, dtype=np.int64),
-        verdict=verdict,
-        final_infected=np.flatnonzero(infected_mask()),
-        contagious_per_cluster=np.bincount(g.clusters[status == CONTAGIOUS], minlength=k),
-    )
+        return np.concatenate((touched[ready], promoted[~self.infected[promoted]]))
+
+    def trace(self) -> PercolationTrace:
+        trace = super().trace()
+        trace.contagious_per_cluster = self.contagious_per_cluster.copy()
+        return trace
 
 
 def run_halting3(
@@ -452,11 +408,9 @@ def run_halting3(
     rng: np.random.Generator | None = None,
 ) -> PercolationTrace:
     """Pessimistic three-stage percolation (stops at the first latent-free cluster)."""
-    if rng is None:
-        raise ValueError("three-stage modes require an explicit rng")
-    return _run_three_stage(
-        g, thresholds, seeds, config or EngineConfig(), rng, cheating=False
-    )
+    run = _ThreeStageRun(g, thresholds, seeds, config, rng, cheating=False)
+    run.finish()
+    return run.trace()
 
 
 def run_cheating3(
@@ -467,8 +421,6 @@ def run_cheating3(
     rng: np.random.Generator | None = None,
 ) -> PercolationTrace:
     """Optimistic three-stage percolation (promotes healthy vertices when out of latents)."""
-    if rng is None:
-        raise ValueError("three-stage modes require an explicit rng")
-    return _run_three_stage(
-        g, thresholds, seeds, config or EngineConfig(), rng, cheating=True
-    )
+    run = _ThreeStageRun(g, thresholds, seeds, config, rng, cheating=True)
+    run.finish()
+    return run.trace()

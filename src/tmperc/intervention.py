@@ -24,7 +24,7 @@ from .analytic import (
     critical_seed,
     log_binom_row,
 )
-from .engine import HALTED, SPREAD, EngineConfig, PercolationTrace, StandardRun
+from .engine import EngineConfig, PercolationTrace, StandardRun
 from .tmgraph import SampledGraph, TMParams, ThresholdDistribution
 
 __all__ = [
@@ -239,17 +239,16 @@ def snapshot_observed(run: StandardRun) -> ObservedState:
     )
 
 
-def _pmf_row(trials: int, prob: float, j_cap: int | None = None) -> tuple[np.ndarray, float]:
-    """Binomial pmf over 0..cap covering all but ~1e-15 mass; returns (row, dropped)."""
+def _pmf_row(trials: int, prob: float) -> tuple[np.ndarray, float]:
+    """Binomial pmf over 0..trials covering all but ~1e-15 mass; returns (row, dropped)."""
     if trials <= 0 or prob <= 0.0:
         return np.array([1.0]), 0.0
-    cap = trials if j_cap is None else min(trials, j_cap)
     mean = trials * prob
-    soft = int(min(cap, math.ceil(mean + 12.0 * math.sqrt(mean + 1.0) + 30.0)))
+    soft = int(min(trials, math.ceil(mean + 12.0 * math.sqrt(mean + 1.0) + 30.0)))
     row = np.exp(log_binom_row(trials, prob, soft))
     covered = float(row.sum())
-    if covered < 1.0 - _TRUNCATION_EPS and soft < cap:
-        row = np.exp(log_binom_row(trials, prob, cap))
+    if covered < 1.0 - _TRUNCATION_EPS and soft < trials:
+        row = np.exp(log_binom_row(trials, prob, trials))
         covered = float(row.sum())
     dropped = max(0.0, 1.0 - covered)
     # trim a trailing sliver of sub-threshold entries to keep supports small
@@ -581,24 +580,20 @@ def run_to_trigger(
 ) -> tuple[StandardRun, bool]:
     """Drive a run until the infected count first exceeds lambda * n.
 
-    Returns (run, triggered); an untriggered run already carries its verdict
-    (the baseline halted below the trigger line).
+    Returns (run, triggered).  A triggered run is paused at the trigger or
+    has already spread past it; an untriggered run carries its verdict (the
+    baseline finished at or below the trigger line).
     """
     run = StandardRun(g, thresholds, seeds, config)
     trigger_at = spec.trigger_fraction * g.n
-    if isinstance(spec.variant, Bolster) and spec.variant.save_vertices:
-        # modification that rescues doomed vertices must fire before the
-        # crossing generation commits, so peek one step ahead
-        while run.verdict is None:
-            if run.totals[-1] > trigger_at:
-                return run, True
-            pending = run._candidates().size
-            if run.totals[-1] + pending > trigger_at:
-                return run, True
-            run.step()
-        return run, False
-    verdict = run.run(until_infected=trigger_at)
-    return run, verdict is None
+    # a modification that rescues doomed vertices must fire before the
+    # crossing generation commits, so it peeks one step ahead
+    peek = isinstance(spec.variant, Bolster) and spec.variant.save_vertices
+    while run.verdict is None:
+        if run.totals[-1] + (run._candidates().size if peek else 0) > trigger_at:
+            return run, True
+        run.step()
+    return run, run.totals[-1] > trigger_at
 
 
 def apply_in_simulation(

@@ -11,7 +11,7 @@ proportional to the number of edges rather than n^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
 import numpy as np

@@ -8,6 +8,7 @@ from oracles import (
     reference_standard,
     reference_three_stage,
 )
+from tmperc import intervention as iv
 from tmperc import template as tpl
 from tmperc.engine import (
     EngineConfig,
@@ -132,20 +133,24 @@ def test_generation_cap_raises():
         )
 
 
-def test_run_pauses_at_trigger():
+def path_to_trigger(lam: float) -> tuple[StandardRun, bool]:
     g = path_graph(10)
-    run = StandardRun(g, np.ones(10, dtype=int), np.array([0]), EngineConfig(stop_fraction=1.0))
-    paused = run.run(until_infected=3)
-    assert paused is None
+    spec = iv.InterventionSpec(iv.Bolster({1: {1: 1.0}}), lam)
+    config = EngineConfig(stop_fraction=1.0)
+    return iv.run_to_trigger(g, np.ones(10, dtype=int), np.array([0]), spec, config)
+
+
+def test_run_pauses_at_trigger():
+    run, triggered = path_to_trigger(0.3)  # trigger at 3.0
+    assert triggered
     assert run.totals[-1] == 4  # first count strictly above the trigger
     assert run.verdict is None
     assert run.finish() == "spread"
 
 
 def test_replace_graph_disconnects():
-    g = path_graph(10)
-    run = StandardRun(g, np.ones(10, dtype=int), np.array([0]), EngineConfig(stop_fraction=1.0))
-    run.run(until_infected=2)
+    run, _ = path_to_trigger(0.2)  # trigger at 2.0
+    g = run.g
     run.replace_graph(g.subgraph(np.zeros(g.num_edges, dtype=bool)))
     assert run.finish() == "halted"
     assert run.totals[-1] == run.totals[-2]
@@ -268,6 +273,35 @@ def test_three_stage_promotion_pace():
     trace = run_halting3(g, thresholds, seeds, EngineConfig(stop_fraction=1.0), substream(16, 2))
     assert trace.contagious_per_cluster is not None
     assert np.all(trace.contagious_per_cluster == trace.tau_end)
+
+
+def test_three_stage_rejects_thresholds_below_one():
+    g = path_graph(5)
+    for run in (run_halting3, run_cheating3):
+        with pytest.raises(ValueError):
+            run(g, np.zeros(5, dtype=int), np.array([0]), EngineConfig(), substream(17, 1))
+
+
+def test_three_stage_stall_at_generation_cap_halts():
+    params = TMParams(tpl.make_single(), 5, 0.5)
+    edgeless = SampledGraph(params, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    config = EngineConfig(stop_fraction=1.0, max_generations=1)
+    trace = run_halting3(edgeless, np.ones(5, dtype=int), np.array([0]), config, substream(18, 1))
+    assert trace.verdict == "halted"
+    assert trace.tau_end == 1
+
+
+def test_duplicate_seeds_rejected_in_every_mode():
+    g = path_graph(5)
+    seeds = np.array([0, 0])
+    config = EngineConfig(stop_fraction=1.0)
+    with pytest.raises(ValueError):
+        run_standard(g, np.full(5, 5), seeds, config)
+    with pytest.raises(ValueError):
+        run_coinflip(g, CoinflipState.uniform(5, 0, 1.0, 3), seeds, config, substream(19, 1))
+    for run in (run_halting3, run_cheating3):
+        with pytest.raises(ValueError):
+            run(g, np.ones(5, dtype=int), seeds, config, substream(19, 2))
 
 
 def test_three_stage_requires_rng():

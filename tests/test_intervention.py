@@ -408,6 +408,28 @@ def test_run_to_trigger_reports_subcritical_baseline():
     assert run.verdict == "halted"
 
 
+def test_run_to_trigger_save_vertices_pauses_before_the_crossing():
+    params, g, thresholds, seeds, plain = triggered_run()
+    config = EngineConfig(stop_fraction=0.8)
+    spec = iv.InterventionSpec(iv.Bolster({2: {3: 1.0}}, save_vertices=True), 0.1)
+    run, triggered = iv.run_to_trigger(g, thresholds, seeds, spec, config)
+    trigger_at = spec.trigger_fraction * g.n
+    assert triggered
+    assert run.verdict is None
+    assert run.totals[-1] <= trigger_at < run.totals[-1] + run._candidates().size
+    assert plain.generation == run.generation + 1
+
+
+def test_run_to_trigger_save_vertices_seeds_past_stop_fraction_trigger():
+    params, g, thresholds, seeds, _ = triggered_run()
+    config = EngineConfig(stop_fraction=0.001)
+    for save in (False, True):
+        spec = iv.InterventionSpec(iv.Bolster({2: {3: 1.0}}, save_vertices=save), 0.0001)
+        run, triggered = iv.run_to_trigger(g, thresholds, seeds, spec, config)
+        assert run.verdict == "spread" and run.generation == 0
+        assert triggered
+
+
 def test_snapshot_observed_consistency():
     params, g, thresholds, seeds, run = triggered_run()
     observed = iv.snapshot_observed(run)
