@@ -19,7 +19,9 @@ accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -202,6 +204,27 @@ def _assumption_report(params: TMParams, dist: ThresholdDistribution) -> Assumpt
     )
 
 
+# the TMParams fields that log_sum_row reads: the key of the activation basis
+_EdgeLaw = namedtuple("_EdgeLaw", "k_p k_q p q")
+
+
+@functools.lru_cache(maxsize=32)
+def _activation_basis(law: _EdgeLaw, r_max: int, t_hi: int) -> np.ndarray:
+    """Read-only (r_max, t_hi+1) array of pi_r(t) in row r-1, for t = 0..t_hi.
+
+    It depends on neither n nor the threshold law, so models share it.
+    """
+    t_arr = np.arange(t_hi + 1, dtype=np.int64)
+    log_d = log_sum_row(t_arr, law, r_max - 1)
+    head = np.cumsum(np.exp(log_d), axis=0)  # head[j] = Pr[sum <= j]
+    pi = np.clip(1.0 - head, 0.0, 1.0)  # row r-1 holds pi_r = 1 - head[r-1]
+    total_trials = (law.k_p + law.k_q) * t_arr
+    for i in range(r_max):
+        pi[i, total_trials < i + 1] = 0.0  # threshold above the trial count
+    pi.flags.writeable = False
+    return pi
+
+
 class AnalyticModel:
     """Precomputed activation table for one (params, distribution) pair.
 
@@ -209,7 +232,9 @@ class AnalyticModel:
     graph has no edges (phi = 0, infinite horizon, activation identically 0).
     The table is only materialized up to min(t_max, floor(n/k) + 1): beyond
     n/k the deficiency f is negative for every seed size, so no query needs
-    larger t.  Instances are immutable after construction and safe to share.
+    larger t.  The table is zeta @ pi over a read-only pi_r(t) basis shared by
+    every model with the same (k_p, k_q, p, q, r_max, horizon).  Instances
+    are immutable after construction and safe to share.
     """
 
     def __init__(self, params: TMParams, dist: ThresholdDistribution):
@@ -225,16 +250,9 @@ class AnalyticModel:
         self.assumptions = _assumption_report(params, dist)
 
     def _activation_table(self, t_hi: int) -> np.ndarray:
-        params, dist = self.params, self.dist
-        r_m = dist.r_max
-        t_arr = np.arange(t_hi + 1, dtype=np.int64)
-        log_d = log_sum_row(t_arr, params, r_m - 1)
-        head = np.cumsum(np.exp(log_d), axis=0)  # head[j] = Pr[sum <= j]
-        pi = np.clip(1.0 - head, 0.0, 1.0)  # row r-1 holds pi_r = 1 - head[r-1]
-        total_trials = (params.k_p + params.k_q) * t_arr
-        for i in range(r_m):
-            pi[i, total_trials < i + 1] = 0.0  # threshold above the trial count
-        table = dist.as_array() @ pi
+        params = self.params
+        law = _EdgeLaw(params.k_p, params.k_q, params.p, params.q)
+        table = self.dist.as_array() @ _activation_basis(law, self.dist.r_max, t_hi)
         table[0] = 0.0
         return table
 

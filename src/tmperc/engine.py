@@ -134,6 +134,7 @@ class _Run:
             raise ValueError("duplicate seed ids")
         self.counts = np.zeros(g.n, dtype=np.int64)  # infected neighbors seen so far
         self.frontier = seeds
+        self._frontier_counts = None  # _frontier_tally of this frontier, once computed
         self.generation = 0
         self.totals = [int(seeds.size)]
         self.per_cluster = [np.bincount(g.clusters[seeds], minlength=g.k)]
@@ -148,8 +149,14 @@ class _Run:
         return self.frontier.size == 0
 
     def _frontier_tally(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vertices adjacent to the frontier, ascending, and their frontier-neighbor counts."""
-        return _tally(_gather_neighbors(self.g, self.frontier))
+        """Vertices adjacent to the frontier, ascending, and their frontier-neighbor counts.
+
+        Kept until the frontier or graph changes, so a peek, the exposure and
+        the step that follow share one tally.
+        """
+        if self._frontier_counts is None:
+            self._frontier_counts = _tally(_gather_neighbors(self.g, self.frontier))
+        return self._frontier_counts
 
     def _next_infected(self) -> np.ndarray:
         raise NotImplementedError
@@ -160,7 +167,7 @@ class _Run:
             raise EngineError("run already finished")
         newly = self._next_infected()
         self.infected[newly] = True
-        self.frontier = newly
+        self.frontier, self._frontier_counts = newly, None
         self.generation += 1
         total = self.totals[-1] + int(newly.size)
         self.totals.append(total)
@@ -230,10 +237,10 @@ class StandardRun(_Run):
         return touched[ready]
 
     def _next_infected(self) -> np.ndarray:
+        newly = self._candidates()
         touched, hits = self._frontier_tally()
         self.counts[touched] += hits
-        ready = ~self.infected[touched] & (self.counts[touched] >= self.thresholds[touched])
-        return touched[ready]
+        return newly
 
     def current_exposure(self) -> np.ndarray:
         """Infected-neighbor counts against the full current infected set I(t)."""
@@ -252,7 +259,7 @@ class StandardRun(_Run):
         self.counts = np.bincount(ev[prev_infected[eu]], minlength=new_g.n) + np.bincount(
             eu[prev_infected[ev]], minlength=new_g.n
         )
-        self.g = new_g
+        self.g, self._frontier_counts = new_g, None
 
 
 def run_standard(

@@ -176,6 +176,10 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
     out.setdefault("epsilon", 0.1)
     out.setdefault("stop_fraction", 0.9)
     out.setdefault("seed_factors", [1.0 - out["epsilon"], 1.0 + out["epsilon"]])
+    if not 0.0 < out["stop_fraction"] <= 1.0:
+        raise ConfigError(f"stop_fraction {out['stop_fraction']} outside (0, 1]")
+    if not 0.0 <= out["epsilon"] < 1.0:
+        raise ConfigError(f"epsilon {out['epsilon']} outside [0, 1)")
     graph = dict(out["graph"])
     _require_keys(graph, _GRAPH_KEYS, "graph")
     if "template" not in graph or "n" not in graph:
@@ -211,6 +215,11 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
         # post-intervention threshold mixes finish near 90%, so the spread
         # verdict for continuations uses a lower cutoff by default
         iv_section.setdefault("stop_fraction", 0.8)
+        if not 0.0 < iv_section["lambda"] < 1.0:
+            raise ConfigError(f"intervention lambda {iv_section['lambda']} outside (0, 1)")
+        stop = iv_section["stop_fraction"]
+        if not 0.0 < stop <= 1.0:
+            raise ConfigError(f"intervention stop_fraction {stop} outside (0, 1]")
         out["intervention"] = iv_section
     if out["trials"] < 1 or out["graphs"] < 1:
         raise ConfigError("graphs and trials must be >= 1")
@@ -543,12 +552,9 @@ def _intervention_graph_task(args: tuple) -> list[dict]:
             rngutil.substream(seed, rngutil.INTERVENTION, point_idx, graph_idx),
         )
         actual = trace.verdict
-        if verdict.outcome == "predicted-halt":
-            agree: bool | None = actual == "halted"
-        elif verdict.outcome == "predicted-spread":
-            agree = actual == "spread"
-        else:
-            agree = None
+        expected = {"predicted-halt": "halted", "predicted-spread": "spread"}.get(verdict.outcome)
+        # a run that had finished before the intervention acted is not scored
+        agree = None if expected is None or run.verdict is not None else actual == expected
         boundary = math.nan
         if section["compute_boundary"]:
             boundary = boundary_scan(observed, variant, params)

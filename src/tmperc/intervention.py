@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -206,6 +206,8 @@ class ObservedState:
     i_prev_cluster: tuple[int, ...]
     healthy_by_threshold: Mapping[int, int]
     tau: int
+    # boundary_scan's scaled (state, profile) pairs by (params, i_cur); not part of the state
+    _scan_profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.i_prev > self.i_cur:
@@ -655,14 +657,20 @@ def boundary_scan(
     Holds the observed growth |I(tau)| - |I(tau-1)| and the cluster and
     threshold proportions fixed while scaling the infected count; bisects on
     the sign of phi_J - Phi_J (the epsilon = 0 surface).  Returns NaN when
-    no crossing lies inside the scanned range.
+    no crossing lies inside the scanned range.  A scaled state's residual
+    profile does not depend on the variant, so it is built once, kept on
+    ``observed`` and reused by every later scan of it with the same params
+    (every alpha of a graph); it is freed with ``observed``.
     """
     delta = observed.i_cur - observed.i_prev
+    profiles = observed._scan_profiles
 
     def excess(i_cur: int) -> float:
-        hypo = _scaled_state(observed, i_cur, delta)
-        surr = build_surrogate(hypo, variant, params)
-        verdict = predict(surr, epsilon=0.0)
+        if (params, i_cur) not in profiles:
+            hypo = _scaled_state(observed, i_cur, delta)
+            profiles[params, i_cur] = hypo, build_profile(hypo, params)
+        hypo, profile = profiles[params, i_cur]
+        verdict = predict(build_surrogate(hypo, variant, params, profile), epsilon=0.0)
         if verdict.Phi_J is None:
             return -math.inf
         return verdict.phi_J - verdict.Phi_J

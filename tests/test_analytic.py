@@ -11,6 +11,7 @@ from oracles import (
     janson_phi,
     loop_activation_table,
 )
+from tmperc import analytic
 from tmperc import template as tpl
 from tmperc.analytic import (
     AnalyticModel,
@@ -303,6 +304,43 @@ def test_closed_form_critical_seed_and_table_match_oracles():
         else:
             seen["phi = 0" if result.phi_critical == 0 else "phi > 0"] += 1
     assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_activation_basis_cache_hit_matches_miss_and_oracle():
+    # ring-5 law: phi = 3*0.02 + 2*0.005 = 0.07, so t_max = 4 for every n here
+    template = tpl.make_ring(5, 1)
+    law = ThresholdDistribution.from_mapping({2: 0.4, 4: 0.6})
+    other_law = ThresholdDistribution.from_mapping({1: 0.1, 3: 0.5, 4: 0.4})
+    analytic._activation_basis.cache_clear()
+    miss = AnalyticModel(TMParams(template, 500, 0.02, 0.005), law)
+    assert analytic._activation_basis.cache_info().misses == 1
+    hits = [
+        AnalyticModel(TMParams(template, 500, 0.02, 0.005), law),
+        AnalyticModel(TMParams(template, 900, 0.02, 0.005), law),
+        AnalyticModel(TMParams(template, 500, 0.02, 0.005), other_law),
+    ]
+    info = analytic._activation_basis.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
+    assert miss.t_table == 4 and all(model.t_table == 4 for model in hits)
+    assert np.array_equal(hits[0].A, miss.A) and np.array_equal(hits[1].A, miss.A)
+    for model in [miss, *hits]:
+        assert np.array_equal(model.A, loop_activation_table(model.params, model.dist, 4))
+    # n = 10 caps the table at n/k + 1 = 3: its own key, not a slice of the t = 4 basis
+    short = AnalyticModel(TMParams(template, 10, 0.02, 0.005), law)
+    assert short.t_table == 3 and analytic._activation_basis.cache_info().misses == 2
+    assert np.array_equal(short.A, loop_activation_table(short.params, law, 3))
+
+
+def test_activation_basis_is_read_only():
+    params = TMParams(tpl.make_ring(5, 1), 500, 0.02, 0.005)
+    model = AnalyticModel(params, ThresholdDistribution.point_mass(3))
+    law = analytic._EdgeLaw(params.k_p, params.k_q, params.p, params.q)
+    basis = analytic._activation_basis(law, 3, model.t_table)
+    assert basis.shape == (3, model.t_table + 1)
+    with pytest.raises(ValueError):
+        basis[0, 1] = 0.5
+    with pytest.raises(ValueError):
+        model.A[1] = 0.5
 
 
 def test_closed_form_critical_seed_with_certain_activation():

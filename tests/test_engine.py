@@ -389,3 +389,65 @@ def test_three_stage_matches_reference():
         assert_trace_equals(trace, expected)
         assert np.array_equal(trace.contagious_per_cluster, expected[4])
         assert ours.random() == theirs.random()
+
+
+def _reference_generations(g, thresholds, infected, totals, stop, trigger_at=None):
+    """Dense recount of every generation until a verdict, or until the next
+    generation would carry the infected count past ``trigger_at``.
+
+    ``infected`` and ``totals`` are advanced in place; returns the verdict,
+    or None when paused at the trigger.
+    """
+    while True:
+        ready = ~infected & (reference_exposure(g, infected) >= thresholds)
+        if trigger_at is not None and totals[-1] + np.count_nonzero(ready) > trigger_at:
+            return None
+        infected |= ready
+        totals.append(int(np.count_nonzero(infected)))
+        if totals[-1] >= stop * g.n:
+            return "spread"
+        if not ready.any():
+            return "halted"
+
+
+def test_save_vertices_runs_match_reference():
+    # run_to_trigger's peek tallies the frontier once; the exposure that
+    # _apply_bolster reads and the step that follows reuse that tally, and an
+    # edge removal must drop it.  Every run still ends where a dense recount
+    # of each generation ends.
+    rng = np.random.default_rng(57)
+    law = {r: {r + 1: 0.5, r + 2: 0.5} for r in (1, 2, 3)}
+    paused = 0
+    for i in range(60):
+        g, thresholds, seeds = (medium_instance if i % 2 else random_instance)(rng)
+        lam = float(rng.uniform(0.05, 0.6))
+        stop = float(rng.choice([0.8, 1.0]))
+        spec = iv.InterventionSpec(iv.Bolster(law, save_vertices=True), lam)
+        run, triggered = iv.run_to_trigger(g, thresholds, seeds, spec, EngineConfig(stop))
+        infected = np.zeros(g.n, dtype=bool)
+        infected[seeds] = True
+        totals = [int(seeds.size)]
+        verdict = "spread" if totals[0] >= stop * g.n else ("halted" if not seeds.size else None)
+        if verdict is None:
+            verdict = _reference_generations(g, thresholds, infected, totals, stop, lam * g.n)
+        assert run.totals == totals and np.array_equal(run.infected, infected)
+        assert run.verdict == verdict
+        if verdict is not None:
+            assert triggered == (totals[-1] > lam * g.n)
+            continue
+        paused += 1
+        assert triggered
+        exposure = reference_exposure(g, infected)
+        assert np.array_equal(run.current_exposure(), exposure)
+        assert np.array_equal(
+            run._candidates(), np.flatnonzero(~infected & (exposure >= thresholds))
+        )
+        variant = iv.Diminish(0.5, 0.5) if i % 3 == 0 else spec.variant
+        trace = iv.apply_in_simulation(
+            run, iv.InterventionSpec(variant, lam), substream(58, i)
+        )
+        # continue on the graph and thresholds the intervention left behind
+        verdict = _reference_generations(run.g, run.thresholds, infected, totals, stop)
+        assert np.array_equal(trace.totals, totals) and trace.verdict == verdict
+        assert np.array_equal(trace.final_infected, np.flatnonzero(infected))
+    assert paused >= 20

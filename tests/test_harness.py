@@ -225,6 +225,74 @@ def test_intervention_rows_and_no_trigger(tmp_path):
     assert not rows[0]["triggered"]
 
 
+def _intervention_config(**section):
+    raw = base_config(sweep={"axis": "alpha", "values": [0.5]})
+    raw["intervention"] = {"variant": "diminish", **section}
+    return raw
+
+
+@pytest.mark.parametrize("value", [0.0, -0.2, 1.5])
+def test_config_rejects_stop_fraction_outside_unit_interval(value):
+    with pytest.raises(ConfigError, match="stop_fraction"):
+        harness.load_config(base_config(stop_fraction=value))
+    assert harness.load_config(base_config(stop_fraction=1.0)).stop_fraction == 1.0
+
+
+@pytest.mark.parametrize("value", [-0.2, 1.0, 1.5])
+def test_config_rejects_epsilon_outside_zero_to_one(value):
+    with pytest.raises(ConfigError, match="epsilon"):
+        harness.load_config(base_config(epsilon=value))
+    assert harness.load_config(base_config(epsilon=0.0)).epsilon == 0.0
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.2, 1.5])
+def test_config_rejects_intervention_lambda_outside_open_unit_interval(value):
+    with pytest.raises(ConfigError, match="lambda"):
+        harness.load_config(_intervention_config(**{"lambda": value}))
+    assert harness.load_config(_intervention_config(**{"lambda": 0.5})).intervention["lambda"] == 0.5
+
+
+@pytest.mark.parametrize("value", [0.0, -0.2, 1.5])
+def test_config_rejects_intervention_stop_fraction_outside_unit_interval(value):
+    with pytest.raises(ConfigError, match="stop_fraction"):
+        harness.load_config(_intervention_config(stop_fraction=value))
+    config = harness.load_config(_intervention_config(stop_fraction=1.0))
+    assert config.intervention["stop_fraction"] == 1.0
+
+
+def test_rows_of_runs_finished_before_the_intervention_are_not_scored():
+    # 95% of the vertices are seeds and the continuation stops at 90%, so
+    # every run has spread at generation 0, past the trigger, before any
+    # intervention acts; even Diminish(0, 0), which deletes every edge and
+    # is predicted to halt, leaves it spread
+    n = 10000
+    config = harness.load_config(
+        {
+            "name": "iv-finished",
+            "master_seed": 5,
+            "graph": {"template": {"kind": "single"}, "n": n, "p": 7 / n},
+            "thresholds": {"zeta": {"2": 1.0}},
+            "sweep": {"axis": "alpha", "values": [0.0, 1.0]},
+            "graphs": 2,
+            "trials": 1,
+            "intervention": {
+                "variant": "diminish",
+                "lambda": 0.1,
+                "baseline_seed_count": 9500,
+                "stop_fraction": 0.9,
+                "compute_boundary": False,
+            },
+        }
+    )
+    rows = harness.run_intervention(config).rows
+    assert len(rows) == 4
+    for row in rows:
+        assert row["triggered"] and row["i_cur"] == 9500
+        assert row["actual"] == "spread"
+        assert row["agree"] is None
+    assert {row["predicted"] for row in rows if row["alpha"] == 0.0} == {"predicted-halt"}
+
+
 def test_analytic_summary_shape():
     config = harness.load_config(
         base_config(sweep={"axis": "zeta_fraction", "threshold": 3, "complement": 2,

@@ -449,6 +449,50 @@ def test_boundary_scan_brackets_actual_state():
         assert strong > weak
 
 
+def _uncached_boundary_scan(observed, variant, params, lo_frac=0.001, hi_frac=0.6):
+    """The bisection of ``boundary_scan`` with build_profile called at every step."""
+    delta = observed.i_cur - observed.i_prev
+
+    def excess(i_cur):
+        hypo = iv._scaled_state(observed, i_cur, delta)
+        surrogate = iv.build_surrogate(hypo, variant, params, iv.build_profile(hypo, params))
+        verdict = iv.predict(surrogate, epsilon=0.0)
+        return -math.inf if verdict.Phi_J is None else verdict.phi_J - verdict.Phi_J
+
+    lo = max(delta, int(lo_frac * observed.n), 1)
+    hi = min(int(hi_frac * observed.n), observed.n - 1)
+    if lo >= hi or excess(lo) > 0 or excess(hi) < 0:
+        return math.nan
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if excess(mid) <= 0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_boundary_scan_profile_memo_matches_uncached_scans(monkeypatch):
+    states = []
+    for seed in (301, 305):
+        params, _, _, _, run = triggered_run(seed=seed, factor=1.3)
+        states.append((iv.snapshot_observed(run), params))
+    variants = [iv.bolster_a(0.0, (2,)), iv.bolster_a(1.0, (2,)), iv.Diminish(0.6, 0.6)]
+    expected = [[_uncached_boundary_scan(obs, v, params) for v in variants] for obs, params in states]
+    assert not np.isnan(expected).any()
+    calls = []
+    build_profile = iv.build_profile
+    monkeypatch.setattr(iv, "build_profile", lambda *a: calls.append(a) or build_profile(*a))
+    built = []
+    for which in (0, 1, 0):
+        observed, params = states[which]
+        before = len(calls)
+        got = [iv.boundary_scan(observed, v, params) for v in variants]
+        assert got == expected[which]
+        built.append(len(calls) - before)
+    # one profile per distinct scaled state, shared by the three scans and
+    # kept on the observed state, so state A's second pass builds none
+    assert built == [len(states[0][0]._scan_profiles), len(states[1][0]._scan_profiles), 0]
+    assert min(built[:2]) > 0
+
+
 def test_modification1_save_vertices_changes_surrogate():
     params, state, profile = uniform_r2_profile()
     plain = iv.build_surrogate(state, iv.Bolster({2: {4: 1.0}}), params, profile)
