@@ -31,12 +31,9 @@ from scipy.special import gammaln, logsumexp
 from .tmgraph import TMParams, ThresholdDistribution
 
 __all__ = [
-    "binom_log_pmf",
     "log_binom_row",
     "log_sum_row",
     "pi_r",
-    "A_of_t",
-    "f_of",
     "AnalyticModel",
     "AssumptionReport",
     "CriticalResult",
@@ -47,29 +44,9 @@ __all__ = [
     "check_growth_bounds",
     "CoinflipModel",
     "coinflip_reduce",
-    "t_star_lower_bound",
 ]
 
 _NEG_INF = float("-inf")
-
-
-def binom_log_pmf(x: int, lam: float, i: int) -> float:
-    """log Pr[Bin(x, lam) = i] via log-gamma; exact -inf for impossible cases."""
-    if i < 0 or i > x:
-        raise ValueError(f"successes i={i} outside [0, x={x}]")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"success probability {lam} outside [0, 1]")
-    if lam == 0.0:
-        return 0.0 if i == 0 else _NEG_INF
-    if lam == 1.0:
-        return 0.0 if i == x else _NEG_INF
-    return (
-        math.lgamma(x + 1)
-        - math.lgamma(i + 1)
-        - math.lgamma(x - i + 1)
-        + i * math.log(lam)
-        + (x - i) * math.log1p(-lam)
-    )
 
 
 def log_binom_row(trials: np.ndarray | int, prob: float, j_max: int) -> np.ndarray:
@@ -144,13 +121,6 @@ def pi_r(t: int, r: int, params: TMParams) -> float:
         # decay stalled before the cap; fall back to the full support
         tail = float(np.exp(log_sum_row(t, params, total_trials)[r:]).sum())
     return tail
-
-
-def A_of_t(t: int, dist: ThresholdDistribution, params: TMParams) -> float:
-    """Mixture activation probability sum_r zeta_r * pi_r(t)."""
-    return math.fsum(
-        z * pi_r(t, r + 1, params) for r, z in enumerate(dist.zeta) if z > 0.0
-    )
 
 
 @dataclass(frozen=True)
@@ -255,16 +225,6 @@ class AnalyticModel:
         table = self.dist.as_array() @ _activation_basis(law, self.dist.r_max, t_hi)
         table[0] = 0.0
         return table
-
-    def A_at(self, t: int) -> float:
-        if not 0 <= t <= self.t_table:
-            raise ValueError(f"t={t} outside the tabulated range [0, {self.t_table}]")
-        return float(self.A[t])
-
-
-def f_of(phi: float, t: int, model: AnalyticModel) -> float:
-    """Deficiency (n - phi)*A(t) - k*t + phi."""
-    return (model.params.n - phi) * model.A_at(t) - model.params.k * t + phi
 
 
 @dataclass(frozen=True)
@@ -450,20 +410,3 @@ def coinflip_reduce(cf: CoinflipModel) -> ThresholdDistribution:
             stay *= 1.0 - z
         zeta[cf.r_max - 1] += weight * stay
     return ThresholdDistribution(tuple(zeta))
-
-
-def t_star_lower_bound(model: AnalyticModel, beta: float) -> float:
-    """Bottleneck lower bound beta*n / (2*k*(phi*eta)^2).
-
-    beta must lie in (0, 1] and satisfy zeta_1 * eta * phi <= 1 - beta (the
-    largest admissible beta is reported by the model's assumption report).
-    """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta={beta} outside (0, 1]")
-    params = model.params
-    if model.dist.zeta[0] * params.expected_degree > 1.0 - beta + 1e-15:
-        raise ValueError(
-            f"beta={beta} inadmissible: zeta_1*eta*phi = "
-            f"{model.dist.zeta[0] * params.expected_degree} exceeds 1 - beta"
-        )
-    return beta * params.n / (2.0 * params.k * params.expected_degree**2)

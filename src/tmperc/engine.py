@@ -81,10 +81,6 @@ class PercolationTrace:
         return len(self.totals) - 1
 
     @property
-    def new_counts(self) -> np.ndarray:
-        return np.diff(self.totals, prepend=0)
-
-    @property
     def final_fraction(self) -> float:
         return float(self.totals[-1]) / self.n
 

@@ -65,7 +65,7 @@ __all__ = [
     "run_dichotomy",
     "run_intervention",
     "emit",
-    "read_table",
+    "ConfigError",
 ]
 
 
@@ -221,9 +221,23 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
         if not 0.0 < stop <= 1.0:
             raise ConfigError(f"intervention stop_fraction {stop} outside (0, 1]")
         out["intervention"] = iv_section
-    if out["trials"] < 1 or out["graphs"] < 1:
-        raise ConfigError("graphs and trials must be >= 1")
-    return ExperimentConfig(out)
+    counts = [("master_seed", out["master_seed"], 0)]
+    counts += [(key, out[key], 1) for key in ("graphs", "trials")]
+    if sweep["axis"] == "seed_count":
+        counts += [("seed_count", value, 0) for value in sweep["values"]]
+    for key, value, low in counts:
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"{key} {value!r} is not an integer >= {low}")
+    config = ExperimentConfig(out)
+    for value in sweep["values"]:
+        # each point meets the library's own checks; any one threshold tests alpha
+        try:
+            distribution_at(config, value)
+            if sweep["axis"] == "alpha" and config.intervention is not None:
+                _variant_at(config.intervention, float(value), (1,))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep value {value!r}: {exc}") from exc
+    return config
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -265,35 +279,28 @@ def params_from_config(config: ExperimentConfig) -> TMParams:
     return TMParams(template, n, p, q)
 
 
+def _coin_law(config: ExperimentConfig, value: float | None) -> tuple[int, float, int] | None:
+    """(s, z, r_max) of a coinflip config at one sweep point, or None for a threshold law."""
+    cf = config.raw["thresholds"].get("coinflip")
+    if cf is None:
+        return None
+    coin_z = config.raw["sweep"]["axis"] == "coin_z" and value is not None
+    return int(cf["s"]), float(value if coin_z else cf["z"]), int(cf["r_max"])
+
+
 def distribution_at(config: ExperimentConfig, value: float | None) -> ThresholdDistribution:
     """Threshold distribution at one sweep point (value=None for the base law)."""
-    thresholds = config.raw["thresholds"]
-    axis = config.raw["sweep"]["axis"]
-    if "zeta" in thresholds:
-        zeta = {int(r): float(w) for r, w in thresholds["zeta"].items()}
-        if axis == "zeta_fraction" and value is not None:
-            high = int(config.raw["sweep"].get("threshold", max(zeta)))
-            low = int(config.raw["sweep"].get("complement", min(zeta)))
-            zeta = {low: 1.0 - float(value), high: float(value)}
-            zeta = {r: w for r, w in zeta.items() if w > 0.0}
-        return ThresholdDistribution.from_mapping(zeta)
-    cf = thresholds["coinflip"]
-    z = float(cf["z"])
-    if axis == "coin_z" and value is not None:
-        z = float(value)
-    model = CoinflipModel({int(cf["s"]): 1.0}, z, int(cf["r_max"]))
-    return coinflip_reduce(model)
-
-
-def _coinflip_state(config: ExperimentConfig, n: int, value: float | None) -> CoinflipState | None:
-    thresholds = config.raw["thresholds"]
-    if "coinflip" not in thresholds:
-        return None
-    cf = thresholds["coinflip"]
-    z = float(cf["z"])
-    if config.raw["sweep"]["axis"] == "coin_z" and value is not None:
-        z = float(value)
-    return CoinflipState.uniform(n, int(cf["s"]), z, int(cf["r_max"]))
+    coin = _coin_law(config, value)
+    if coin is not None:
+        s, z, r_max = coin
+        return coinflip_reduce(CoinflipModel({s: 1.0}, z, r_max))
+    zeta = {int(r): float(w) for r, w in config.raw["thresholds"]["zeta"].items()}
+    if config.raw["sweep"]["axis"] == "zeta_fraction" and value is not None:
+        high = int(config.raw["sweep"].get("threshold", max(zeta)))
+        low = int(config.raw["sweep"].get("complement", min(zeta)))
+        zeta = {low: 1.0 - float(value), high: float(value)}
+        zeta = {r: w for r, w in zeta.items() if w > 0.0}
+    return ThresholdDistribution.from_mapping(zeta)
 
 
 @dataclass
@@ -362,18 +369,18 @@ def _dichotomy_graph_task(args: tuple) -> list[dict]:
     config = ExperimentConfig(raw)
     params = params_from_config(config)
     value = config.sweep_values[point_idx]
-    dist = distribution_at(config, value)
     phi_crit = result.phi_critical
     seed = config.master_seed
     engine_config = EngineConfig(stop_fraction=config.stop_fraction)
     g = sample_graph(params, rngutil.substream(seed, rngutil.GRAPH, point_idx, graph_idx))
-    cf_base = _coinflip_state(config, params.n, value)
-    if cf_base is None:
+    coin = _coin_law(config, value)
+    if coin is None:
+        dist = distribution_at(config, value)
         thresholds = assign_thresholds(
             dist, params.n, rngutil.substream(seed, rngutil.THRESHOLDS, point_idx, graph_idx)
         )
     else:
-        thresholds = None
+        cf_base = CoinflipState.uniform(params.n, *coin)
     rows: list[dict] = []
     seed_counts: list[tuple[float, int]] = []
     if config.raw["sweep"]["axis"] == "seed_count":
@@ -390,7 +397,7 @@ def _dichotomy_graph_task(args: tuple) -> list[dict]:
             seeds = select_seeds(
                 min(count, params.n), params.n, rngutil.substream(seed, rngutil.SEEDS, *key)
             )
-            if cf_base is None:
+            if coin is None:
                 trace = run_standard(g, thresholds, seeds, engine_config)
             else:
                 trace = run_coinflip(g, cf_base, seeds, engine_config, stream)
@@ -599,9 +606,11 @@ def run_intervention(config: ExperimentConfig, jobs: int = 1) -> ResultTable:
 
 
 def _execute(tasks: list, fn, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs < 1:
+        raise ConfigError(f"jobs {jobs} must be >= 1")
+    if jobs == 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -662,36 +671,3 @@ def _write_replace(path: str, lines: Iterator[str]) -> str:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
     return path
-
-
-def read_table(path: str) -> ResultTable:
-    """Round-trip reader for the CSV emitted by :func:`emit`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        meta = dict(part.split("=", 1) for part in header.lstrip("# ").split())
-        columns = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            row = {}
-            for col, cell in zip(columns, cells):
-                row[col] = _parse_cell(cell)
-            rows.append(row)
-    return ResultTable(meta.get("name", ""), meta["config_hash"], columns, rows)
-
-
-def _parse_cell(cell: str):
-    if cell == "":
-        return None
-    if cell == "true":
-        return True
-    if cell == "false":
-        return False
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell

@@ -28,16 +28,6 @@ class TemplateGraph:
     def k_q(self) -> int:
         return self.k - self.k_p
 
-    def near(self, i: int, j: int) -> bool:
-        return j in self.neighbors[i]
-
-    def relabeled(self, perm: Mapping[int, int]) -> "TemplateGraph":
-        """Apply a cluster relabeling; used to test symmetry of the builders."""
-        new = [frozenset()] * self.k
-        for i, nbrs in enumerate(self.neighbors):
-            new[perm[i]] = frozenset(perm[j] for j in nbrs)
-        return TemplateGraph(self.k, tuple(new))
-
 
 def validate(template: TemplateGraph) -> str | None:
     """Return a description of the first violated invariant, or None if valid.

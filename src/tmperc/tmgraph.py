@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .template import TemplateGraph, make_single, validate
+from .template import TemplateGraph, validate
 
 __all__ = [
     "TMParams",
@@ -25,9 +25,6 @@ __all__ = [
     "sample_graph",
     "assign_thresholds",
     "select_seeds",
-    "near_far_counts",
-    "dump_edges",
-    "load_edges",
 ]
 
 
@@ -170,14 +167,8 @@ class SampledGraph:
     def num_edges(self) -> int:
         return int(self.edge_u.size)
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def cluster_of(self, u: int) -> int:
-        return int(u) // self.eta
 
     def edge_is_near(self) -> np.ndarray:
         """Boolean mask over edges: near (template-adjacent clusters) or far."""
@@ -301,41 +292,3 @@ def select_seeds(phi: int, n: int, rng: np.random.Generator) -> np.ndarray:
     if not 0 <= phi <= n:
         raise ValueError(f"seed count {phi} outside [0, {n}]")
     return np.sort(rng.choice(n, size=phi, replace=False))
-
-
-def near_far_counts(
-    g: SampledGraph, u: int, members: Iterable[int]
-) -> tuple[int, int]:
-    """How many members of a vertex set are near / far from u (by cluster relation)."""
-    ids = np.asarray(list(members) if not isinstance(members, np.ndarray) else members, dtype=np.int64)
-    if ids.size == 0:
-        return 0, 0
-    near_row = g._near[g.cluster_of(u)]
-    near_count = int(np.count_nonzero(near_row[g.clusters[ids]]))
-    return near_count, int(ids.size) - near_count
-
-
-def dump_edges(g: SampledGraph, fh: IO[str], seed: int | None = None) -> None:
-    """Plain-text edge list with a header carrying the sampling parameters."""
-    fh.write(
-        f"# tm n={g.n} k={g.k} p={g.params.p!r} q={g.params.q!r} seed={seed}\n"
-    )
-    for u, v in zip(g.edge_u, g.edge_v):
-        fh.write(f"{u} {v}\n")
-
-
-def load_edges(fh: IO[str], template: TemplateGraph | None = None) -> SampledGraph:
-    """Read a dump produced by :func:`dump_edges` (template defaults to single-cluster)."""
-    header = fh.readline().strip()
-    fields = dict(part.split("=") for part in header.lstrip("# ").split()[1:])
-    n = int(fields["n"])
-    k = int(fields["k"])
-    if template is None and k == 1:
-        template = make_single()
-    if template is None or template.k != k:
-        raise ValueError(f"dump uses k={k}; pass the matching template")
-    params = TMParams(template, n, float(fields["p"]), float(fields["q"]))
-    pairs = [line.split() for line in fh if line.strip()]
-    edge_u = np.array([int(a) for a, _ in pairs], dtype=np.int64)
-    edge_v = np.array([int(b) for _, b in pairs], dtype=np.int64)
-    return SampledGraph(params, edge_u, edge_v)

@@ -2,9 +2,15 @@
 
 Everything here is deliberately brute force: exact rational arithmetic,
 dense fixpoint iteration, exhaustive enumeration over edge indicator
-vectors.  None of it shares code with the library paths it checks; the
-two analytic oracles at the end reuse only ``log_binom_row``, which is
-itself checked against exact rationals.
+vectors.  None of it shares code with the library paths it checks.  The
+two table oracles reuse only ``log_binom_row``, which is itself checked
+against exact rationals: ``loop_activation_table`` keeps the library's
+kernel so that its bits match the model's table.
+
+The scalar references at the end (``binom_log_pmf``, ``A_of_t``, ``f_of``
+and ``t_star_lower_bound``) state the formulas of the analytic module one
+value at a time.  ``A_of_t`` sums the library's scalar ``pi_r``, a path
+separate from the model's array table, and ``f_of`` reads ``model.A``.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import logsumexp
 
-from tmperc.analytic import log_binom_row
+from tmperc.analytic import log_binom_row, pi_r
 
 
 def exact_pi(t: int, r: int, k_p: int, k_q: int, p: float, q: float) -> Fraction:
@@ -347,3 +353,55 @@ def bisect_critical_seed(model) -> tuple[int | None, int | None]:
             lo = mid + 1
     curve = (n - hi) * a_arr - k * t_arr + hi
     return hi, int(t_arr[int(np.argmin(curve))])
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the analytic module
+
+
+def binom_log_pmf(x: int, lam: float, i: int) -> float:
+    """log Pr[Bin(x, lam) = i] via log-gamma; exact -inf for impossible cases."""
+    if i < 0 or i > x:
+        raise ValueError(f"successes i={i} outside [0, x={x}]")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"success probability {lam} outside [0, 1]")
+    if lam == 0.0:
+        return 0.0 if i == 0 else -math.inf
+    if lam == 1.0:
+        return 0.0 if i == x else -math.inf
+    return (
+        math.lgamma(x + 1)
+        - math.lgamma(i + 1)
+        - math.lgamma(x - i + 1)
+        + i * math.log(lam)
+        + (x - i) * math.log1p(-lam)
+    )
+
+
+def A_of_t(t: int, dist, params) -> float:
+    """Mixture activation probability sum_r zeta_r * pi_r(t)."""
+    return math.fsum(
+        z * pi_r(t, r + 1, params) for r, z in enumerate(dist.zeta) if z > 0.0
+    )
+
+
+def f_of(phi: float, t: int, model) -> float:
+    """Deficiency (n - phi)*A(t) - k*t + phi on the model's table."""
+    return (model.params.n - phi) * model.A[t] - model.params.k * t + phi
+
+
+def t_star_lower_bound(model, beta: float) -> float:
+    """Bottleneck lower bound beta*n / (2*k*(phi*eta)^2).
+
+    beta must lie in (0, 1] and satisfy zeta_1 * eta * phi <= 1 - beta (the
+    largest admissible beta is reported by the model's assumption report).
+    """
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta={beta} outside (0, 1]")
+    params = model.params
+    if model.dist.zeta[0] * params.expected_degree > 1.0 - beta + 1e-15:
+        raise ValueError(
+            f"beta={beta} inadmissible: zeta_1*eta*phi = "
+            f"{model.dist.zeta[0] * params.expected_degree} exceeds 1 - beta"
+        )
+    return beta * params.n / (2.0 * params.k * params.expected_degree**2)

@@ -5,27 +5,27 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
+    A_of_t,
+    binom_log_pmf,
     bisect_critical_seed,
     exact_pi,
     exact_sum_pmf,
+    f_of,
     janson_phi,
     loop_activation_table,
+    t_star_lower_bound,
 )
 from tmperc import analytic
 from tmperc import template as tpl
 from tmperc.analytic import (
     AnalyticModel,
     CoinflipModel,
-    binom_log_pmf,
     check_convexity,
     check_growth_bounds,
     coinflip_reduce,
     critical_seed,
-    f_of,
     log_sum_row,
     pi_r,
-    A_of_t,
-    t_star_lower_bound,
 )
 from tmperc.tmgraph import TMParams, ThresholdDistribution
 
@@ -174,7 +174,7 @@ def test_model_table_matches_scalar():
     dist = ThresholdDistribution.from_mapping({2: 0.3, 3: 0.7})
     model = AnalyticModel(params, dist)
     for t in (0, 1, 5, model.t_table // 2, model.t_table):
-        assert model.A_at(t) == pytest.approx(A_of_t(t, dist, params), abs=1e-12)
+        assert model.A[t] == pytest.approx(A_of_t(t, dist, params), abs=1e-12)
     assert model.A[0] == 0.0
     assert np.all(np.diff(model.A) >= -1e-12)
     assert np.all((model.A >= 0.0) & (model.A <= 1.0))
@@ -186,7 +186,7 @@ def test_f_at_zero_activation_is_affine():
     dist = ThresholdDistribution.point_mass(6)
     model = AnalyticModel(params, dist)
     for t in (1, 2, 5):  # k_p*t < 6 so A(t) = 0 exactly
-        assert model.A_at(t) == 0.0
+        assert model.A[t] == 0.0
         for phi in (0, 10, 50):
             assert f_of(phi, t, model) == phi - t
 
@@ -196,7 +196,7 @@ def test_f_increment_in_phi():
     dist = ThresholdDistribution.from_mapping({2: 0.5, 3: 0.5})
     model = AnalyticModel(params, dist)
     for t in (1, 50, model.t_table):
-        expected = 1.0 - model.A_at(t)
+        expected = 1.0 - model.A[t]
         for phi in (0, 100, 4000):
             assert f_of(phi + 1, t, model) - f_of(phi, t, model) == pytest.approx(
                 expected, abs=1e-9

@@ -107,7 +107,6 @@ def test_trace_conservation_and_monotonicity():
         g, thresholds, seeds = random_instance(rng)
         trace = run_standard(g, thresholds, seeds, EngineConfig(stop_fraction=1.0))
         assert np.all(np.diff(trace.totals) >= 0)
-        assert np.array_equal(np.diff(trace.totals, prepend=0), trace.new_counts)
         assert np.array_equal(trace.per_cluster.sum(axis=1), trace.totals)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -91,17 +92,34 @@ def test_config_hash_changes_with_any_field():
     assert len(hashes) == len(changed) + 1
 
 
+def _parse_cell(cell: str):
+    """A CSV cell as ``emit`` writes it: empty, true/false, an int, a float or text."""
+    if cell in ("", "true", "false"):
+        return {"": None, "true": True, "false": False}[cell]
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
+
+
 def test_emit_roundtrip_and_empty_table(tmp_path):
     config = harness.load_config(base_config())
     table = harness.run_dichotomy(config)
     base = str(tmp_path / "rows")
     paths = harness.emit(table, base)
     assert len(paths) == 2
-    back = harness.read_table(base + ".csv")
-    assert back.config_hash == table.config_hash
-    assert back.columns == table.columns
-    assert len(back.rows) == len(table.rows)
-    for mine, theirs in zip(table.rows, back.rows):
+    with open(base + ".csv", newline="", encoding="utf-8") as fh:
+        header = fh.readline()
+        reader = csv.reader(fh)
+        columns = next(reader)
+        rows = [dict(zip(columns, map(_parse_cell, cells))) for cells in reader]
+    meta = dict(part.split("=", 1) for part in header.lstrip("# ").split())
+    assert meta["config_hash"] == table.config_hash
+    assert columns == table.columns
+    assert len(rows) == len(table.rows)
+    for mine, theirs in zip(table.rows, rows):
         for column in table.columns:
             value = mine.get(column)
             if isinstance(value, float) and math.isnan(value):
@@ -258,6 +276,84 @@ def test_config_rejects_intervention_stop_fraction_outside_unit_interval(value):
         harness.load_config(_intervention_config(stop_fraction=value))
     config = harness.load_config(_intervention_config(stop_fraction=1.0))
     assert config.intervention["stop_fraction"] == 1.0
+
+
+def _sweep_config(axis, value, **overrides):
+    raw = base_config(sweep={"axis": axis, "values": [value]}, **overrides)
+    if axis == "coin_z":
+        raw["thresholds"] = {"coinflip": {"s": 1, "z": 0.5, "r_max": 20}}
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _sweep_config("zeta_fraction", 1.5),
+        _sweep_config("coin_z", 1.7),
+        _sweep_config("seed_count", -5),
+        _sweep_config("seed_count", 2.5),
+        _sweep_config("alpha", 1.5, intervention={"variant": "diminish"}),
+        _sweep_config("alpha", 1.5, intervention={"variant": "bolster_a"}),
+        base_config(trials=1.5),
+        base_config(master_seed=-3),
+        base_config(graphs=True),
+    ],
+    ids=[
+        "zeta_fraction-1.5",
+        "coin_z-1.7",
+        "seed_count--5",
+        "seed_count-2.5",
+        "alpha-1.5-diminish",
+        "alpha-1.5-bolster_a",
+        "trials-1.5",
+        "master_seed--3",
+        "graphs-true",
+    ],
+)
+def test_config_rejects_out_of_range_sweep_and_count_values(raw):
+    with pytest.raises(ConfigError):
+        harness.load_config(raw)
+
+
+def test_config_accepts_sweep_and_count_boundaries():
+    for raw in (
+        _sweep_config("zeta_fraction", 1.0),
+        _sweep_config("coin_z", 1.0),
+        _sweep_config("seed_count", 0),
+        _sweep_config("alpha", 0.0, intervention={"variant": "diminish"}),
+        _sweep_config("alpha", 1.0, intervention={"variant": "bolster_a"}),
+        base_config(master_seed=0, graphs=1, trials=1),
+    ):
+        harness.load_config(raw)
+
+
+def test_jobs_rejected_below_one_and_capped_at_task_count(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Records the requested worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    config = harness.load_config(base_config(graphs=2))
+    serial = harness.run_dichotomy(config)
+    assert harness.run_dichotomy(config, jobs=64).rows == serial.rows
+    assert started == [2]
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError, match="jobs"):
+            harness.run_dichotomy(config, jobs=jobs)
+    assert started == [2]
 
 
 def test_rows_of_runs_finished_before_the_intervention_are_not_scored():
