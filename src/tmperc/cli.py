@@ -29,9 +29,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _load(args: argparse.Namespace) -> harness.ExperimentConfig:
     config = harness.load_config(args.config)
     if args.seed is not None:
-        raw = dict(config.raw)
-        raw["master_seed"] = args.seed
-        config = harness.ExperimentConfig(raw)
+        config = harness.load_config({**config.raw, "master_seed": args.seed})
     return config
 
 

@@ -4,9 +4,10 @@ and the halting/cheating three-stage variants.
 Generations are synchronous: generation t+1 infects exactly the healthy
 vertices whose infected-neighbor count against I(t) reaches their threshold.
 Propagation is frontier-based.  A standard or coinflip generation gathers the
-F adjacency entries of the vertices infected in the previous one and sorts
-them once, so it costs O(F log F + k) whatever n is, and a whole run costs
-O(n) set-up plus O(E log E) over its E scanned edges.  A three-stage
+F adjacency entries of the vertices infected in the previous one and tallies
+them once, by one sort when F <= n and by an n-sized count when F > n, so it
+costs O(min(F log F, n + F) + k), and a whole run costs O(n) set-up plus
+O(E log n) over its E scanned edges.  A three-stage
 timestep scatters the same way from the vertices it promotes; its only O(n)
 work is the scan of every cluster for its latent pool, which fixes the draw
 order, and its out-of-latents test is an O(k) count.
@@ -95,12 +96,19 @@ def _gather_neighbors(g: SampledGraph, frontier: np.ndarray) -> np.ndarray:
     return g.indices[np.arange(total, dtype=np.int64) + shift]
 
 
-def _tally(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending distinct entries of ``values`` and how often each occurs.
+def _tally(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct entries of ``values`` (ids in [0, n)) and how often each occurs.
 
-    One sort and a scan for run heads: O(F log F) in the F entries, with no
-    n-sized temporary.  The ascending order fixes the coinflip draw order.
+    Switches direction on the F entries, as direction-optimizing BFS does:
+    for F > n an n-sized ``bincount`` and scan cost O(n + F), and otherwise
+    one sort and a scan for run heads cost O(F log F) with no n-sized
+    temporary.  Both give the same arrays; the ascending order fixes the
+    coinflip draw order.
     """
+    if values.size > n:
+        counts = np.bincount(values, minlength=n)
+        touched = np.flatnonzero(counts)
+        return touched, counts[touched]
     s = np.sort(values)
     bound = np.ones(s.size + 1, dtype=bool)
     np.not_equal(s[1:], s[:-1], out=bound[1:-1])
@@ -151,7 +159,7 @@ class _Run:
         the step that follow share one tally.
         """
         if self._frontier_counts is None:
-            self._frontier_counts = _tally(_gather_neighbors(self.g, self.frontier))
+            self._frontier_counts = _tally(_gather_neighbors(self.g, self.frontier), self.g.n)
         return self._frontier_counts
 
     def _next_infected(self) -> np.ndarray:
@@ -390,7 +398,7 @@ class _ThreeStageRun(StandardRun):
         promoted = np.asarray(promoted, dtype=np.int64)
         self.contagious[promoted] = True
         self.contagious_per_cluster += np.bincount(g.clusters[promoted], minlength=g.k)
-        touched, hits = _tally(_gather_neighbors(g, promoted))
+        touched, hits = _tally(_gather_neighbors(g, promoted), g.n)
         self.counts[touched] += hits
         ready = ~(self.infected | self.contagious)[touched] & (
             self.counts[touched] >= self.thresholds[touched]

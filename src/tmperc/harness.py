@@ -225,6 +225,9 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
     counts += [(key, out[key], 1) for key in ("graphs", "trials")]
     if sweep["axis"] == "seed_count":
         counts += [("seed_count", value, 0) for value in sweep["values"]]
+    iv_counts = out.get("intervention") or {}
+    if "baseline_seed_count" in iv_counts:
+        counts.append(("baseline_seed_count", iv_counts["baseline_seed_count"], 0))
     for key, value, low in counts:
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise ConfigError(f"{key} {value!r} is not an integer >= {low}")
@@ -491,7 +494,7 @@ def _baseline_seed_count(config: ExperimentConfig) -> int:
     """Seed count of the baseline runs: given, or a factor of the critical seed."""
     section = config.intervention
     if "baseline_seed_count" in section:
-        return int(section["baseline_seed_count"])
+        return section["baseline_seed_count"]
     model = AnalyticModel(params_from_config(config), distribution_at(config, None))
     phi_crit = critical_seed(model).phi_critical
     if phi_crit is None:

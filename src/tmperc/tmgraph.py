@@ -4,8 +4,10 @@ Vertices 0..n-1 are split into k clusters of eta = n/k consecutive ids, so
 cluster(u) = u // eta.  A pair is "near" when their clusters are adjacent in
 the template (which includes same-cluster pairs) and is joined independently
 with probability p; far pairs use q.  Sampling enumerates present edges by
-geometric gap skipping per (cluster-pair, probability) block, so the cost is
-proportional to the number of edges rather than n^2.
+geometric gap skipping per (cluster-pair, probability) block, and the edge
+list and CSR adjacency are grouped by endpoint with a radix pass over 16-bit
+digits instead of a comparison sort, so the whole build costs O(n + E) in the
+E edges rather than n^2 (two radix passes per grouping while n <= 2**32).
 """
 
 from __future__ import annotations
@@ -182,15 +184,28 @@ class SampledGraph:
         return SampledGraph(self.params, self.edge_u[keep], self.edge_v[keep])
 
 
+def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
+    """The stable permutation sorting ``keys``, integers in [0, n), in O(len) work.
+
+    LSD radix over 16-bit digits: numpy's stable argsort of uint16 is a radix
+    sort, so this is one pass for n <= 2**16 and two for n <= 2**32.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while n > 1 << shift:
+        digit = (keys >> shift).astype(np.uint16)[order]
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 def _edges_to_csr(n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     endpoints = np.concatenate([edge_u, edge_v])
-    others = np.concatenate([edge_v, edge_u])
-    degree = np.bincount(endpoints, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    order = np.argsort(endpoints, kind="stable")
-    indices = others[order]
-    return indptr, indices
+    np.cumsum(np.bincount(endpoints, minlength=n), out=indptr[1:])
+    order = _stable_order(endpoints, n)
+    del endpoints  # freed before the neighbor array exists, so peak memory stays flat
+    return indptr, np.concatenate([edge_v, edge_u])[order]
 
 
 def _bernoulli_hits(count: int, prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -251,32 +266,22 @@ def sample_graph(params: TMParams, rng: np.random.Generator) -> SampledGraph:
         raise ValueError(f"n={params.n} not divisible by k={params.k}")
     eta = params.n // params.k
     near = params.near_matrix()
-    parts_u: list[np.ndarray] = []
-    parts_v: list[np.ndarray] = []
-    # Diagonal blocks are always near (templates contain their own cluster).
+    # Blocks are drawn diagonal-first, but kept by row cluster: block (i, i)
+    # then (i, j) for j > i.  Each block is (u, v)-ascending and v rises block
+    # by block, so a stable grouping by u yields the (u, v)-sorted edge list.
+    rows: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(params.k)]
     tri_pairs = eta * (eta - 1) // 2
     for i in range(params.k):
-        hits = _bernoulli_hits(tri_pairs, params.p, rng)
-        if hits.size:
-            a, b = _decode_triangle(hits, eta)
-            parts_u.append(a + i * eta)
-            parts_v.append(b + i * eta)
+        a, b = _decode_triangle(_bernoulli_hits(tri_pairs, params.p, rng), eta)
+        rows[i].append((a + i * eta, b + i * eta))
     for i in range(params.k):
         for j in range(i + 1, params.k):
-            prob = params.p if near[i, j] else params.q
-            hits = _bernoulli_hits(eta * eta, prob, rng)
-            if hits.size:
-                parts_u.append(hits // eta + i * eta)
-                parts_v.append(hits % eta + j * eta)
-    if parts_u:
-        edge_u = np.concatenate(parts_u)
-        edge_v = np.concatenate(parts_v)
-        order = np.lexsort((edge_v, edge_u))
-        edge_u, edge_v = edge_u[order], edge_v[order]
-    else:
-        edge_u = np.empty(0, dtype=np.int64)
-        edge_v = np.empty(0, dtype=np.int64)
-    return SampledGraph(params, edge_u, edge_v)
+            hits = _bernoulli_hits(eta * eta, params.p if near[i, j] else params.q, rng)
+            rows[i].append((hits // eta + i * eta, hits % eta + j * eta))
+    edge_u = np.concatenate([u for row in rows for u, _ in row])
+    edge_v = np.concatenate([v for row in rows for _, v in row])
+    order = _stable_order(edge_u, params.n)
+    return SampledGraph(params, edge_u[order], edge_v[order])
 
 
 def assign_thresholds(

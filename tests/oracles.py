@@ -11,6 +11,11 @@ The scalar references at the end (``binom_log_pmf``, ``A_of_t``, ``f_of``
 and ``t_star_lower_bound``) state the formulas of the analytic module one
 value at a time.  ``A_of_t`` sums the library's scalar ``pi_r``, a path
 separate from the model's array table, and ``f_of`` reads ``model.A``.
+
+``reference_sample_graph`` replays the library's block draws with its own
+``_bernoulli_hits`` and ``_decode_triangle``, so the edge set matches draw for
+draw; what it checks, the edge order and the CSR, it builds by comparison
+sorts (``np.lexsort`` and a stable ``argsort``) in ``reference_csr``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from tmperc.analytic import log_binom_row, pi_r
+from tmperc.tmgraph import _bernoulli_hits, _decode_triangle
 
 
 def exact_pi(t: int, r: int, k_p: int, k_q: int, p: float, q: float) -> Fraction:
@@ -405,3 +411,34 @@ def t_star_lower_bound(model, beta: float) -> float:
             f"{model.dist.zeta[0] * params.expected_degree} exceeds 1 - beta"
         )
     return beta * params.n / (2.0 * params.k * params.expected_degree**2)
+
+
+def reference_csr(n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``indptr``/``indices`` with each list in edge-list order, by a stable argsort."""
+    endpoints = np.concatenate([edge_u, edge_v])
+    others = np.concatenate([edge_v, edge_u])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(endpoints, minlength=n))])
+    return indptr, others[np.argsort(endpoints, kind="stable")]
+
+
+def reference_sample_graph(params, rng: np.random.Generator):
+    """``(edge_u, edge_v, indptr, indices)`` of ``sample_graph`` for the same generator.
+
+    Blocks are drawn in the library's order: every diagonal block, then the
+    (i, j) blocks for i < j.  The edges are put in (u, v) order by ``np.lexsort``.
+    """
+    eta = params.n // params.k
+    near = params.near_matrix()
+    parts_u, parts_v = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for i in range(params.k):
+        a, b = _decode_triangle(_bernoulli_hits(eta * (eta - 1) // 2, params.p, rng), eta)
+        parts_u.append(a + i * eta)
+        parts_v.append(b + i * eta)
+    for i, j in itertools.combinations(range(params.k), 2):
+        hits = _bernoulli_hits(eta * eta, params.p if near[i, j] else params.q, rng)
+        parts_u.append(hits // eta + i * eta)
+        parts_v.append(hits % eta + j * eta)
+    edge_u, edge_v = np.concatenate(parts_u), np.concatenate(parts_v)
+    order = np.lexsort((edge_v, edge_u))
+    edge_u, edge_v = edge_u[order], edge_v[order]
+    return (edge_u, edge_v) + reference_csr(params.n, edge_u, edge_v)

@@ -321,18 +321,37 @@ def test_engine_config_validation():
 
 
 def test_tally_matches_np_unique():
+    # (values, n) pairs on both sides of the switch at F = n: sort for F <= n,
+    # an n-sized count for F > n
     rng = np.random.default_rng(50)
-    cases = [np.empty(0, dtype=np.int64), np.array([7]), np.array([3, 3, 3]), np.arange(5)[::-1]]
-    for _ in range(200):
-        cases.append(rng.integers(0, int(rng.integers(1, 500)), size=int(rng.integers(0, 2000))))
+    cases = [
+        (np.empty(0, dtype=np.int64), 1),
+        (np.array([7]), 8),
+        (np.array([0]), 1),  # F = n = 1
+        (np.array([0, 0]), 1),  # F = n + 1
+        (np.array([3, 3, 3]), 4),
+        (np.arange(5)[::-1], 5),
+    ]
+    for _ in range(100):
+        n = int(rng.integers(1, 500))
+        for size in (int(rng.integers(0, n)), n, n + 1, int(rng.integers(n + 2, 20 * n + 3))):
+            cases.append((rng.integers(0, n, size=size), n))
     g = path_graph(6)  # empty and single-vertex frontiers, as the engine gathers them
     for frontier in (np.empty(0, dtype=np.int64), np.array([0]), np.array([3])):
-        cases.append(_gather_neighbors(g, frontier))
-    for values in cases:
-        touched, hits = _tally(np.asarray(values, dtype=np.int64))
+        cases.append((_gather_neighbors(g, frontier), g.n))
+    hub = SampledGraph(TMParams(tpl.make_single(), 6, 0.5), np.zeros(5, dtype=np.int64), np.arange(1, 6))
+    cases.append((_gather_neighbors(hub, np.arange(1, 6)), hub.n))  # F = 5 <= n, all one vertex
+    cases.append((_gather_neighbors(hub, np.arange(6)), hub.n))  # F = 10 > n
+    sides = set()
+    for values, n in cases:
+        values = np.asarray(values, dtype=np.int64)
+        touched, hits = _tally(values, n)
         expected, counts = np.unique(values, return_counts=True)
+        assert touched.dtype == hits.dtype == np.int64
         assert np.array_equal(touched, expected)
         assert np.array_equal(hits, counts)
+        sides.add(values.size > n)
+    assert sides == {False, True}
 
 
 def test_standard_matches_reference_step():

@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 import math
 
 import pytest
 
-from tmperc import harness
+from tmperc import cli, harness
 from tmperc.harness import ConfigError
 
 
@@ -297,6 +298,9 @@ def _sweep_config(axis, value, **overrides):
         base_config(trials=1.5),
         base_config(master_seed=-3),
         base_config(graphs=True),
+        base_config(intervention={"variant": "diminish", "baseline_seed_count": 2.5}),
+        base_config(intervention={"variant": "diminish", "baseline_seed_count": -1}),
+        base_config(intervention={"variant": "diminish", "baseline_seed_count": True}),
     ],
     ids=[
         "zeta_fraction-1.5",
@@ -308,6 +312,9 @@ def _sweep_config(axis, value, **overrides):
         "trials-1.5",
         "master_seed--3",
         "graphs-true",
+        "baseline_seed_count-2.5",
+        "baseline_seed_count--1",
+        "baseline_seed_count-true",
     ],
 )
 def test_config_rejects_out_of_range_sweep_and_count_values(raw):
@@ -323,8 +330,24 @@ def test_config_accepts_sweep_and_count_boundaries():
         _sweep_config("alpha", 0.0, intervention={"variant": "diminish"}),
         _sweep_config("alpha", 1.0, intervention={"variant": "bolster_a"}),
         base_config(master_seed=0, graphs=1, trials=1),
+        base_config(intervention={"variant": "diminish", "baseline_seed_count": 0}),
     ):
         harness.load_config(raw)
+
+
+def test_cli_seed_override_is_validated_and_keeps_the_config_hash(tmp_path, monkeypatch):
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(base_config()))
+    monkeypatch.setattr(harness, "run_dichotomy", lambda *a, **k: pytest.fail("work started"))
+    with pytest.raises(ConfigError):
+        cli.main(["dichotomy", "-c", str(path), "--seed", "-3", "--out", str(tmp_path / "x")])
+    args = argparse.Namespace(config=str(path), seed=12)
+    overridden = cli._load(args)
+    assert overridden.master_seed == 12
+    # the hash of a valid override is the one the raw dict with that seed gets
+    expected = harness.ExperimentConfig({**harness.load_config(str(path)).raw, "master_seed": 12})
+    assert harness.config_hash(overridden) == harness.config_hash(expected)
+    assert overridden.raw == expected.raw
 
 
 def test_jobs_rejected_below_one_and_capped_at_task_count(monkeypatch):

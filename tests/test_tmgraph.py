@@ -15,6 +15,8 @@ from tmperc.tmgraph import (
     select_seeds,
 )
 
+from oracles import reference_csr, reference_sample_graph
+
 
 def test_params_derived_quantities():
     params = TMParams(tpl.make_ring(20, 1), 10000, 100 / (3 * 10000), 100 / (17 * 10000))
@@ -170,3 +172,52 @@ def test_sampled_graph_symmetry_property(n, p):
         counts[u] += 1
         counts[v] += 1
     assert np.array_equal(counts, g.degrees())
+
+
+def _graph_arrays(g):
+    return g.edge_u, g.edge_v, g.indptr, g.indices
+
+
+def _assert_arrays_equal(got, expected):
+    for name, a, b in zip(("edge_u", "edge_v", "indptr", "indices"), got, expected):
+        assert a.dtype == np.int64, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize(
+    "template, n, p, q",
+    [
+        (tpl.make_single(), 600, 0.02, 0.0),
+        (tpl.make_ring(10, 1), 10000, 5 / 3000, 5 / 7000),
+        (tpl.make_ring(6, 2), 1200, 0.01, 0.002),
+        (tpl.make_cube3(), 8 * 30, 0.2, 0.05),
+        (tpl.make_planted(4), 400, 0.05, 0.01),
+        (tpl.from_neighbors({0: {0, 1}, 1: {0, 1}, 2: {2, 3}, 3: {2, 3}}), 400, 0.04, 0.01),
+        (tpl.make_single(), 70000, 3 / 70000, 0.0),  # n > 2**16: two radix digits
+        (tpl.make_planted(3), 90, 0.0, 0.0),  # no edges
+        (tpl.make_planted(2), 40, 1.0, 1.0),  # complete graph
+    ],
+    ids=["single", "ring10", "ring6-reach2", "cube3", "planted4", "custom-pairs", "single-70000",
+         "empty", "complete"],
+)
+def test_sample_graph_matches_comparison_sort_reference(template, n, p, q):
+    params = TMParams(template, n, p, q)
+    for seed in range(3 if n > 10000 else 6):
+        g = sample_graph(params, substream(31, seed))
+        _assert_arrays_equal(_graph_arrays(g), reference_sample_graph(params, substream(31, seed)))
+
+
+@pytest.mark.parametrize("n", [600, 70000])
+def test_subgraph_and_shuffled_edges_match_comparison_sort_reference(n):
+    params = TMParams(tpl.make_single(), n, 4 / n)
+    g = sample_graph(params, substream(32, n))
+    rng = np.random.default_rng(n)
+    for fraction in (0.0, 0.3, 0.9, 1.0):
+        keep = rng.random(g.num_edges) < fraction
+        eu, ev = g.edge_u[keep], g.edge_v[keep]
+        _assert_arrays_equal(_graph_arrays(g.subgraph(keep)), (eu, ev) + reference_csr(n, eu, ev))
+    for _ in range(3):
+        perm = rng.permutation(g.num_edges)
+        eu, ev = g.edge_u[perm], g.edge_v[perm]
+        shuffled = SampledGraph(params, eu, ev)
+        _assert_arrays_equal(_graph_arrays(shuffled), (eu, ev) + reference_csr(n, eu, ev))
