@@ -262,8 +262,6 @@ def _decode_triangle(idx: np.ndarray, eta: int) -> tuple[np.ndarray, np.ndarray]
 
 def sample_graph(params: TMParams, rng: np.random.Generator) -> SampledGraph:
     """Draw one graph from the family; deterministic given the generator state."""
-    if params.n % params.k != 0:
-        raise ValueError(f"n={params.n} not divisible by k={params.k}")
     eta = params.n // params.k
     near = params.near_matrix()
     # Blocks are drawn diagonal-first, but kept by row cluster: block (i, i)

@@ -2,10 +2,12 @@
 
 Everything here is deliberately brute force: exact rational arithmetic,
 dense fixpoint iteration, exhaustive enumeration over edge indicator
-vectors.  None of it shares code with the library paths it checks.  The
-two table oracles reuse only ``log_binom_row``, which is itself checked
-against exact rationals: ``loop_activation_table`` keeps the library's
-kernel so that its bits match the model's table.
+vectors.  None of it shares code with the library paths it checks.
+``scipy_log_binom_row`` is the binomial row as the library computed it
+with ``scipy.special.gammaln``; ``loop_activation_table`` builds on it and
+on scipy's ``logsumexp``, so the model's table, which reads log factorials
+from the library's own cephes ``lgam`` port and sums with its own
+log-sum-exp, must match scipy bit for bit.
 
 The scalar references at the end (``binom_log_pmf``, ``A_of_t``, ``f_of``
 and ``t_star_lower_bound``) state the formulas of the analytic module one
@@ -25,9 +27,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
-from tmperc.analytic import log_binom_row, pi_r
+from tmperc.analytic import pi_r
 from tmperc.tmgraph import _bernoulli_hits, _decode_triangle
 
 
@@ -306,6 +308,33 @@ def reference_exposure(g, infected: np.ndarray) -> np.ndarray:
     return np.bincount(_neighbors(g, ids), minlength=g.n)
 
 
+def scipy_log_binom_row(trials, prob: float, j_max: int) -> np.ndarray:
+    """log pmf of Bin(trials, prob) at 0..j_max from scipy's ``gammaln``.
+
+    The library's ``log_binom_row`` before it dropped scipy, term for term:
+    shape (j_max+1,) for scalar trials, else (j_max+1, len(trials)).
+    """
+    scalar = np.isscalar(trials)
+    t = np.atleast_1d(np.asarray(trials, dtype=np.int64))
+    j = np.arange(j_max + 1, dtype=np.int64)[:, None]
+    if prob <= 0.0:
+        out = np.full((j_max + 1, t.size), -np.inf)
+        out[0, :] = 0.0
+    elif prob >= 1.0:
+        out = np.where(j == t[None, :], 0.0, -np.inf)
+    else:
+        with np.errstate(invalid="ignore"):
+            out = (
+                gammaln(t + 1.0)[None, :]
+                - gammaln(j + 1.0)
+                - gammaln(t - j + 1.0)
+                + j * math.log(prob)
+                + (t - j) * math.log1p(-prob)
+            )
+        out = np.where(j > t[None, :], -np.inf, out)
+    return out[:, 0] if scalar else out
+
+
 def loop_activation_table(params, dist, t_hi: int) -> np.ndarray:
     """A(t) for t = 0..t_hi by one logsumexp per convolution index j.
 
@@ -314,8 +343,8 @@ def loop_activation_table(params, dist, t_hi: int) -> np.ndarray:
     """
     r_m = dist.r_max
     t_arr = np.arange(t_hi + 1, dtype=np.int64)
-    log_b = log_binom_row(params.k_p * t_arr, params.p, r_m - 1)
-    log_c = log_binom_row(params.k_q * t_arr, params.q, r_m - 1)
+    log_b = scipy_log_binom_row(params.k_p * t_arr, params.p, r_m - 1)
+    log_c = scipy_log_binom_row(params.k_q * t_arr, params.q, r_m - 1)
     log_d = np.empty((r_m, t_hi + 1))
     for j in range(r_m):
         log_d[j] = logsumexp(log_b[: j + 1] + log_c[j::-1], axis=0)

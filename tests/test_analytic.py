@@ -438,7 +438,7 @@ def test_convexity_hypothesis_gate():
     model = AnalyticModel(params, ThresholdDistribution((0.9, 0.1)))
     report = check_convexity(model)
     assert not report.hypothesis_ok
-    assert not report.asserted
+    assert not (report.hypothesis_ok and report.convex_ok)
 
 
 def test_growth_bounds_trivial_x():

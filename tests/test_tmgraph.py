@@ -39,6 +39,14 @@ def test_params_rejections():
     assert relaxed.eta == pytest.approx(10 / 3)
 
 
+@pytest.mark.parametrize("template, n", [(tpl.make_planted(3), 10), (tpl.make_ring(5, 1), 3)])
+def test_sample_graph_rejects_uneven_clusters(template, n):
+    # analytic-only params admit n % k != 0; sampling still refuses them
+    params = TMParams(template, n, 0.3, 0.1, allow_fractional_clusters=True)
+    with pytest.raises(ValueError, match=f"n={n} not divisible by k={template.k}"):
+        sample_graph(params, substream(0, 1))
+
+
 def test_threshold_distribution_validation():
     with pytest.raises(ValueError):
         ThresholdDistribution((0.5, 0.4))
