@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import checks, harness
+from . import harness
 
 __all__ = ["main"]
 
@@ -58,6 +58,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "validate":
+        from . import checks  # only the battery needs it
+
         failures = 0
         for name, ok, detail in checks.run_validation(quick=args.quick):
             print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")

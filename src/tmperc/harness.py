@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
@@ -396,13 +395,13 @@ def _dichotomy_graph_task(args: tuple) -> list[dict]:
     for factor, count in seed_counts:
         for trial in range(config.trials):
             key = (point_idx, graph_idx, trial, _factor_key(factor))
-            stream = rngutil.substream(seed, rngutil.ENGINE, *key)
             seeds = select_seeds(
                 min(count, params.n), params.n, rngutil.substream(seed, rngutil.SEEDS, *key)
             )
             if coin is None:
                 trace = run_standard(g, thresholds, seeds, engine_config)
             else:
+                stream = rngutil.substream(seed, rngutil.ENGINE, *key)
                 trace = run_coinflip(g, cf_base, seeds, engine_config, stream)
             rows.append(
                 {
@@ -613,6 +612,8 @@ def _execute(tasks: list, fn, jobs: int) -> list:
         raise ConfigError(f"jobs {jobs} must be >= 1")
     if jobs == 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 

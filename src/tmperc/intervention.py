@@ -638,8 +638,7 @@ def _apply_edge_removal(run: StandardRun, variant: Diminish, rng: np.random.Gene
     g = run.g
     if g.num_edges == 0:
         return
-    retain_prob = np.where(g.edge_is_near(), variant.alpha_p, variant.alpha_q)
-    keep = rng.random(g.num_edges) < retain_prob
+    keep = rng.random(g.num_edges) < np.where(g.edge_is_near(), variant.alpha_p, variant.alpha_q)
     if isinstance(variant, Sequester):
         keep |= ~(run.infected[g.edge_u] | run.infected[g.edge_v])
     run.replace_graph(g.subgraph(keep))

@@ -7,7 +7,9 @@ with probability p; far pairs use q.  Sampling enumerates present edges by
 geometric gap skipping per (cluster-pair, probability) block, and the edge
 list and CSR adjacency are grouped by endpoint with a radix pass over 16-bit
 digits instead of a comparison sort, so the whole build costs O(n + E) in the
-E edges rather than n^2 (two radix passes per grouping while n <= 2**32).
+E edges rather than n^2 (one radix pass per grouping while n <= 2**16, two
+while n <= 2**32).  Buffers are dropped as their successors appear, so the
+build peaks at 50-60 traced bytes per edge; the finished graph keeps 32.
 """
 
 from __future__ import annotations
@@ -162,6 +164,7 @@ class SampledGraph:
         self.indptr, self.indices = _edges_to_csr(self.n, self.edge_u, self.edge_v)
         self.clusters = (np.arange(self.n, dtype=np.int64) // self.eta).astype(np.int64)
         self._near = params.near_matrix()
+        self._edge_near: np.ndarray | None = None
         for arr in (self.edge_u, self.edge_v, self.indptr, self.indices, self.clusters):
             arr.flags.writeable = False
 
@@ -173,39 +176,57 @@ class SampledGraph:
         return np.diff(self.indptr)
 
     def edge_is_near(self) -> np.ndarray:
-        """Boolean mask over edges: near (template-adjacent clusters) or far."""
-        return self._near[self.clusters[self.edge_u], self.clusters[self.edge_v]]
+        """Read-only mask over edges: near (template-adjacent clusters) or far; built once."""
+        if self._edge_near is None:
+            self._edge_near = self._near[self.edge_u // self.eta, self.edge_v // self.eta]
+            self._edge_near.flags.writeable = False
+        return self._edge_near
 
     def subgraph(self, keep: np.ndarray) -> "SampledGraph":
         """New graph retaining exactly the edges flagged in ``keep``."""
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != self.edge_u.shape:
             raise ValueError("keep mask must cover every edge")
-        return SampledGraph(self.params, self.edge_u[keep], self.edge_v[keep])
+        kept = np.flatnonzero(keep)
+        edge_u, edge_v = self.edge_u.take(kept), self.edge_v.take(kept)
+        del kept
+        return SampledGraph(self.params, edge_u, edge_v)
 
 
-def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
-    """The stable permutation sorting ``keys``, integers in [0, n), in O(len) work.
+def _stable_order(parts: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+    """The stable permutation sorting the concatenated ``parts``, integers in [0, n).
 
     LSD radix over 16-bit digits: numpy's stable argsort of uint16 is a radix
-    sort, so this is one pass for n <= 2**16 and two for n <= 2**32.
+    sort, so this is one pass for n <= 2**16 and two for n <= 2**32.  A pass
+    refills one uint16 digit array from ``parts`` (no int64 key copy), and the
+    second composes the two orders in place.  Transient bytes per key: 10
+    traced, 18 with argsort's scratch; 20 and 28 with two passes.
     """
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    shift = 16
-    while n > 1 << shift:
-        digit = (keys >> shift).astype(np.uint16)[order]
-        order = order[np.argsort(digit, kind="stable")]
-        shift += 16
+    digit = np.empty(sum(part.size for part in parts), dtype=np.uint16)
+    order = None
+    for shift in range(0, max(n - 1, 1).bit_length(), 16):
+        start = 0
+        for part in parts:
+            np.right_shift(part, shift, out=digit[start:start + part.size], casting="unsafe")
+            start += part.size
+        if order is None:
+            order = np.argsort(digit, kind="stable")
+        else:  # order[step] is written over step: slot i is read before it is written
+            step = np.argsort(digit[order], kind="stable")
+            order = np.take(order, step, out=step, mode="clip")
     return order
 
 
 def _edges_to_csr(n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    endpoints = np.concatenate([edge_u, edge_v])
+    """CSR ``indptr``/``indices``, each vertex's neighbours in edge-list order.
+
+    Groups the 2E endpoints by `_stable_order` (20 or 40 traced bytes per
+    edge), then gathers the neighbours into its order array in place (32).
+    """
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(endpoints, minlength=n), out=indptr[1:])
-    order = _stable_order(endpoints, n)
-    del endpoints  # freed before the neighbor array exists, so peak memory stays flat
-    return indptr, np.concatenate([edge_v, edge_u])[order]
+    np.cumsum(np.bincount(edge_u, minlength=n) + np.bincount(edge_v, minlength=n), out=indptr[1:])
+    order = _stable_order((edge_u, edge_v), n)
+    return indptr, np.take(np.concatenate([edge_v, edge_u]), order, out=order, mode="clip")
 
 
 def _bernoulli_hits(count: int, prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -246,9 +267,7 @@ def _decode_triangle(idx: np.ndarray, eta: int) -> tuple[np.ndarray, np.ndarray]
 
     Pair (a, b) has index a*eta - a*(a+1)/2 + (b - a - 1).
     """
-    m = idx.astype(np.float64)
-    disc = (2 * eta - 1) ** 2 - 8.0 * m
-    a = np.floor((2 * eta - 1 - np.sqrt(disc)) / 2.0).astype(np.int64)
+    a = np.floor((2 * eta - 1 - np.sqrt((2 * eta - 1) ** 2 - 8.0 * idx)) / 2.0).astype(np.int64)
     # float sqrt can land one row off; fix up against the exact row starts
     for _ in range(2):
         starts = a * eta - a * (a + 1) // 2
@@ -278,8 +297,11 @@ def sample_graph(params: TMParams, rng: np.random.Generator) -> SampledGraph:
             rows[i].append((hits // eta + i * eta, hits % eta + j * eta))
     edge_u = np.concatenate([u for row in rows for u, _ in row])
     edge_v = np.concatenate([v for row in rows for _, v in row])
-    order = _stable_order(edge_u, params.n)
-    return SampledGraph(params, edge_u[order], edge_v[order])
+    del rows, a, b  # the block arrays, now copied into the edge list
+    order = _stable_order((edge_u,), params.n)
+    edge_u, edge_v = edge_u[order], edge_v[order]
+    del order
+    return SampledGraph(params, edge_u, edge_v)
 
 
 def assign_thresholds(

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import csv
 import json
 import math
@@ -368,7 +369,7 @@ def test_jobs_rejected_below_one_and_capped_at_task_count(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     config = harness.load_config(base_config(graphs=2))
     serial = harness.run_dichotomy(config)
     assert harness.run_dichotomy(config, jobs=64).rows == serial.rows

@@ -4,7 +4,8 @@ Every name a ``tmperc`` module exports resolves, and the benchmark's tracer
 (``bench/tracer.py``, loaded read-only) can wrap every attribute it hooks
 and put each one back, so removing a name the benchmark needs fails here.
 The CLI runs with scipy made unimportable, so scipy stays a test-only
-dependency and out of every command's start-up time.
+dependency and out of every command's start-up time, and importing the CLI
+loads neither the process pool nor the property battery.
 """
 
 import importlib
@@ -94,3 +95,35 @@ def test_cli_runs_without_scipy(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result == {"codes": [0, 0, 0], "scipy": []}
     assert '"phi_critical"' in proc.stdout
+
+
+LEAN_START = """
+import importlib.util, json, sys
+import tmperc.cli
+from tmperc import harness
+loaded = [name for name in json.loads(sys.argv[2]) if name in sys.modules]
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+before = dict(vars(harness))
+tracer = tracing.Tracer()
+tracing.install(tracer)  # AttributeError if the harness lost a name the tracer wraps
+wrapped = sorted(attr for attr, value in before.items() if vars(harness)[attr] is not value)
+tracer.restore()
+print(json.dumps({"loaded": loaded, "wrapped": wrapped}))
+"""
+
+
+def test_cli_import_loads_neither_process_pool_nor_battery():
+    heavy = ["concurrent.futures.process", "multiprocessing", "fractions", "tmperc.checks"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", LEAN_START, str(TRACER), json.dumps(heavy)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["loaded"] == []
+    layer_entry_points = {"run_standard", "run_coinflip", "sample_graph", "run_to_trigger",
+                               "apply_in_simulation", "boundary_scan", "build_profile", "predict"}
+    assert layer_entry_points <= set(result["wrapped"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,15 @@ def test_near_edge_count_concentration():
     assert abs(total - mean) <= 4 * sigma
 
 
+def test_edge_is_near_is_computed_once_and_read_only():
+    params = TMParams(tpl.make_ring(6, 1), 600, 0.05, 0.01)
+    g = sample_graph(params, substream(18, 0))
+    near = g.edge_is_near()
+    assert near is g.edge_is_near()
+    assert not near.flags.writeable
+    assert np.array_equal(near, params.near_matrix()[g.clusters[g.edge_u], g.clusters[g.edge_v]])
+
+
 def test_assign_thresholds_point_masses():
     dist = ThresholdDistribution.point_mass(2)
     out = assign_thresholds(dist, 100, substream(1, 1))
@@ -229,3 +239,31 @@ def test_subgraph_and_shuffled_edges_match_comparison_sort_reference(n):
         eu, ev = g.edge_u[perm], g.edge_v[perm]
         shuffled = SampledGraph(params, eu, ev)
         _assert_arrays_equal(_graph_arrays(shuffled), (eu, ev) + reference_csr(n, eu, ev))
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes numpy and Python allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "template, p, q",
+    [(tpl.make_single(), 20 / 50000, 0.0), (tpl.make_ring(10, 1), 20 / 15000, 2 / 35000)],
+    ids=["single", "ring10"],
+)
+def test_graph_build_and_subgraph_peak_bytes_per_edge(template, p, q):
+    # numpy's traced allocations repeat exactly for a fixed seed; the finished
+    # graph keeps 32 bytes per edge, so the bounds leave room for one copy of
+    # the edge list and one radix pass, not for several copies at once
+    params = TMParams(template, 50000, p, q)
+    g, peak = _traced_peak(lambda: sample_graph(params, substream(33, 0)))
+    assert g.num_edges > 400000
+    assert peak <= 90 * g.num_edges
+    keep = np.random.default_rng(33).random(g.num_edges) < 0.5
+    sub, peak = _traced_peak(lambda: g.subgraph(keep))
+    assert peak <= 72 * sub.num_edges
