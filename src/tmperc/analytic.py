@@ -11,10 +11,10 @@ integer t in [1, floor(1/(3*phi_edge))] where phi_edge = p*k_p + q*k_q;
 the bottleneck generation t* is the (smallest) minimizer of f at that seed
 size.  f is affine in phi, so the critical seed is a closed form: the
 largest per-generation root (k*t - n*A(t)) / (1 - A(t)), rounded up.  All
-binomial mass is computed in log space by one convolution kernel,
-``log_sum_row``; survival probabilities take the tail sum directly when the
-head is close to 1 so small activation probabilities keep full relative
-accuracy.
+binomial mass is computed in log space by one packed-triangle convolution
+kernel, ``log_sum_row``, that sums each row in index order; survival
+probabilities take the tail sum directly when the head is close to 1 so
+small activation probabilities keep full relative accuracy.
 
 The kernel needs only numpy and the standard library.  Log factorials come
 from one table of cephes ``lgam`` (the algorithm behind scipy's ``gammaln``)
@@ -89,15 +89,18 @@ def _log_factorials(top: int) -> np.ndarray:
     return _log_factorial_table
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) over ``axis`` in scipy 1.17's steps, so with its bits:
-    tied maxima are split out and counted, the rest is added through log1p."""
-    a_max = a.max(axis=axis, keepdims=True)
-    at_max = a == a_max
-    m = at_max.sum(axis=axis, keepdims=True, dtype=np.float64)
-    shift = np.where(a_max == _NEG_INF, 0.0, a_max)  # an all -inf slice sums to -inf
-    s = np.exp(np.where(at_max, _NEG_INF, a) - shift).sum(axis=axis, keepdims=True) / m
-    return (np.log1p(s) + np.log(m) + a_max).squeeze(axis)
+def _segment_logsumexp(a: np.ndarray, seg: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over runs of rows of the 2-D ``a``, in scipy 1.17's steps:
+    run k starts at row ``starts[k]`` and ``seg`` is each row's run; tied maxima
+    are counted apart, and ``bincount`` adds each (run, column) bin in row order."""
+    a_max = np.maximum.reduceat(a, starts, axis=0)
+    at_max = a == a_max[seg]
+    m = np.add.reduceat(at_max, starts, axis=0, dtype=np.intp).astype(np.float64)
+    shift = np.where(a_max == _NEG_INF, 0.0, a_max)  # an all -inf run sums to -inf
+    x = np.exp(np.where(at_max, _NEG_INF, a) - shift[seg])
+    bins = (seg * a.shape[1])[:, None] + np.arange(a.shape[1])
+    s = np.bincount(bins.ravel(), weights=x.ravel(), minlength=a_max.size)
+    return np.log1p(s.reshape(a_max.shape) / m) + np.log(m) + a_max
 
 
 def log_binom_row(trials: np.ndarray | int, prob: float, j_max: int) -> np.ndarray:
@@ -117,39 +120,39 @@ def log_binom_row(trials: np.ndarray | int, prob: float, j_max: int) -> np.ndarr
         out = np.where(j == t[None, :], 0.0, _NEG_INF)
     else:
         lf = _log_factorials(max(j_max, int(t.max(initial=0))))
-        out = (lf[t][None, :] - lf[j] - lf[np.maximum(t - j, 0)]
+        out = (lf[t] - lf[: j_max + 1, None] - lf[np.maximum(t - j, 0)]
                + j * math.log(prob) + (t - j) * math.log1p(-prob))
-        out = np.where(j > t[None, :], _NEG_INF, out)
+        out[j > t] = _NEG_INF
     return out[:, 0] if scalar else out
 
 
 def log_sum_row(t: np.ndarray | int, params: TMParams, j_max: int) -> np.ndarray:
     """log Pr[Bin(k_p*t, p) + Bin(k_q*t, q) = j] for j = 0..j_max.
 
-    The whole row is one masked (j_max+1) x (j_max+1) log-convolution: entry
-    (j, i) holds log_b[i] + log_c[j-i] for i <= j and -inf above the
-    diagonal, reduced by a single logsumexp over i.  Its temporaries grow as
-    j_max**2, and pi_r's full-support fallback can pass j_max up to
+    The row is one log-convolution over the packed lower triangle i <= j:
+    row j holds log_b[i] + log_c[j-i] for i = 0..j contiguously and is summed
+    in index order, so it never depends on j_max, and the scalar form equals
+    each column of the array form bit for bit.  That is (j_max+1)(j_max+2)/2
+    terms per column; pi_r's full-support fallback can pass j_max up to
     (k_p + k_q) * t.  Like ``log_binom_row``, a t array adds a trailing axis:
-    the result is (j_max+1,) for scalar t, else (j_max+1, len(t)).  The array
-    form sums over i in index order, while numpy may sum the scalar form's
-    contiguous rows pairwise, so the two can differ in the last bits.
+    the result is (j_max+1,) for scalar t, else (j_max+1, len(t)).
     """
     log_b = log_binom_row(params.k_p * t, params.p, j_max)
     log_c = log_binom_row(params.k_q * t, params.q, j_max)
     j = np.arange(j_max + 1)
-    lag = j[:, None] - j[None, :]  # j - i
-    mask = (lag >= 0).reshape(lag.shape + (1,) * (log_b.ndim - 1))
-    terms = np.where(mask, log_b[None] + log_c[np.maximum(lag, 0)], _NEG_INF)
-    return _logsumexp(terms, axis=1)
+    starts = j * (j + 1) // 2
+    seg = np.repeat(j, j + 1)
+    i = np.arange(seg.size) - starts[seg]
+    out = _segment_logsumexp((log_b[i] + log_c[seg - i]).reshape(seg.size, -1), seg, starts)
+    return out[:, 0] if log_b.ndim == 1 else out
 
 
 def pi_r(t: int, r: int, params: TMParams) -> float:
     """Pr[Bin(k_p*t, p) + Bin(k_q*t, q) >= r]; relative accuracy on both tails.
 
-    The complement sum over j < r is used when the result is large; otherwise
-    the tail over j >= r is summed directly so tiny activation probabilities
-    are not lost to cancellation.
+    The complement of the sum over j < r is used when the result is large;
+    otherwise the tail over j >= r, read from the same kernel row, is summed
+    directly so tiny activation probabilities are not lost to cancellation.
     """
     if t < 0:
         raise ValueError(f"generation t={t} must be non-negative")
@@ -158,14 +161,16 @@ def pi_r(t: int, r: int, params: TMParams) -> float:
     total_trials = (params.k_p + params.k_q) * t
     if r > total_trials:
         return 0.0
-    head = float(np.exp(log_sum_row(t, params, r - 1)).sum())
+    # a tail is summed only if Pr[sum >= r] < 1/2, which puts the mean below r + 1,
+    # so a larger mean would only lengthen the row the head reads
+    mean = min(params.phi * t, r + 1.0)
+    j_cap = int(min(total_trials, max(r + 80, math.ceil(4 * mean) + 80)))
+    mass = np.exp(log_sum_row(t, params, j_cap))
+    head = float(mass[:r].sum())
     if 1.0 - head >= 0.5:
         return 1.0 - head
-    mean = params.phi * t
-    j_cap = int(min(total_trials, max(r + 80, math.ceil(4 * mean) + 80)))
-    tail_terms = np.exp(log_sum_row(t, params, j_cap)[r:])
-    tail = float(tail_terms.sum())
-    if j_cap < total_trials and tail_terms.size and tail_terms[-1] > tail * 1e-17:
+    tail = float(mass[r:].sum())
+    if j_cap < total_trials and mass[-1] > tail * 1e-17:
         # decay stalled before the cap; fall back to the full support
         tail = float(np.exp(log_sum_row(t, params, total_trials)[r:]).sum())
     return tail
@@ -389,7 +394,7 @@ def check_growth_bounds(params: TMParams, r: int, t: int, x: int) -> GrowthBound
         and params.p >= params.q
     )
     value_t = pi_r(t, r, params)
-    value_xt = pi_r(x * t, r, params)
+    value_xt = value_t if x == 1 else pi_r(x * t, r, params)
     if not pre_ok:
         return GrowthBoundReport(False, None, False, None, value_t, value_xt)
     slack = 1.0 + 1e-12

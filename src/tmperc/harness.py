@@ -518,7 +518,7 @@ def _intervention_graph_task(args: tuple) -> list[dict]:
     )
     engine_config = EngineConfig(stop_fraction=float(section["stop_fraction"]))
     lam = float(section["lambda"])
-    thresholds_present = tuple(sorted(int(v) for v in np.unique(thresholds)))
+    thresholds_present = tuple(np.flatnonzero(np.bincount(thresholds)).tolist())
     probe_spec = InterventionSpec(
         _variant_at(section, float(config.sweep_values[0]), thresholds_present), lam
     )

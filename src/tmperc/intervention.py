@@ -604,7 +604,7 @@ def apply_in_simulation(
     """Mutate a triggered run according to the variant and finish it."""
     variant = spec.variant
     if isinstance(variant, Delay):
-        thresholds = tuple(sorted(np.unique(run.thresholds[~run.infected]).tolist()))
+        thresholds = tuple(np.flatnonzero(np.bincount(run.thresholds[~run.infected])).tolist())
         variant = delay_to_bolster(variant, thresholds)
     if isinstance(variant, Bolster):
         _apply_bolster(run, variant, rng)
@@ -623,7 +623,7 @@ def _apply_bolster(run: StandardRun, bolster: Bolster, rng: np.random.Generator)
         eligible = healthy
     else:
         eligible = healthy & (exposure < run.thresholds)
-    for r in np.unique(run.thresholds[eligible]):
+    for r in np.flatnonzero(np.bincount(run.thresholds[eligible])):
         law = bolster.zeta_prime.get(int(r))
         if law is None:
             raise KeyError(f"no reassignment law for threshold {int(r)}")

@@ -268,15 +268,20 @@ def _decode_triangle(idx: np.ndarray, eta: int) -> tuple[np.ndarray, np.ndarray]
     Pair (a, b) has index a*eta - a*(a+1)/2 + (b - a - 1).
     """
     a = np.floor((2 * eta - 1 - np.sqrt((2 * eta - 1) ** 2 - 8.0 * idx)) / 2.0).astype(np.int64)
-    # float sqrt can land one row off; fix up against the exact row starts
-    for _ in range(2):
-        starts = a * eta - a * (a + 1) // 2
-        a = np.where(starts > idx, a - 1, a)
-        next_starts = (a + 1) * eta - (a + 1) * (a + 2) // 2
-        a = np.where(idx >= next_starts, a + 1, a)
-    starts = a * eta - a * (a + 1) // 2
-    b = a + 1 + (idx - starts)
-    return a, b
+    b = np.empty_like(a)  # the fix-up's one scratch array; it ends as the column
+
+    def column() -> np.ndarray:  # b = a + 1 + idx - row_start(a), in place
+        np.subtract(2 * eta - 1, a, out=b)
+        np.multiply(b, a, out=b)
+        np.floor_divide(b, 2, out=b)  # row_start(a) = a*(2*eta-1-a)/2, exactly
+        np.subtract(idx, b, out=b)
+        np.add(b, a, out=b)
+        return np.add(b, 1, out=b)
+
+    for _ in range(2):  # float sqrt can land one row off; fix it by the exact row starts
+        a -= column() <= a  # idx before the row start
+        a += column() >= eta  # idx past the row end
+    return a, column()
 
 
 def sample_graph(params: TMParams, rng: np.random.Generator) -> SampledGraph:

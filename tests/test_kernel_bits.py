@@ -1,8 +1,11 @@
 """The analytic kernel's own log factorials and log-sum-exp against scipy.
 
-``analytic`` reads log(m!) from a cephes ``lgam`` table and reduces with a
-numpy port of scipy's ``logsumexp``; both must give scipy's bits exactly
-(``np.array_equal``, sign bits included), so no golden output moves.
+``analytic`` reads log(m!) from a cephes ``lgam`` table and reduces runs of
+rows with a numpy port of scipy's ``logsumexp``; both must give scipy's bits
+exactly (``np.array_equal``, sign bits included), so no golden output moves.
+scipy sums a two-column stack over axis 0 in index order, as the segmented
+reduction does, so each run of each column is compared with scipy on a stack
+of two copies of it.
 """
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from tmperc import analytic
-from tmperc.analytic import _log_factorials, _logsumexp, log_binom_row
+from tmperc.analytic import _log_factorials, _segment_logsumexp, log_binom_row
 
 from oracles import scipy_log_binom_row
 
@@ -73,28 +76,49 @@ def _random_logs(rng, shape) -> np.ndarray:
     return a
 
 
-@pytest.mark.parametrize("ndim", [1, 2, 3])
-def test_logsumexp_matches_scipy(ndim):
-    rng = np.random.default_rng(100 + ndim)
-    axis = 0 if ndim == 1 else 1
+def _runs(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """(seg, starts) of consecutive non-empty runs with these lengths."""
+    lengths = np.asarray(lengths)
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    return np.repeat(np.arange(lengths.size), lengths), starts
+
+
+def _matches_scipy_per_run(a, lengths) -> bool:
+    seg, starts = _runs(lengths)
+    out = _segment_logsumexp(a, seg, starts)
+    bounds = np.append(starts, a.shape[0])
+    ref = np.array(
+        [
+            [logsumexp(np.stack([col, col], axis=1), axis=0)[0] for col in a[lo:hi].T]
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+    )
+    return _same_bits(out, ref)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_logsumexp_matches_scipy(width):
+    rng = np.random.default_rng(100 + width)
     for _ in range(400):
-        shape = tuple(int(s) for s in rng.integers(1, 25, size=ndim))
-        a = _random_logs(rng, shape)
-        if ndim > 1 and rng.random() < 0.4:
-            a[0] = -np.inf  # all -inf slices along the reduced axis
-        assert _same_bits(_logsumexp(a, axis), logsumexp(a, axis=axis))
+        lengths = rng.integers(1, 40, size=int(rng.integers(1, 12)))
+        a = _random_logs(rng, (int(lengths.sum()), width))
+        if rng.random() < 0.4:
+            a[: lengths[0]] = -np.inf  # an all -inf run
+        assert _matches_scipy_per_run(a, lengths)
 
 
 def test_logsumexp_edge_slices():
-    a = np.array(
-        [
-            [-np.inf, -np.inf, -np.inf],  # all -inf
-            [0.0, 0.0, 0.0],  # every entry is a tied maximum
-            [-1.0, 2.0, 2.0],  # tie plus a smaller term
-            [-np.inf, -3.0, -np.inf],  # a single finite entry
-            [-800.0, -745.5, -np.inf],  # terms underflow after the shift
-        ]
-    )
-    out = _logsumexp(a, 1)
-    assert out[0] == -np.inf and out[1] == np.log(3.0)
-    assert _same_bits(out, logsumexp(a, axis=1))
+    runs = [
+        [-np.inf, -np.inf, -np.inf],  # all -inf
+        [0.0, 0.0, 0.0],  # every entry is a tied maximum
+        [-1.0, 2.0, 2.0],  # tie plus a smaller term
+        [-np.inf, -3.0, -np.inf],  # a single finite entry
+        [-800.0, -745.5, -np.inf],  # terms underflow after the shift
+        [5.0],  # a run of one
+    ]
+    flat = np.concatenate([np.asarray(run, dtype=float) for run in runs])
+    a = np.stack([flat, flat[::-1]], axis=1)
+    lengths = [len(run) for run in runs]
+    out = _segment_logsumexp(a, *_runs(lengths))
+    assert out[0, 0] == -np.inf and out[1, 0] == np.log(3.0) and out[5, 0] == 5.0
+    assert _matches_scipy_per_run(a, lengths)

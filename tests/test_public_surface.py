@@ -127,3 +127,47 @@ def test_cli_import_loads_neither_process_pool_nor_battery():
     layer_entry_points = {"run_standard", "run_coinflip", "sample_graph", "run_to_trigger",
                                "apply_in_simulation", "boundary_scan", "build_profile", "predict"}
     assert layer_entry_points <= set(result["wrapped"])
+
+
+NO_MASKED_ARRAYS = """
+import json, sys
+from tmperc import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_intervene_does_not_load_numpy_ma(tmp_path):
+    # numpy 2's np.unique without return_counts imports numpy.ma, which costs
+    # the intervene command about 1.2 MB of RSS and 13-18 ms
+    graph = {"template": {"kind": "single"}, "n": 2000, "p": 0.0035}
+    section = {"lambda": 0.1, "baseline_seed_factor": 1.6, "compute_boundary": True}
+    variants = {"bolster_a": {"zeta": {"2": 1.0}}, "delay": {"zeta": {"2": 0.6, "3": 0.4}}}
+    calls = []
+    for variant, thresholds in variants.items():
+        config = {
+            "name": f"no-ma-{variant}",
+            "master_seed": 109,
+            "graph": graph,
+            "thresholds": thresholds,
+            "sweep": {"axis": "alpha", "values": [0.2, 0.6]},
+            "graphs": 2,
+            "trials": 1,
+            "intervention": {**section, "variant": variant},
+        }
+        if variant == "delay":
+            config["intervention"]["r_max_prime"] = 8
+        path = tmp_path / f"{variant}.json"
+        path.write_text(json.dumps(config))
+        calls.append(["intervene", "-c", str(path), "--out", str(tmp_path / variant)])
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, json.dumps(calls)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0, 0], "numpy.ma": False}
+    for variant in variants:  # every graph triggered, so each intervention was applied
+        header, *rows = (tmp_path / f"{variant}.csv").read_text().splitlines()[1:]
+        triggered = header.split(",").index("triggered")
+        assert len(rows) == 4 and all(row.split(",")[triggered] == "true" for row in rows)

@@ -11,6 +11,8 @@ from tmperc.tmgraph import (
     SampledGraph,
     TMParams,
     ThresholdDistribution,
+    _bernoulli_hits,
+    _decode_triangle,
     assign_thresholds,
     sample_graph,
     select_seeds,
@@ -267,3 +269,21 @@ def test_graph_build_and_subgraph_peak_bytes_per_edge(template, p, q):
     keep = np.random.default_rng(33).random(g.num_edges) < 0.5
     sub, peak = _traced_peak(lambda: g.subgraph(keep))
     assert peak <= 72 * sub.num_edges
+
+
+def test_decode_triangle_is_exact_and_peaks_at_32_bytes_per_edge():
+    # the single-block draw of a graph with n = 5*10**4, p = 20/n; the pairs
+    # must invert the index formula exactly, and the fix-up works in place
+    eta = 50000
+    idx = _bernoulli_hits(eta * (eta - 1) // 2, 20 / eta, substream(33, 0))
+    assert idx.size > 400000
+    (a, b), peak = _traced_peak(lambda: _decode_triangle(idx, eta))
+    assert peak <= 32 * idx.size
+    assert np.all((0 <= a) & (a < b) & (b < eta))
+    assert np.array_equal(a * eta - a * (a + 1) // 2 + (b - a - 1), idx)
+    for eta in (2, 3, 7, 1000, 70001):  # both ends of the index range
+        total = eta * (eta - 1) // 2
+        idx = np.unique(np.r_[np.arange(min(total, 3000)), total - 1 - np.arange(min(total, 3000))])
+        a, b = _decode_triangle(idx, eta)
+        assert np.all((0 <= a) & (a < b) & (b < eta))
+        assert np.array_equal(a * eta - a * (a + 1) // 2 + (b - a - 1), idx)
