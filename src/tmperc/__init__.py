@@ -4,7 +4,7 @@ Library layout:
   template      cluster topology builders and validation
   tmgraph       graph family, sampling, thresholds, seeds
   analytic      activation probabilities, critical seed size, certifications
-  engine        percolation dynamics (standard, coinflip, three-stage)
+  engine        percolation dynamics (standard, coinflip)
   intervention  residual estimation, surrogate graphs, live interventions
   harness       experiment configs, sweep drivers, result tables
 """

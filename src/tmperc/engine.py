@@ -1,5 +1,4 @@
-"""Percolation engines: synchronous threshold dynamics, coinflip dynamics,
-and the halting/cheating three-stage variants.
+"""Percolation engines: synchronous threshold dynamics and coinflip dynamics.
 
 Generations are synchronous: generation t+1 infects exactly the healthy
 vertices whose infected-neighbor count against I(t) reaches their threshold.
@@ -7,10 +6,7 @@ Propagation is frontier-based.  A standard or coinflip generation gathers the
 F adjacency entries of the vertices infected in the previous one and tallies
 them once, by one sort when F <= n and by an n-sized count when F > n, so it
 costs O(min(F log F, n + F) + k), and a whole run costs O(n) set-up plus
-O(E log n) over its E scanned edges.  A three-stage
-timestep scatters the same way from the vertices it promotes; its only O(n)
-work is the scan of every cluster for its latent pool, which fixes the draw
-order, and its out-of-latents test is an O(k) count.
+O(E log n) over its E scanned edges.
 """
 
 from __future__ import annotations
@@ -30,8 +26,6 @@ __all__ = [
     "StandardRun",
     "run_standard",
     "run_coinflip",
-    "run_halting3",
-    "run_cheating3",
 ]
 
 SPREAD = "spread"
@@ -65,8 +59,7 @@ class PercolationTrace:
     """Per-generation infected counts plus the final verdict.
 
     ``totals[t]`` is |I(t)| (index 0 is the seed generation) and
-    ``per_cluster[t]`` its split by cluster.  For the three-stage modes
-    "infected" counts latent plus contagious vertices.
+    ``per_cluster[t]`` its split by cluster.
     """
 
     n: int
@@ -74,8 +67,6 @@ class PercolationTrace:
     per_cluster: np.ndarray
     verdict: str
     final_infected: np.ndarray
-    # three-stage runs only: contagious counts by cluster at termination
-    contagious_per_cluster: np.ndarray | None = None
 
     @property
     def tau_end(self) -> int:
@@ -117,11 +108,10 @@ def _tally(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Run:
-    """State and commit path shared by the standard, coinflip and three-stage runs.
+    """State and commit path shared by the standard and coinflip runs.
 
     A subclass picks each generation's newly infected vertices in
-    ``_next_infected`` and may redefine when a run has stalled in
-    ``_stalled``; ``step`` commits the vertices and owns the totals,
+    ``_next_infected``; ``step`` commits the vertices and owns the totals,
     per-cluster counts, verdict and generation cap, and ``finish`` is the
     one loop that drives generations.
     """
@@ -145,12 +135,8 @@ class _Run:
         self.verdict: str | None = None
         if self.totals[0] >= config.stop_fraction * g.n:
             self.verdict = SPREAD
-        elif self._stalled():
+        elif seeds.size == 0:
             self.verdict = HALTED
-
-    def _stalled(self) -> bool:
-        """True when no further generation can infect anyone."""
-        return self.frontier.size == 0
 
     def _frontier_tally(self) -> tuple[np.ndarray, np.ndarray]:
         """Vertices adjacent to the frontier, ascending, and their frontier-neighbor counts.
@@ -180,7 +166,7 @@ class _Run:
         )
         if total >= self.config.stop_fraction * self.g.n:
             self.verdict = SPREAD
-        elif self._stalled():
+        elif newly.size == 0:
             self.verdict = HALTED
         elif (
             self.config.max_generations is not None
@@ -349,89 +335,5 @@ def run_coinflip(
     if rng is None:
         raise ValueError("coinflip mode requires an explicit rng")
     run = _CoinflipRun(g, cf, seeds, config or EngineConfig(), rng)
-    run.finish()
-    return run.trace()
-
-
-class _ThreeStageRun(StandardRun):
-    """Halting/cheating three-stage process on the standard commit path.
-
-    "Infected" means latent or contagious, and ``counts`` holds
-    contagious-neighbor counts.  Each timestep promotes one latent vertex
-    per cluster to contagious, uniformly at random; healthy vertices with
-    enough contagious neighbors turn latent.  Halting stops the first time
-    any cluster runs out of latents; cheating promotes a random healthy
-    vertex there instead and stops once every cluster is out of latents.
-    """
-
-    def __init__(
-        self,
-        g: SampledGraph,
-        thresholds: np.ndarray,
-        seeds: np.ndarray,
-        config: EngineConfig | None,
-        rng: np.random.Generator | None,
-        cheating: bool,
-    ):
-        if rng is None:
-            raise ValueError("three-stage modes require an explicit rng")
-        self.rng = rng
-        self.cheating = cheating
-        self.contagious = np.zeros(g.n, dtype=bool)
-        self.contagious_per_cluster = np.zeros(g.k, dtype=np.int64)
-        super().__init__(g, thresholds, seeds, config)
-
-    def _stalled(self) -> bool:
-        latent = self.per_cluster[-1] - self.contagious_per_cluster
-        return not (latent.any() if self.cheating else latent.all())
-
-    def _next_infected(self) -> np.ndarray:
-        g = self.g
-        promoted = []
-        for lo in range(0, g.n, g.eta):
-            infected = self.infected[lo : lo + g.eta]
-            pool = np.flatnonzero(infected & ~self.contagious[lo : lo + g.eta])
-            if pool.size == 0 and self.cheating:
-                pool = np.flatnonzero(~infected)
-            if pool.size:
-                promoted.append(lo + int(pool[self.rng.integers(pool.size)]))
-        promoted = np.asarray(promoted, dtype=np.int64)
-        self.contagious[promoted] = True
-        self.contagious_per_cluster += np.bincount(g.clusters[promoted], minlength=g.k)
-        touched, hits = _tally(_gather_neighbors(g, promoted), g.n)
-        self.counts[touched] += hits
-        ready = ~(self.infected | self.contagious)[touched] & (
-            self.counts[touched] >= self.thresholds[touched]
-        )
-        return np.concatenate((touched[ready], promoted[~self.infected[promoted]]))
-
-    def trace(self) -> PercolationTrace:
-        trace = super().trace()
-        trace.contagious_per_cluster = self.contagious_per_cluster.copy()
-        return trace
-
-
-def run_halting3(
-    g: SampledGraph,
-    thresholds: np.ndarray,
-    seeds: np.ndarray,
-    config: EngineConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> PercolationTrace:
-    """Pessimistic three-stage percolation (stops at the first latent-free cluster)."""
-    run = _ThreeStageRun(g, thresholds, seeds, config, rng, cheating=False)
-    run.finish()
-    return run.trace()
-
-
-def run_cheating3(
-    g: SampledGraph,
-    thresholds: np.ndarray,
-    seeds: np.ndarray,
-    config: EngineConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> PercolationTrace:
-    """Optimistic three-stage percolation (promotes healthy vertices when out of latents)."""
-    run = _ThreeStageRun(g, thresholds, seeds, config, rng, cheating=True)
     run.finish()
     return run.trace()

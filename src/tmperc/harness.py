@@ -108,7 +108,6 @@ _TOP_KEYS = {
     "epsilon",
     "stop_fraction",
     "seed_factors",
-    "seed_counts",
     "intervention",
     "output",
 }
@@ -179,6 +178,12 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"stop_fraction {out['stop_fraction']} outside (0, 1]")
     if not 0.0 <= out["epsilon"] < 1.0:
         raise ConfigError(f"epsilon {out['epsilon']} outside [0, 1)")
+    factors = out["seed_factors"]
+    if not isinstance(factors, list) or not factors or not all(
+        isinstance(f, (int, float)) and not isinstance(f, bool) and math.isfinite(f) and f >= 0
+        for f in factors
+    ):
+        raise ConfigError(f"seed_factors {factors!r} is not a non-empty list of finite numbers >= 0")
     graph = dict(out["graph"])
     _require_keys(graph, _GRAPH_KEYS, "graph")
     if "template" not in graph or "n" not in graph:
@@ -492,13 +497,17 @@ def _variant_at(section: Mapping[str, Any], alpha: float, thresholds: tuple[int,
 def _baseline_seed_count(config: ExperimentConfig) -> int:
     """Seed count of the baseline runs: given, or a factor of the critical seed."""
     section = config.intervention
+    params = params_from_config(config)
     if "baseline_seed_count" in section:
-        return section["baseline_seed_count"]
-    model = AnalyticModel(params_from_config(config), distribution_at(config, None))
-    phi_crit = critical_seed(model).phi_critical
-    if phi_crit is None:
-        raise ConfigError("baseline has no finite critical seed; set baseline_seed_count")
-    return int(round(section["baseline_seed_factor"] * phi_crit))
+        count = section["baseline_seed_count"]
+    else:
+        phi_crit = critical_seed(AnalyticModel(params, distribution_at(config, None))).phi_critical
+        if phi_crit is None:
+            raise ConfigError("baseline has no finite critical seed; set baseline_seed_count")
+        count = int(round(section["baseline_seed_factor"] * phi_crit))
+    if not 0 <= count < params.n:
+        raise ConfigError(f"baseline seed count {count} is not in [0, n = {params.n})")
+    return count
 
 
 def _intervention_graph_task(args: tuple) -> list[dict]:

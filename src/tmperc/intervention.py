@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -694,9 +694,9 @@ def _scaled_state(observed: ObservedState, i_cur: int, delta: int) -> ObservedSt
     i_prev = max(0, i_cur - delta)
     cur_cluster = _proportional(observed.i_cur_cluster, i_cur)
     prev_cluster = _proportional(observed.i_prev_cluster if observed.i_prev else observed.i_cur_cluster, i_prev)
-    healthy_total = observed.n - i_cur
     shares = observed.healthy_by_threshold
-    healthy = _proportional_map(shares, healthy_total)
+    keys = sorted(shares)
+    healthy = dict(zip(keys, _proportional([shares[r] for r in keys], observed.n - i_cur)))
     return ObservedState(
         n=observed.n,
         k=observed.k,
@@ -709,32 +709,22 @@ def _scaled_state(observed: ObservedState, i_cur: int, delta: int) -> ObservedSt
     )
 
 
-def _proportional(counts: tuple[int, ...], total: int) -> tuple[int, ...]:
+def _proportional(counts: Sequence[int], total: int) -> tuple[int, ...]:
+    """Split ``total`` in proportion to ``counts`` (equally when they are all 0).
+
+    The rounded shares are settled to sum to ``total`` largest share first: a
+    surplus goes to the largest entry (the first one on ties), and a deficit
+    is taken from the largest entries in turn, never driving one below 0.
+    """
     base = sum(counts)
     if base == 0:
         k = len(counts)
         out = [total // k] * k
     else:
         out = [int(round(c * total / base)) for c in counts]
-    return tuple(_settle_residual(out, total))
-
-
-def _proportional_map(shares: Mapping[int, int], total: int) -> dict[int, int]:
-    base = sum(shares.values())
-    keys = sorted(shares)
-    out = [int(round(shares[r] * total / base)) for r in keys]
-    return dict(zip(keys, _settle_residual(out, total)))
-
-
-def _settle_residual(out: list[int], total: int) -> list[int]:
-    """Make the rounded shares sum to ``total``, largest share first.
-
-    A surplus goes to the largest entry (the first one on ties); a deficit is
-    taken from the largest entries in turn, never driving one below 0.
-    """
     residual = total - sum(out)
     for i in sorted(range(len(out)), key=lambda i: -out[i]):
         change = max(residual, -out[i])
         out[i] += change
         residual -= change
-    return out
+    return tuple(out)

@@ -117,10 +117,6 @@ class ThresholdDistribution:
             zeta[r - 1] = weight
         return cls(tuple(zeta))
 
-    @classmethod
-    def point_mass(cls, r: int) -> "ThresholdDistribution":
-        return cls.from_mapping({r: 1.0})
-
     @property
     def r_max(self) -> int:
         return len(self.zeta)

@@ -255,53 +255,6 @@ def reference_coinflip(g, s: np.ndarray, z: np.ndarray, r_max: int, seeds: np.nd
     return _reference_run(g, seeds, stop_fraction, advance)
 
 
-def reference_three_stage(g, thresholds: np.ndarray, seeds: np.ndarray, stop_fraction: float,
-                          rng: np.random.Generator, cheating: bool):
-    """(totals, per_cluster, verdict, final_infected, contagious_per_cluster)."""
-    healthy, latent, contagious = 0, 1, 2
-    n, k = g.n, g.k
-    seeds = np.asarray(seeds, dtype=np.int64)
-    status = np.zeros(n, dtype=np.int8)
-    status[seeds] = latent
-    contagious_nbrs = np.zeros(n, dtype=np.int64)
-    totals = [int(seeds.size)]
-    per_cluster = [np.bincount(g.clusters[seeds], minlength=k)]
-    stop_at = stop_fraction * n
-    verdict = "spread" if totals[0] >= stop_at else None
-    while verdict is None:
-        latent_per_cluster = np.bincount(g.clusters[status == latent], minlength=k)
-        out = latent_per_cluster.sum() == 0 if cheating else np.any(latent_per_cluster == 0)
-        if out:
-            verdict = "spread" if totals[-1] >= stop_at else "halted"
-            break
-        promoted = []
-        for cluster in range(k):
-            lo, hi = cluster * g.eta, (cluster + 1) * g.eta
-            pool = np.flatnonzero(status[lo:hi] == latent)
-            if pool.size == 0:
-                pool = np.flatnonzero(status[lo:hi] == healthy)
-                if pool.size == 0:
-                    continue
-            promoted.append(lo + int(pool[rng.integers(pool.size)]))
-        promoted_arr = np.asarray(promoted, dtype=np.int64)
-        status[promoted_arr] = contagious
-        nbrs = _neighbors(g, promoted_arr)
-        if nbrs.size:
-            contagious_nbrs += np.bincount(nbrs, minlength=n)
-        status[(status == healthy) & (contagious_nbrs >= thresholds)] = latent
-        totals.append(int(np.count_nonzero(status)))
-        per_cluster.append(np.bincount(g.clusters[status != healthy], minlength=k))
-        if totals[-1] >= stop_at:
-            verdict = "spread"
-    return (
-        np.asarray(totals),
-        np.asarray(per_cluster),
-        verdict,
-        np.flatnonzero(status != healthy),
-        np.bincount(g.clusters[status == contagious], minlength=k),
-    )
-
-
 def reference_exposure(g, infected: np.ndarray) -> np.ndarray:
     """Infected-neighbor count of every vertex, recounted from the edge list."""
     ids = np.flatnonzero(infected)

@@ -214,7 +214,7 @@ def _early_trigger_profiles():
     out = []
     n = 10000
     er_params = TMParams(tpl.make_single(), n, 7 / n)
-    er_dist = ThresholdDistribution.point_mass(2)
+    er_dist = ThresholdDistribution.from_mapping({2: 1.0})
     phi_er = critical_seed(AnalyticModel(er_params, er_dist)).phi_critical
     ring = tpl.make_ring(10, 1)
     ring_params = TMParams(ring, n, 50 / (3 * n), 50 / (7 * n))
@@ -361,7 +361,7 @@ def test_acceptance_5_janson_cross_check():
     params = TMParams(tpl.make_single(), n, 10 / n)
     errors = {}
     for r in (2, 3):
-        model = AnalyticModel(params, ThresholdDistribution.point_mass(r))
+        model = AnalyticModel(params, ThresholdDistribution.from_mapping({r: 1.0}))
         result = critical_seed(model)
         reference = janson_phi(n, 10 / n, r)
         errors[r] = abs(result.phi_critical - reference) / reference

@@ -161,7 +161,7 @@ def test_lemma_ratio_property():
 
 def test_A_point_mass_and_linearity():
     params = single_params(1000, 0.01)
-    point = ThresholdDistribution.point_mass(2)
+    point = ThresholdDistribution.from_mapping({2: 1.0})
     assert A_of_t(5, point, params) == pytest.approx(pi_r(5, 2, params), rel=1e-12)
     assert A_of_t(0, point, params) == 0.0
     mix = ThresholdDistribution.from_mapping({2: 0.5, 3: 0.5})
@@ -183,7 +183,7 @@ def test_model_table_matches_scalar():
 def test_f_at_zero_activation_is_affine():
     # threshold above the trial count makes the activation exactly zero
     params = single_params(100, 0.05)
-    dist = ThresholdDistribution.point_mass(6)
+    dist = ThresholdDistribution.from_mapping({6: 1.0})
     model = AnalyticModel(params, dist)
     for t in (1, 2, 5):  # k_p*t < 6 so A(t) = 0 exactly
         assert model.A[t] == 0.0
@@ -206,7 +206,7 @@ def test_f_increment_in_phi():
 def test_horizon_below_vertex_budget_for_sparse_configs():
     for n, deg in ((10000, 3.0), (10000, 10.0), (2000, 5.0)):
         params = single_params(n, deg / n)
-        dist = ThresholdDistribution.point_mass(2)
+        dist = ThresholdDistribution.from_mapping({2: 1.0})
         model = AnalyticModel(params, dist)
         assert model.t_max <= n  # k = 1
         assert f_of(n, model.t_max, model) == pytest.approx(n - model.t_max)
@@ -221,7 +221,7 @@ def test_critical_seed_janson_cross_check():
     n = 10000
     params = single_params(n, 10 / n)
     for r in (2, 3):
-        model = AnalyticModel(params, ThresholdDistribution.point_mass(r))
+        model = AnalyticModel(params, ThresholdDistribution.from_mapping({r: 1.0}))
         result = critical_seed(model)
         target = janson_phi(n, 10 / n, r)
         assert result.phi_critical is not None
@@ -333,7 +333,7 @@ def test_activation_basis_cache_hit_matches_miss_and_oracle():
 
 def test_activation_basis_is_read_only():
     params = TMParams(tpl.make_ring(5, 1), 500, 0.02, 0.005)
-    model = AnalyticModel(params, ThresholdDistribution.point_mass(3))
+    model = AnalyticModel(params, ThresholdDistribution.from_mapping({3: 1.0}))
     law = analytic._EdgeLaw(params.k_p, params.k_q, params.p, params.q)
     basis = analytic._activation_basis(law, 3, model.t_table)
     assert basis.shape == (3, model.t_table + 1)
@@ -351,7 +351,7 @@ def test_closed_form_critical_seed_with_certain_activation():
         n = int(rng.integers(10, 5000))
         t_max = int(rng.integers(1, 60))
         params = single_params(n, 1.0 / (3.0 * t_max + 1.0))
-        model = AnalyticModel(params, ThresholdDistribution.point_mass(2))
+        model = AnalyticModel(params, ThresholdDistribution.from_mapping({2: 1.0}))
         assert model.t_max == t_max
         table = np.concatenate([[0.0], np.sort(rng.random(t_max) ** float(rng.uniform(0.2, 5.0)))])
         table[int(rng.integers(1, t_max + 2)) :] = 1.0
@@ -389,14 +389,14 @@ def test_t_star_monotone_in_seed_count():
 
 def test_critical_seed_rejects_empty_horizon():
     params = single_params(100, 0.4)  # phi = 0.4 so floor(1/(3 phi)) = 0
-    model = AnalyticModel(params, ThresholdDistribution.point_mass(2))
+    model = AnalyticModel(params, ThresholdDistribution.from_mapping({2: 1.0}))
     with pytest.raises(ValueError):
         critical_seed(model)
 
 
 def test_critical_seed_infeasible_for_edgeless_family():
     params = single_params(100, 0.0)
-    model = AnalyticModel(params, ThresholdDistribution.point_mass(2))
+    model = AnalyticModel(params, ThresholdDistribution.from_mapping({2: 1.0}))
     result = critical_seed(model)
     assert result.phi_critical is None
 
@@ -554,6 +554,6 @@ def test_t_star_lower_bound_values_and_validation():
 @given(st.floats(1e-6, 1.0))
 def test_t_star_bound_shrinks_with_beta(beta):
     params = single_params(10000, 10 / 10000)
-    dist = ThresholdDistribution.point_mass(2)
+    dist = ThresholdDistribution.from_mapping({2: 1.0})
     model = AnalyticModel(params, dist)
     assert t_star_lower_bound(model, beta) == pytest.approx(beta * 10000 / 200.0)

@@ -6,7 +6,6 @@ from oracles import (
     reference_coinflip,
     reference_exposure,
     reference_standard,
-    reference_three_stage,
 )
 from tmperc import intervention as iv
 from tmperc import template as tpl
@@ -16,9 +15,7 @@ from tmperc.engine import (
     StandardRun,
     _gather_neighbors,
     _tally,
-    run_cheating3,
     run_coinflip,
-    run_halting3,
     run_standard,
     CoinflipState,
 )
@@ -209,87 +206,6 @@ def test_coinflip_monotone_and_conserving():
     assert np.array_equal(trace.per_cluster.sum(axis=1), trace.totals)
 
 
-# ---------------------------------------------------------------------------
-# three-stage modes
-
-
-def test_three_stage_coincide_for_single_cluster():
-    params = TMParams(tpl.make_single(), 60, 0.2)
-    g = sample_graph(params, substream(11, 1))
-    thresholds = np.full(60, 2)
-    seeds = np.arange(6)
-    config = EngineConfig(stop_fraction=1.0)
-    halting = run_halting3(g, thresholds, seeds, config, substream(11, 2))
-    cheating = run_cheating3(g, thresholds, seeds, config, substream(11, 2))
-    assert np.array_equal(halting.totals, cheating.totals)
-    assert np.array_equal(halting.final_infected, cheating.final_infected)
-
-
-def test_halting_subset_of_cheating_under_coupling():
-    rng = np.random.default_rng(44)
-    for i in range(25):
-        template = tpl.make_planted(2)
-        params = TMParams(template, 40, 0.3, 0.1)
-        g = sample_graph(params, substream(12, i))
-        thresholds = rng.integers(1, 3, size=40)
-        seeds = np.flatnonzero(rng.random(40) < 0.25)
-        config = EngineConfig(stop_fraction=1.0)
-        halting = run_halting3(g, thresholds, seeds, config, substream(13, i))
-        cheating = run_cheating3(g, thresholds, seeds, config, substream(13, i))
-        assert set(halting.final_infected) <= set(cheating.final_infected)
-
-
-def test_cheating_on_edgeless_graph_keeps_seeds_balanced_clusters():
-    params = TMParams(tpl.make_single(), 20, 0.0)
-    g = sample_graph(params, substream(14, 1))
-    seeds = np.array([2, 5, 9])
-    trace = run_cheating3(g, np.full(20, 2), seeds, EngineConfig(stop_fraction=1.0), substream(14, 2))
-    assert np.array_equal(trace.final_infected, seeds)
-    # two clusters, one seed each: depletes simultaneously, stops cleanly
-    params2 = TMParams(tpl.make_planted(2), 20, 0.0, 0.0)
-    g2 = sample_graph(params2, substream(14, 3))
-    seeds2 = np.array([3, 13])
-    trace2 = run_cheating3(g2, np.full(20, 2), seeds2, EngineConfig(stop_fraction=1.0), substream(14, 4))
-    assert np.array_equal(trace2.final_infected, seeds2)
-
-
-def test_halting_stops_when_any_cluster_is_out_of_latents():
-    params = TMParams(tpl.make_planted(2), 20, 0.5, 0.0)
-    g = sample_graph(params, substream(15, 1))
-    seeds = np.array([0, 1, 2])  # all in cluster 0; cluster 1 has no latents
-    trace = run_halting3(g, np.full(20, 1), seeds, EngineConfig(stop_fraction=1.0), substream(15, 2))
-    assert trace.tau_end <= 1
-    assert trace.verdict == "halted"
-
-
-def test_three_stage_promotion_pace():
-    # contagious count per cluster equals the timestep count at termination
-    params = TMParams(tpl.make_planted(2), 30, 0.4, 0.1)
-    g = sample_graph(params, substream(16, 1))
-    rng_thresholds = np.random.default_rng(16)
-    thresholds = rng_thresholds.integers(1, 3, size=30)
-    seeds = np.array([0, 1, 2, 15, 16, 17])
-    trace = run_halting3(g, thresholds, seeds, EngineConfig(stop_fraction=1.0), substream(16, 2))
-    assert trace.contagious_per_cluster is not None
-    assert np.all(trace.contagious_per_cluster == trace.tau_end)
-
-
-def test_three_stage_rejects_thresholds_below_one():
-    g = path_graph(5)
-    for run in (run_halting3, run_cheating3):
-        with pytest.raises(ValueError):
-            run(g, np.zeros(5, dtype=int), np.array([0]), EngineConfig(), substream(17, 1))
-
-
-def test_three_stage_stall_at_generation_cap_halts():
-    params = TMParams(tpl.make_single(), 5, 0.5)
-    edgeless = SampledGraph(params, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    config = EngineConfig(stop_fraction=1.0, max_generations=1)
-    trace = run_halting3(edgeless, np.ones(5, dtype=int), np.array([0]), config, substream(18, 1))
-    assert trace.verdict == "halted"
-    assert trace.tau_end == 1
-
-
 def test_duplicate_seeds_rejected_in_every_mode():
     g = path_graph(5)
     seeds = np.array([0, 0])
@@ -298,15 +214,10 @@ def test_duplicate_seeds_rejected_in_every_mode():
         run_standard(g, np.full(5, 5), seeds, config)
     with pytest.raises(ValueError):
         run_coinflip(g, CoinflipState.uniform(5, 0, 1.0, 3), seeds, config, substream(19, 1))
-    for run in (run_halting3, run_cheating3):
-        with pytest.raises(ValueError):
-            run(g, np.ones(5, dtype=int), seeds, config, substream(19, 2))
 
 
-def test_three_stage_requires_rng():
+def test_coinflip_requires_rng():
     g = path_graph(4)
-    with pytest.raises(ValueError):
-        run_halting3(g, np.ones(4, dtype=int), np.array([0]))
     with pytest.raises(ValueError):
         run_coinflip(g, CoinflipState.uniform(4, 1, 0.5, 3), np.array([0]))
 
@@ -392,21 +303,6 @@ def test_coinflip_matches_reference_draw_for_draw():
         expected = reference_coinflip(g, s, z, r_max, seeds, stop, theirs)
         assert_trace_equals(trace, expected)
         assert ours.random() == theirs.random()  # same number of coins drawn
-
-
-def test_three_stage_matches_reference():
-    rng = np.random.default_rng(55)
-    for i in range(60):
-        g, thresholds, seeds = (medium_instance if i % 3 == 0 else random_instance)(rng)
-        cheating = bool(i % 2)
-        stop = float(rng.choice([0.5, 1.0]))
-        run = run_cheating3 if cheating else run_halting3
-        ours, theirs = substream(56, i), substream(56, i)
-        trace = run(g, thresholds, seeds, EngineConfig(stop_fraction=stop), ours)
-        expected = reference_three_stage(g, thresholds, seeds, stop, theirs, cheating)
-        assert_trace_equals(trace, expected)
-        assert np.array_equal(trace.contagious_per_cluster, expected[4])
-        assert ours.random() == theirs.random()
 
 
 def _reference_generations(g, thresholds, infected, totals, stop, trigger_at=None):

@@ -39,6 +39,8 @@ def test_unknown_keys_rejected_everywhere():
         harness.load_config(
             base_config(intervention={"variant": "bolster_a", "mystery": True})
         )
+    with pytest.raises(ConfigError):  # no code reads a top-level seed_counts
+        harness.load_config(base_config(seed_counts=[10]))
 
 
 def test_config_requires_exactly_one_graph_parameterization():
@@ -280,6 +282,43 @@ def test_config_rejects_intervention_stop_fraction_outside_unit_interval(value):
     assert config.intervention["stop_fraction"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "factors", [[-1.0], ["a"], [], [True], [math.nan], [math.inf], [0.9, None], 0.9],
+    ids=["negative", "string", "empty", "bool", "nan", "inf", "none", "scalar"],
+)
+def test_config_rejects_bad_seed_factors(factors):
+    with pytest.raises(ConfigError, match="seed_factors"):
+        harness.load_config(base_config(seed_factors=factors))
+
+
+def _ring5_intervention(**section):
+    return {
+        "name": "ring5-baseline",
+        "master_seed": 3,
+        "graph": {"template": {"kind": "ring", "k": 5, "reach": 1}, "n": 500, "p": 0.02, "q": 0.002},
+        "thresholds": {"zeta": {"2": 0.5, "3": 0.5}},
+        "sweep": {"axis": "alpha", "values": [0.5]},
+        "graphs": 1,
+        "intervention": {"variant": "diminish", **section},
+    }
+
+
+@pytest.mark.parametrize(
+    "section",
+    [{"baseline_seed_count": 600}, {"baseline_seed_count": 500}, {"baseline_seed_factor": 1000.0}],
+    ids=["count-600", "count-500", "factor-1000"],
+)
+def test_baseline_seed_count_must_be_below_n(section, monkeypatch):
+    config = harness.load_config(_ring5_intervention(**section))
+
+    def no_graph(*args):
+        raise AssertionError("sampled a graph before the baseline was checked")
+
+    monkeypatch.setattr(harness, "sample_graph", no_graph)
+    with pytest.raises(ConfigError, match="baseline seed count"):
+        harness.run_intervention(config)
+
+
 def _sweep_config(axis, value, **overrides):
     raw = base_config(sweep={"axis": axis, "values": [value]}, **overrides)
     if axis == "coin_z":
@@ -332,6 +371,7 @@ def test_config_accepts_sweep_and_count_boundaries():
         _sweep_config("alpha", 1.0, intervention={"variant": "bolster_a"}),
         base_config(master_seed=0, graphs=1, trials=1),
         base_config(intervention={"variant": "diminish", "baseline_seed_count": 0}),
+        base_config(seed_factors=[0, 2.5]),
     ):
         harness.load_config(raw)
 

@@ -299,7 +299,7 @@ def test_diminish_verdict_monotone_in_alpha():
 def test_predict_noop_bolster_past_bottleneck_is_spread():
     n = 10000
     params = TMParams(tpl.make_single(), n, 7 / n)
-    dist = ThresholdDistribution.point_mass(2)
+    dist = ThresholdDistribution.from_mapping({2: 1.0})
     g = sample_graph(params, substream(200, 1))
     thresholds = assign_thresholds(dist, n, substream(200, 2))
     model = AnalyticModel(params, dist)
@@ -337,7 +337,7 @@ def test_verdict_band_membership():
 
 def triggered_run(seed=300, n=4000, p_scale=7.0, r=2, factor=1.8):
     params = TMParams(tpl.make_single(), n, p_scale / n)
-    dist = ThresholdDistribution.point_mass(r)
+    dist = ThresholdDistribution.from_mapping({r: 1.0})
     g = sample_graph(params, substream(seed, 1))
     thresholds = assign_thresholds(dist, n, substream(seed, 2))
     model = AnalyticModel(params, dist)
@@ -398,7 +398,7 @@ def test_diminish_alpha_zero_halts():
 def test_run_to_trigger_reports_subcritical_baseline():
     n = 3000
     params = TMParams(tpl.make_single(), n, 7 / n)
-    dist = ThresholdDistribution.point_mass(2)
+    dist = ThresholdDistribution.from_mapping({2: 1.0})
     g = sample_graph(params, substream(302, 1))
     thresholds = assign_thresholds(dist, n, substream(302, 2))
     seeds = select_seeds(5, n, substream(302, 3))  # far below critical
@@ -530,8 +530,6 @@ def test_proportional_spills_deficit_instead_of_going_negative():
     counts = (0, 0, 1, 1, 1, 1, 0, 1, 1, 1)
     assert min(_old_proportional(counts, 5)) == -1
     assert iv._proportional(counts, 5) == (0, 0, 0, 0, 1, 1, 0, 1, 1, 1)
-    shares = dict(enumerate(counts))
-    assert iv._proportional_map(shares, 5) == dict(enumerate((0, 0, 0, 0, 1, 1, 0, 1, 1, 1)))
 
 
 @given(
@@ -546,9 +544,6 @@ def test_proportional_properties(counts, total):
     old = _old_proportional(counts, total)
     if min(old) >= 0:
         assert out == old
-    if sum(counts):
-        mapped = iv._proportional_map(dict(enumerate(counts)), total)
-        assert tuple(mapped.values()) == out
 
 
 def test_boundary_scan_on_sparse_ring_cluster_counts():

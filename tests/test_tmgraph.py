@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,10 +153,10 @@ def test_edge_is_near_is_computed_once_and_read_only():
 
 
 def test_assign_thresholds_point_masses():
-    dist = ThresholdDistribution.point_mass(2)
+    dist = ThresholdDistribution.from_mapping({2: 1.0})
     out = assign_thresholds(dist, 100, substream(1, 1))
     assert np.all(out == 2)
-    ones = assign_thresholds(ThresholdDistribution.point_mass(1), 50, substream(1, 2))
+    ones = assign_thresholds(ThresholdDistribution.from_mapping({1: 1.0}), 50, substream(1, 2))
     assert np.all(ones == 1)
 
 
@@ -269,6 +273,34 @@ def test_graph_build_and_subgraph_peak_bytes_per_edge(template, p, q):
     keep = np.random.default_rng(33).random(g.num_edges) < 0.5
     sub, peak = _traced_peak(lambda: g.subgraph(keep))
     assert peak <= 72 * sub.num_edges
+
+
+RSS_GROWTH = """
+import resource
+from tmperc import template as tpl
+from tmperc.rngutil import substream
+from tmperc.tmgraph import TMParams, sample_graph
+params = TMParams(tpl.make_single(), 200000, 20 / 200000)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+g = sample_graph(params, substream(33, 0))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(g.num_edges, (after - before) * 1024)
+"""
+
+
+def test_graph_build_rss_growth_per_edge():
+    # at n = 2*10**5 the edge keys need the second radix pass, and numpy's
+    # stable argsort takes an index scratch array that tracemalloc does not
+    # see; a fresh process bounds the peak RSS growth (kB on Linux) instead
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_GROWTH],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    edges, growth = map(int, proc.stdout.split())
+    assert edges > 1900000
+    assert growth <= 100 * edges
 
 
 def test_decode_triangle_is_exact_and_peaks_at_32_bytes_per_edge():
