@@ -41,13 +41,10 @@ class EngineConfig:
     """Stopping rule shared by every mode.
 
     ``stop_fraction`` operationalizes "almost all vertices infected": a run
-    counts as spread once the infected fraction reaches it.  The generation
-    cap exists as a safety net; the monotone processes cannot exceed n
-    productive generations, so hitting a smaller cap is reported as an error.
+    counts as spread once the infected fraction reaches it.
     """
 
     stop_fraction: float = 0.9
-    max_generations: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.stop_fraction <= 1.0:
@@ -168,13 +165,6 @@ class _Run:
             self.verdict = SPREAD
         elif newly.size == 0:
             self.verdict = HALTED
-        elif (
-            self.config.max_generations is not None
-            and self.generation >= self.config.max_generations
-        ):
-            raise EngineError(
-                f"generation cap {self.config.max_generations} reached while still spreading"
-            )
         return int(newly.size)
 
     def finish(self) -> str:

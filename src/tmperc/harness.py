@@ -1,10 +1,14 @@
 """Experiment harness: config parsing, sweep drivers, and tabular output.
 
 Configs are JSON with nested sections; unknown keys are rejected so typos
-fail loudly.  Every row of a result table is regenerable from the config
-plus the master seed: each (sweep point, graph, trial) work item draws from
-its own RNG substream, and rows are sorted canonically, so parallel and
-serial execution emit identical files.
+fail loudly.  ``load_config`` parses a config once: it checks every field,
+sets every default and builds the graph parameters and each sweep point's
+law, so a bad config fails before any work and the drivers and their
+workers read only typed fields.  The normalized dict ``raw`` is kept only
+as the input of ``config_hash``.  Every row of a result table is
+regenerable from the config plus the master seed: each (sweep point,
+graph, trial) work item draws from its own RNG substream, and rows are
+sorted canonically, so parallel and serial execution emit identical files.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .intervention import (
     run_to_trigger,
     snapshot_observed,
 )
-from .template import TemplateGraph, from_neighbors, make_cube3, make_planted, make_ring, make_single
+from .template import from_neighbors, make_cube3, make_planted, make_ring, make_single
 from .tmgraph import (
     TMParams,
     ThresholdDistribution,
@@ -57,9 +61,6 @@ __all__ = [
     "ResultTable",
     "load_config",
     "config_hash",
-    "template_from_spec",
-    "params_from_config",
-    "distribution_at",
     "analytic_summary",
     "run_dichotomy",
     "run_intervention",
@@ -115,49 +116,51 @@ _TOP_KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; ``raw`` keeps the normalized dict."""
+    """A parsed experiment: the typed fields every driver and worker reads.
+
+    ``load_config`` is the only parser and builds the graph parameters and
+    each sweep point's law once.  ``raw`` is the normalized dict, kept only as
+    the input of ``config_hash`` and for the CLI ``--seed`` override to reload.
+    """
 
     raw: dict
+    name: str
+    master_seed: int
+    graphs: int
+    trials: int
+    epsilon: float
+    stop_fraction: float
+    seed_factors: tuple[float, ...]
+    axis: str
+    sweep_values: tuple
+    params: TMParams
+    laws: tuple[ThresholdDistribution, ...]  # one per sweep point
+    coins: tuple[tuple[int, float, int], ...] | None  # (s, z, r_max) per point of a coinflip config
+    intervention: dict | None  # the normalized section, defaults set
+    output: str | None
 
-    @property
-    def name(self) -> str:
-        return self.raw["name"]
 
-    @property
-    def master_seed(self) -> int:
-        return self.raw["master_seed"]
+def _real(value: Any, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} {value!r} is not a number")
+    return float(value)
 
-    @property
-    def graphs(self) -> int:
-        return self.raw["graphs"]
 
-    @property
-    def trials(self) -> int:
-        return self.raw["trials"]
-
-    @property
-    def epsilon(self) -> float:
-        return self.raw["epsilon"]
-
-    @property
-    def stop_fraction(self) -> float:
-        return self.raw["stop_fraction"]
-
-    @property
-    def sweep_values(self) -> list:
-        return self.raw["sweep"]["values"]
-
-    @property
-    def intervention(self) -> dict | None:
-        return self.raw.get("intervention")
-
-    @property
-    def output(self) -> str | None:
-        return self.raw.get("output")
+def _fraction(value: Any, key: str, ends: str) -> float:
+    """``value`` as a float in the unit interval, its ends open or closed as in "(]"."""
+    x = _real(value, key)
+    low_ok = x > 0.0 if ends[0] == "(" else x >= 0.0
+    if not (low_ok and (x < 1.0 if ends[1] == ")" else x <= 1.0)):
+        raise ConfigError(f"{key} {value!r} outside {ends[0]}0, 1{ends[1]}")
+    return x
 
 
 def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
-    """Parse and normalize a config from a JSON path or an in-memory mapping."""
+    """Parse, check and normalize a config from a JSON path or an in-memory mapping.
+
+    Every default is set and every field checked here, so a bad config raises
+    ``ConfigError`` before any work starts.
+    """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -173,11 +176,9 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
     out.setdefault("trials", 50)
     out.setdefault("epsilon", 0.1)
     out.setdefault("stop_fraction", 0.9)
-    out.setdefault("seed_factors", [1.0 - out["epsilon"], 1.0 + out["epsilon"]])
-    if not 0.0 < out["stop_fraction"] <= 1.0:
-        raise ConfigError(f"stop_fraction {out['stop_fraction']} outside (0, 1]")
-    if not 0.0 <= out["epsilon"] < 1.0:
-        raise ConfigError(f"epsilon {out['epsilon']} outside [0, 1)")
+    stop_fraction = _fraction(out["stop_fraction"], "stop_fraction", "(]")
+    epsilon = _fraction(out["epsilon"], "epsilon", "[)")
+    out.setdefault("seed_factors", [1.0 - epsilon, 1.0 + epsilon])
     factors = out["seed_factors"]
     if not isinstance(factors, list) or not factors or not all(
         isinstance(f, (int, float)) and not isinstance(f, bool) and math.isfinite(f) and f >= 0
@@ -188,11 +189,9 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
     _require_keys(graph, _GRAPH_KEYS, "graph")
     if "template" not in graph or "n" not in graph:
         raise ConfigError("graph section needs 'template' and 'n'")
-    template = dict(graph["template"])
-    _require_keys(template, _TEMPLATE_KEYS, "graph.template")
-    by_prob = "p" in graph
-    by_degree = "near_degree" in graph
-    if by_prob == by_degree:
+    _require_keys(graph["template"], _TEMPLATE_KEYS, "graph.template")
+    family = ("p", "q") if "p" in graph else ("near_degree", "far_degree")
+    if family[0] not in graph or set(graph) - {"template", "n", *family}:
         raise ConfigError("specify the graph by p/q or by near_degree/far_degree, not both")
     out["graph"] = graph
     thresholds = dict(out["thresholds"])
@@ -209,42 +208,65 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
     if not sweep.get("values"):
         raise ConfigError("sweep.values must be non-empty")
     out["sweep"] = sweep
-    if "intervention" in out and out["intervention"] is not None:
-        iv_section = dict(out["intervention"])
-        _require_keys(iv_section, _INTERVENTION_KEYS, "intervention")
-        iv_section.setdefault("lambda", 0.1)
-        iv_section.setdefault("baseline_seed_factor", 1.3)
-        iv_section.setdefault("alpha_q_ratio", 1.0)
-        iv_section.setdefault("compute_boundary", True)
+    section = out.get("intervention")
+    if section is not None:
+        section = dict(section)
+        _require_keys(section, _INTERVENTION_KEYS, "intervention")
+        section.setdefault("lambda", 0.1)
+        section.setdefault("baseline_seed_factor", 1.3)
+        section.setdefault("alpha_q_ratio", 1.0)
+        section.setdefault("compute_boundary", True)
         # post-intervention threshold mixes finish near 90%, so the spread
         # verdict for continuations uses a lower cutoff by default
-        iv_section.setdefault("stop_fraction", 0.8)
-        if not 0.0 < iv_section["lambda"] < 1.0:
-            raise ConfigError(f"intervention lambda {iv_section['lambda']} outside (0, 1)")
-        stop = iv_section["stop_fraction"]
-        if not 0.0 < stop <= 1.0:
-            raise ConfigError(f"intervention stop_fraction {stop} outside (0, 1]")
-        out["intervention"] = iv_section
-    counts = [("master_seed", out["master_seed"], 0)]
+        section.setdefault("stop_fraction", 0.8)
+        _fraction(section["lambda"], "intervention lambda", "()")
+        _fraction(section["stop_fraction"], "intervention stop_fraction", "(]")
+        out["intervention"] = section
+    n = graph["n"]
+    counts = [("n", n, 1), ("master_seed", out["master_seed"], 0)]
     counts += [(key, out[key], 1) for key in ("graphs", "trials")]
     if sweep["axis"] == "seed_count":
         counts += [("seed_count", value, 0) for value in sweep["values"]]
-    iv_counts = out.get("intervention") or {}
-    if "baseline_seed_count" in iv_counts:
-        counts.append(("baseline_seed_count", iv_counts["baseline_seed_count"], 0))
+    if section is not None and "baseline_seed_count" in section:
+        counts.append(("baseline_seed_count", section["baseline_seed_count"], 0))
     for key, value, low in counts:
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise ConfigError(f"{key} {value!r} is not an integer >= {low}")
-    config = ExperimentConfig(out)
+    if sweep["axis"] == "seed_count" and max(sweep["values"]) > n:
+        raise ConfigError(f"seed_count {max(sweep['values'])} is above n = {n}")
+    try:
+        params = _graph_params(graph)
+    except KeyError as exc:
+        raise ConfigError(f"graph.template needs {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"graph: {exc}") from exc
+    points = []
     for value in sweep["values"]:
         # each point meets the library's own checks; any one threshold tests alpha
         try:
-            distribution_at(config, value)
-            if sweep["axis"] == "alpha" and config.intervention is not None:
-                _variant_at(config.intervention, float(value), (1,))
+            points.append(_law_at(thresholds, sweep, value))
+            if sweep["axis"] == "alpha" and section is not None:
+                _variant_at(section, float(value), (1,))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"sweep value {value!r}: {exc}") from exc
-    return config
+    laws, coins = zip(*points)
+    return ExperimentConfig(
+        raw=out,
+        name=out["name"],
+        master_seed=out["master_seed"],
+        graphs=out["graphs"],
+        trials=out["trials"],
+        epsilon=epsilon,
+        stop_fraction=stop_fraction,
+        seed_factors=tuple(factors),
+        axis=sweep["axis"],
+        sweep_values=tuple(sweep["values"]),
+        params=params,
+        laws=laws,
+        coins=coins if "coinflip" in thresholds else None,
+        intervention=section,
+        output=out.get("output"),
+    )
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -252,62 +274,46 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def template_from_spec(spec: Mapping[str, Any]) -> TemplateGraph:
+def _graph_params(graph: Mapping[str, Any]) -> TMParams:
+    """Template and edge probabilities of a graph section, given by p/q or by expected degrees."""
+    spec, n = graph["template"], graph["n"]
     kind = spec.get("kind")
     if kind == "single":
-        return make_single()
-    if kind == "ring":
-        return make_ring(int(spec["k"]), int(spec["reach"]))
-    if kind == "cube3":
-        return make_cube3()
-    if kind == "planted":
-        return make_planted(int(spec["k"]))
-    if kind == "custom":
-        return from_neighbors({int(i): set(v) for i, v in spec["neighbors"].items()})
-    raise ConfigError(f"unknown template kind {kind!r}")
-
-
-def params_from_config(config: ExperimentConfig) -> TMParams:
-    graph = config.raw["graph"]
-    template = template_from_spec(graph["template"])
-    n = int(graph["n"])
-    if "p" in graph:
-        p = float(graph["p"])
-        q = float(graph.get("q", 0.0))
+        template = make_single()
+    elif kind == "ring":
+        template = make_ring(int(spec["k"]), int(spec["reach"]))
+    elif kind == "cube3":
+        template = make_cube3()
+    elif kind == "planted":
+        template = make_planted(int(spec["k"]))
+    elif kind == "custom":
+        template = from_neighbors({int(i): set(v) for i, v in spec["neighbors"].items()})
     else:
-        eta = n / template.k
-        p = float(graph["near_degree"]) / (template.k_p * eta)
-        if template.k_q > 0:
-            q = float(graph.get("far_degree", 0.0)) / (template.k_q * eta)
-        else:
-            if float(graph.get("far_degree", 0.0)) != 0.0:
-                raise ConfigError("far_degree given but the template has no far clusters")
-            q = 0.0
-    return TMParams(template, n, p, q)
+        raise ConfigError(f"unknown template kind {kind!r}")
+    if "p" in graph:
+        return TMParams(template, n, _real(graph["p"], "p"), _real(graph.get("q", 0.0), "q"))
+    eta = n / template.k
+    near = _real(graph["near_degree"], "near_degree")
+    far = _real(graph.get("far_degree", 0.0), "far_degree")
+    if template.k_q == 0 and far != 0.0:
+        raise ConfigError("far_degree given but the template has no far clusters")
+    q = far / (template.k_q * eta) if template.k_q > 0 else 0.0
+    return TMParams(template, n, near / (template.k_p * eta), q)
 
 
-def _coin_law(config: ExperimentConfig, value: float | None) -> tuple[int, float, int] | None:
-    """(s, z, r_max) of a coinflip config at one sweep point, or None for a threshold law."""
-    cf = config.raw["thresholds"].get("coinflip")
-    if cf is None:
-        return None
-    coin_z = config.raw["sweep"]["axis"] == "coin_z" and value is not None
-    return int(cf["s"]), float(value if coin_z else cf["z"]), int(cf["r_max"])
-
-
-def distribution_at(config: ExperimentConfig, value: float | None) -> ThresholdDistribution:
-    """Threshold distribution at one sweep point (value=None for the base law)."""
-    coin = _coin_law(config, value)
-    if coin is not None:
-        s, z, r_max = coin
-        return coinflip_reduce(CoinflipModel({s: 1.0}, z, r_max))
-    zeta = {int(r): float(w) for r, w in config.raw["thresholds"]["zeta"].items()}
-    if config.raw["sweep"]["axis"] == "zeta_fraction" and value is not None:
-        high = int(config.raw["sweep"].get("threshold", max(zeta)))
-        low = int(config.raw["sweep"].get("complement", min(zeta)))
+def _law_at(thresholds: Mapping[str, Any], sweep: Mapping[str, Any], value):
+    """Threshold law at one sweep point, with the (s, z, r_max) of a coinflip law or None."""
+    axis, cf = sweep["axis"], thresholds.get("coinflip")
+    if cf is not None:
+        s, z, r_max = int(cf["s"]), float(value if axis == "coin_z" else cf["z"]), int(cf["r_max"])
+        return coinflip_reduce(CoinflipModel({s: 1.0}, z, r_max)), (s, z, r_max)
+    zeta = {int(r): float(w) for r, w in thresholds["zeta"].items()}
+    if axis == "zeta_fraction":
+        high = int(sweep.get("threshold", max(zeta)))
+        low = int(sweep.get("complement", min(zeta)))
         zeta = {low: 1.0 - float(value), high: float(value)}
         zeta = {r: w for r, w in zeta.items() if w > 0.0}
-    return ThresholdDistribution.from_mapping(zeta)
+    return ThresholdDistribution.from_mapping(zeta), None
 
 
 @dataclass
@@ -347,12 +353,9 @@ _DICHOTOMY_COLUMNS = [
 
 def analytic_summary(config: ExperimentConfig) -> list[dict]:
     """Critical seed size and assumption report for every sweep point."""
-    params = params_from_config(config)
     rows = []
-    for idx, value in enumerate(config.sweep_values):
-        dist = distribution_at(config, value)
-        model = AnalyticModel(params, dist)
-        result = critical_seed(model)
+    for idx, (value, law) in enumerate(zip(config.sweep_values, config.laws)):
+        result = critical_seed(AnalyticModel(config.params, law))
         rows.append(
             {
                 "point": idx,
@@ -372,37 +375,22 @@ def _factor_key(factor: float) -> int:
 
 
 def _dichotomy_graph_task(args: tuple) -> list[dict]:
-    raw, point_idx, graph_idx, result = args
-    config = ExperimentConfig(raw)
-    params = params_from_config(config)
+    config, point_idx, graph_idx, result, seed_counts = args
+    params, seed = config.params, config.master_seed
     value = config.sweep_values[point_idx]
-    phi_crit = result.phi_critical
-    seed = config.master_seed
     engine_config = EngineConfig(stop_fraction=config.stop_fraction)
     g = sample_graph(params, rngutil.substream(seed, rngutil.GRAPH, point_idx, graph_idx))
-    coin = _coin_law(config, value)
+    coin = config.coins[point_idx] if config.coins else None
     if coin is None:
-        dist = distribution_at(config, value)
-        thresholds = assign_thresholds(
-            dist, params.n, rngutil.substream(seed, rngutil.THRESHOLDS, point_idx, graph_idx)
-        )
+        law_stream = rngutil.substream(seed, rngutil.THRESHOLDS, point_idx, graph_idx)
+        thresholds = assign_thresholds(config.laws[point_idx], params.n, law_stream)
     else:
         cf_base = CoinflipState.uniform(params.n, *coin)
     rows: list[dict] = []
-    seed_counts: list[tuple[float, int]] = []
-    if config.raw["sweep"]["axis"] == "seed_count":
-        seed_counts.append((float("nan"), int(value)))
-    else:
-        for factor in config.raw["seed_factors"]:
-            if phi_crit is None:
-                continue
-            seed_counts.append((factor, int(round(factor * phi_crit))))
     for factor, count in seed_counts:
         for trial in range(config.trials):
             key = (point_idx, graph_idx, trial, _factor_key(factor))
-            seeds = select_seeds(
-                min(count, params.n), params.n, rngutil.substream(seed, rngutil.SEEDS, *key)
-            )
+            seeds = select_seeds(count, params.n, rngutil.substream(seed, rngutil.SEEDS, *key))
             if coin is None:
                 trace = run_standard(g, thresholds, seeds, engine_config)
             else:
@@ -419,7 +407,7 @@ def _dichotomy_graph_task(args: tuple) -> list[dict]:
                     "verdict": trace.verdict,
                     "final_fraction": trace.final_fraction,
                     "tau_end": trace.tau_end,
-                    "phi_critical": phi_crit,
+                    "phi_critical": result.phi_critical,
                     "t_star": result.t_star,
                     "within_theory": result.assumptions.within_theory,
                 }
@@ -428,14 +416,25 @@ def _dichotomy_graph_task(args: tuple) -> list[dict]:
 
 
 def run_dichotomy(config: ExperimentConfig, jobs: int = 1) -> ResultTable:
-    """Simulate around the analytic critical seed size for every sweep point."""
+    """Simulate around the analytic critical seed size for every sweep point.
+
+    Every seed count is checked against n before any graph is sampled.
+    """
     if config.intervention is not None:
         raise ConfigError("dichotomy configs must not carry an intervention section")
-    params = params_from_config(config)
+    n = config.params.n
     tasks = []
-    for point_idx, value in enumerate(config.sweep_values):
-        result = critical_seed(AnalyticModel(params, distribution_at(config, value)))
-        tasks.extend((config.raw, point_idx, g_idx, result) for g_idx in range(config.graphs))
+    for point_idx, (value, law) in enumerate(zip(config.sweep_values, config.laws)):
+        result = critical_seed(AnalyticModel(config.params, law))
+        phi_crit = result.phi_critical
+        if config.axis == "seed_count":
+            counts = [(math.nan, value)]
+        else:  # no runs at a point without a finite critical seed
+            factors = config.seed_factors if phi_crit is not None else ()
+            counts = [(factor, int(round(factor * phi_crit))) for factor in factors]
+        if any(count > n for _, count in counts):
+            raise ConfigError(f"sweep value {value!r}: seed counts {counts} exceed n = {n}")
+        tasks.extend((config, point_idx, g_idx, result, counts) for g_idx in range(config.graphs))
     rows: list[dict] = []
     for chunk in _execute(tasks, _dichotomy_graph_task, jobs):
         rows.extend(chunk)
@@ -488,20 +487,20 @@ def _variant_at(section: Mapping[str, Any], alpha: float, thresholds: tuple[int,
         z_prime = float(section.get("z_prime", alpha))
         return Delay(z_prime, int(section.get("r_max_prime", 20)))
     if kind == "diminish":
-        return Diminish(alpha, alpha * float(section.get("alpha_q_ratio", 1.0)))
+        return Diminish(alpha, alpha * float(section["alpha_q_ratio"]))
     if kind == "sequester":
-        return Sequester(alpha, alpha * float(section.get("alpha_q_ratio", 1.0)))
+        return Sequester(alpha, alpha * float(section["alpha_q_ratio"]))
     raise ConfigError(f"unknown intervention variant {kind!r}")
 
 
 def _baseline_seed_count(config: ExperimentConfig) -> int:
     """Seed count of the baseline runs: given, or a factor of the critical seed."""
-    section = config.intervention
-    params = params_from_config(config)
+    section, params = config.intervention, config.params
     if "baseline_seed_count" in section:
         count = section["baseline_seed_count"]
     else:
-        phi_crit = critical_seed(AnalyticModel(params, distribution_at(config, None))).phi_critical
+        # the alpha axis keeps the configured law at every point: laws[0] is the baseline's
+        phi_crit = critical_seed(AnalyticModel(params, config.laws[0])).phi_critical
         if phi_crit is None:
             raise ConfigError("baseline has no finite critical seed; set baseline_seed_count")
         count = int(round(section["baseline_seed_factor"] * phi_crit))
@@ -511,22 +510,17 @@ def _baseline_seed_count(config: ExperimentConfig) -> int:
 
 
 def _intervention_graph_task(args: tuple) -> list[dict]:
-    raw, graph_idx, baseline = args
-    config = ExperimentConfig(raw)
-    section = config.intervention
-    assert section is not None
-    params = params_from_config(config)
-    dist = distribution_at(config, None)
-    seed = config.master_seed
+    config, graph_idx, baseline = args
+    section, params, seed = config.intervention, config.params, config.master_seed
     g = sample_graph(params, rngutil.substream(seed, rngutil.GRAPH, 0, graph_idx))
     thresholds = assign_thresholds(
-        dist, params.n, rngutil.substream(seed, rngutil.THRESHOLDS, 0, graph_idx)
+        config.laws[0], params.n, rngutil.substream(seed, rngutil.THRESHOLDS, 0, graph_idx)
     )
     seeds = select_seeds(
         baseline, params.n, rngutil.substream(seed, rngutil.SEEDS, 0, graph_idx)
     )
-    engine_config = EngineConfig(stop_fraction=float(section["stop_fraction"]))
-    lam = float(section["lambda"])
+    engine_config = EngineConfig(stop_fraction=section["stop_fraction"])
+    lam = section["lambda"]
     thresholds_present = tuple(np.flatnonzero(np.bincount(thresholds)).tolist())
     probe_spec = InterventionSpec(
         _variant_at(section, float(config.sweep_values[0]), thresholds_present), lam
@@ -604,10 +598,10 @@ def run_intervention(config: ExperimentConfig, jobs: int = 1) -> ResultTable:
     """Trigger, predict, intervene and compare across the sweep grid."""
     if config.intervention is None:
         raise ConfigError("intervention configs need an intervention section")
-    if config.raw["sweep"]["axis"] != "alpha":
+    if config.axis != "alpha":
         raise ConfigError("intervention sweeps use the alpha axis")
     baseline = _baseline_seed_count(config)
-    tasks = [(config.raw, graph_idx, baseline) for graph_idx in range(config.graphs)]
+    tasks = [(config, graph_idx, baseline) for graph_idx in range(config.graphs)]
     rows: list[dict] = []
     for chunk in _execute(tasks, _intervention_graph_task, jobs):
         rows.extend(chunk)

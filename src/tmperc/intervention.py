@@ -644,13 +644,11 @@ def _apply_edge_removal(run: StandardRun, variant: Diminish, rng: np.random.Gene
     run.replace_graph(g.subgraph(keep))
 
 
-def boundary_scan(
-    observed: ObservedState,
-    variant: Variant,
-    params: TMParams,
-    lo_frac: float = 0.001,
-    hi_frac: float = 0.6,
-) -> float:
+_SCAN_LO_FRAC = 0.001
+_SCAN_HI_FRAC = 0.6
+
+
+def boundary_scan(observed: ObservedState, variant: Variant, params: TMParams) -> float:
     """Hypothetical |I(tau)| at which the intervention sits exactly at Phi_J.
 
     Holds the observed growth |I(tau)| - |I(tau-1)| and the cluster and
@@ -674,8 +672,8 @@ def boundary_scan(
             return -math.inf
         return verdict.phi_J - verdict.Phi_J
 
-    lo = max(delta, int(lo_frac * observed.n), 1)
-    hi = min(int(hi_frac * observed.n), observed.n - 1)
+    lo = max(delta, int(_SCAN_LO_FRAC * observed.n), 1)
+    hi = min(int(_SCAN_HI_FRAC * observed.n), observed.n - 1)
     if lo >= hi:
         return math.nan
     f_lo, f_hi = excess(lo), excess(hi)

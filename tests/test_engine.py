@@ -11,7 +11,6 @@ from tmperc import intervention as iv
 from tmperc import template as tpl
 from tmperc.engine import (
     EngineConfig,
-    EngineError,
     StandardRun,
     _gather_neighbors,
     _tally,
@@ -116,17 +115,6 @@ def test_standard_determinism():
     b = run_standard(g, thresholds, seeds)
     assert np.array_equal(a.totals, b.totals)
     assert np.array_equal(a.final_infected, b.final_infected)
-
-
-def test_generation_cap_raises():
-    g = path_graph(6)
-    with pytest.raises(EngineError):
-        run_standard(
-            g,
-            np.ones(6, dtype=int),
-            np.array([0]),
-            EngineConfig(stop_fraction=1.0, max_generations=2),
-        )
 
 
 def path_to_trigger(lam: float) -> tuple[StandardRun, bool]:

@@ -63,7 +63,7 @@ def test_degree_shorthand_matches_paper_parameterization():
             }
         )
     )
-    params = harness.params_from_config(config)
+    params = config.params
     assert params.p == pytest.approx(50 / (3 * 10000))
     assert params.q == pytest.approx(50 / (7 * 10000))
     k20 = harness.load_config(
@@ -76,7 +76,7 @@ def test_degree_shorthand_matches_paper_parameterization():
             }
         )
     )
-    params20 = harness.params_from_config(k20)
+    params20 = k20.params
     assert params20.p == pytest.approx(100 / (3 * 10000))
     assert params20.q == pytest.approx(100 / (17 * 10000))
 
@@ -362,8 +362,70 @@ def test_config_rejects_out_of_range_sweep_and_count_values(raw):
         harness.load_config(raw)
 
 
+def _graph_config(template, **graph):
+    return base_config(graph={"template": template, "n": 1000, **graph})
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _graph_config({"kind": "hexagon"}, p=0.01),
+        _graph_config({"kind": "ring", "k": 10, "reach": 1}, n=1005, p=0.01),
+        _graph_config({"kind": "single"}, p=1.5),
+        _graph_config({"kind": "planted", "k": 2}, p=0.001, q=0.01),
+        _graph_config({"kind": "single"}, n=0, p=0.01),
+        _graph_config({"kind": "ring", "reach": 1}, p=0.01),
+        _graph_config({"kind": "single"}, near_degree=5.0, far_degree=5.0),
+        _graph_config({"kind": "single"}, p=0.01, far_degree=5.0),
+        _graph_config({"kind": "single"}, n="1000", p=0.01),
+        _graph_config({"kind": "single"}, p="0.01"),
+        base_config(epsilon="0.1"),
+        base_config(stop_fraction=None),
+        _intervention_config(**{"lambda": "0.1"}),
+    ],
+    ids=[
+        "unknown-template-kind",
+        "n-not-divisible-by-k",
+        "p-above-1",
+        "q-above-p",
+        "n-zero",
+        "ring-without-k",
+        "far_degree-on-single-block",
+        "p-with-far_degree",
+        "n-string",
+        "p-string",
+        "epsilon-string",
+        "stop_fraction-null",
+        "lambda-string",
+    ],
+)
+def test_config_rejects_bad_graph_and_scalars_at_load(raw):
+    with pytest.raises(ConfigError):
+        harness.load_config(raw)
+
+
+def _n200(**overrides):
+    # critical seed 2 at every sweep point
+    graph = {"template": {"kind": "single"}, "n": 200, "p": 0.05}
+    return base_config(graph=graph, thresholds={"zeta": {"2": 1.0}}, **overrides)
+
+
+def test_seed_counts_above_n_fail_before_any_graph(monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("sampled a graph before the seed counts were checked")
+
+    monkeypatch.setattr(harness, "sample_graph", no_graph)
+    with pytest.raises(ConfigError, match="seed_count 5000"):
+        harness.load_config(_n200(sweep={"axis": "seed_count", "values": [10, 5000]}))
+    config = harness.load_config(_n200(sweep={"axis": "none", "values": [0]}, seed_factors=[1, 500]))
+    assert harness.analytic_summary(config)[0]["phi_critical"] == 2
+    with pytest.raises(ConfigError, match="exceed n = 200"):
+        harness.run_dichotomy(config)
+
+
 def test_config_accepts_sweep_and_count_boundaries():
     for raw in (
+        _sweep_config("seed_count", 1000),
         _sweep_config("zeta_fraction", 1.0),
         _sweep_config("coin_z", 1.0),
         _sweep_config("seed_count", 0),
@@ -386,7 +448,7 @@ def test_cli_seed_override_is_validated_and_keeps_the_config_hash(tmp_path, monk
     overridden = cli._load(args)
     assert overridden.master_seed == 12
     # the hash of a valid override is the one the raw dict with that seed gets
-    expected = harness.ExperimentConfig({**harness.load_config(str(path)).raw, "master_seed": 12})
+    expected = harness.load_config({**harness.load_config(str(path)).raw, "master_seed": 12})
     assert harness.config_hash(overridden) == harness.config_hash(expected)
     assert overridden.raw == expected.raw
 
@@ -480,7 +542,7 @@ def test_coinflip_sweep_path():
     )
     table = harness.run_dichotomy(config)
     assert len(table.rows) == 4  # two factors, two trials
-    dist = harness.distribution_at(config, 1.0)
+    dist = config.laws[0]
     assert dist.zeta[1] == 1.0  # z = 1 collapses to threshold s + 1
 
 
