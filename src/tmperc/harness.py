@@ -3,9 +3,9 @@
 Configs are JSON with nested sections; unknown keys are rejected so typos
 fail loudly.  ``load_config`` parses a config once: it checks every field,
 sets every default and builds the graph parameters and each sweep point's
-law, so a bad config fails before any work and the drivers and their
-workers read only typed fields.  The normalized dict ``raw`` is kept only
-as the input of ``config_hash``.  Every row of a result table is
+law and intervention, so a bad config fails before any work and the drivers
+and their workers read only typed fields.  The normalized dict ``raw`` is
+kept only as the input of ``config_hash``.  Every row of a result table is
 regenerable from the config plus the master seed: each (sweep point,
 graph, trial) work item draws from its own RNG substream, and rows are
 sorted canonically, so parallel and serial execution emit identical files.
@@ -21,8 +21,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
-import numpy as np
-
 from . import rngutil
 from .analytic import AnalyticModel, CoinflipModel, coinflip_reduce, critical_seed
 from .engine import (
@@ -33,7 +31,6 @@ from .engine import (
 )
 from .intervention import (
     Bolster,
-    Delay,
     Diminish,
     InterventionSpec,
     Sequester,
@@ -115,12 +112,24 @@ _TOP_KEYS = {
 
 
 @dataclass(frozen=True)
+class InterventionPlan:
+    """An alpha sweep's intervention section: ``specs[i]`` acts at sweep point i."""
+
+    alphas: tuple[float, ...]
+    specs: tuple[InterventionSpec, ...]
+    stop_fraction: float
+    baseline_seed_count: int | None  # None: a factor of the critical seed
+    baseline_seed_factor: float
+    compute_boundary: bool
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A parsed experiment: the typed fields every driver and worker reads.
 
-    ``load_config`` is the only parser and builds the graph parameters and
-    each sweep point's law once.  ``raw`` is the normalized dict, kept only as
-    the input of ``config_hash`` and for the CLI ``--seed`` override to reload.
+    ``load_config`` is the only parser and builds the graph parameters, each
+    sweep point's law and the intervention plan once.  ``raw`` is the normalized
+    dict, kept only for ``config_hash`` and for the CLI ``--seed`` override.
     """
 
     raw: dict
@@ -136,7 +145,7 @@ class ExperimentConfig:
     params: TMParams
     laws: tuple[ThresholdDistribution, ...]  # one per sweep point
     coins: tuple[tuple[int, float, int], ...] | None  # (s, z, r_max) per point of a coinflip config
-    intervention: dict | None  # the normalized section, defaults set
+    intervention: InterventionPlan | None  # alpha sweeps only
     output: str | None
 
 
@@ -144,6 +153,28 @@ def _real(value: Any, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} {value!r} is not a number")
     return float(value)
+
+
+def _integer(value: Any, key: str, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{key} {value!r} is not an integer >= {low}")
+    return value
+
+
+def _key(key: Any, where: str) -> int:
+    """An integer written as a JSON object key, such as the "2" of {"2": 0.5}."""
+    return _integer(int(key) if isinstance(key, str) and key.isdecimal() else key, where, 0)
+
+
+def _weights(law: Mapping[Any, Any], where: str) -> dict[int, float]:
+    """A threshold law written as {"2": 0.5, "3": 0.5}."""
+    return {_key(r, f"{where} threshold"): _real(w, f"{where} weight") for r, w in law.items()}
+
+
+def _flag(value: Any, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} {value!r} is not true or false")
+    return value
 
 
 def _fraction(value: Any, key: str, ends: str) -> float:
@@ -210,6 +241,8 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
     out["sweep"] = sweep
     section = out.get("intervention")
     if section is not None:
+        if sweep["axis"] != "alpha":
+            raise ConfigError("intervention sweeps use the alpha axis")
         section = dict(section)
         _require_keys(section, _INTERVENTION_KEYS, "intervention")
         section.setdefault("lambda", 0.1)
@@ -219,43 +252,51 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
         # post-intervention threshold mixes finish near 90%, so the spread
         # verdict for continuations uses a lower cutoff by default
         section.setdefault("stop_fraction", 0.8)
-        _fraction(section["lambda"], "intervention lambda", "()")
-        _fraction(section["stop_fraction"], "intervention stop_fraction", "(]")
+        lam = _fraction(section["lambda"], "intervention lambda", "()")
         out["intervention"] = section
-    n = graph["n"]
-    counts = [("n", n, 1), ("master_seed", out["master_seed"], 0)]
-    counts += [(key, out[key], 1) for key in ("graphs", "trials")]
+    n = _integer(graph["n"], "n", 1)
+    master_seed = _integer(out["master_seed"], "master_seed", 0)
+    graphs = _integer(out["graphs"], "graphs", 1)
+    trials = _integer(out["trials"], "trials", 1)
     if sweep["axis"] == "seed_count":
-        counts += [("seed_count", value, 0) for value in sweep["values"]]
-    if section is not None and "baseline_seed_count" in section:
-        counts.append(("baseline_seed_count", section["baseline_seed_count"], 0))
-    for key, value, low in counts:
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ConfigError(f"{key} {value!r} is not an integer >= {low}")
-    if sweep["axis"] == "seed_count" and max(sweep["values"]) > n:
-        raise ConfigError(f"seed_count {max(sweep['values'])} is above n = {n}")
+        for value in sweep["values"]:
+            if _integer(value, "seed_count", 0) > n:
+                raise ConfigError(f"seed_count {value} is above n = {n}")
     try:
         params = _graph_params(graph)
     except KeyError as exc:
         raise ConfigError(f"graph.template needs {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"graph: {exc}") from exc
-    points = []
+    points, specs = [], []
     for value in sweep["values"]:
-        # each point meets the library's own checks; any one threshold tests alpha
+        # each point meets the library's own checks
         try:
             points.append(_law_at(thresholds, sweep, value))
-            if sweep["axis"] == "alpha" and section is not None:
-                _variant_at(section, float(value), (1,))
-        except (KeyError, TypeError, ValueError) as exc:
+            if section is not None:  # the alpha axis keeps the configured law and its thresholds
+                drawable = tuple(r for r, w in enumerate(points[-1][0].zeta, 1) if w > 0)
+                variant = _variant_at(section, _real(value, "alpha"), drawable)
+                specs.append(InterventionSpec(variant, lam))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"sweep value {value!r}: {exc}") from exc
     laws, coins = zip(*points)
+    plan = None
+    if section is not None:
+        count = section.get("baseline_seed_count")
+        plan = InterventionPlan(
+            alphas=tuple(_real(value, "alpha") for value in sweep["values"]),
+            specs=tuple(specs),
+            stop_fraction=_fraction(section["stop_fraction"], "intervention stop_fraction", "(]"),
+            baseline_seed_count=None if count is None else _integer(count, "baseline_seed_count", 0),
+            baseline_seed_factor=_real(section["baseline_seed_factor"], "baseline_seed_factor"),
+            compute_boundary=_flag(section["compute_boundary"], "compute_boundary"),
+        )
     return ExperimentConfig(
         raw=out,
         name=out["name"],
-        master_seed=out["master_seed"],
-        graphs=out["graphs"],
-        trials=out["trials"],
+        master_seed=master_seed,
+        graphs=graphs,
+        trials=trials,
         epsilon=epsilon,
         stop_fraction=stop_fraction,
         seed_factors=tuple(factors),
@@ -264,7 +305,7 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
         params=params,
         laws=laws,
         coins=coins if "coinflip" in thresholds else None,
-        intervention=section,
+        intervention=plan,
         output=out.get("output"),
     )
 
@@ -281,13 +322,13 @@ def _graph_params(graph: Mapping[str, Any]) -> TMParams:
     if kind == "single":
         template = make_single()
     elif kind == "ring":
-        template = make_ring(int(spec["k"]), int(spec["reach"]))
+        template = make_ring(_integer(spec["k"], "ring k", 1), _integer(spec["reach"], "reach", 0))
     elif kind == "cube3":
         template = make_cube3()
     elif kind == "planted":
-        template = make_planted(int(spec["k"]))
+        template = make_planted(_integer(spec["k"], "template k", 1))
     elif kind == "custom":
-        template = from_neighbors({int(i): set(v) for i, v in spec["neighbors"].items()})
+        template = from_neighbors({_key(i, "cluster"): set(v) for i, v in spec["neighbors"].items()})
     else:
         raise ConfigError(f"unknown template kind {kind!r}")
     if "p" in graph:
@@ -305,13 +346,15 @@ def _law_at(thresholds: Mapping[str, Any], sweep: Mapping[str, Any], value):
     """Threshold law at one sweep point, with the (s, z, r_max) of a coinflip law or None."""
     axis, cf = sweep["axis"], thresholds.get("coinflip")
     if cf is not None:
-        s, z, r_max = int(cf["s"]), float(value if axis == "coin_z" else cf["z"]), int(cf["r_max"])
+        s, r_max = _integer(cf["s"], "coinflip s", 0), _integer(cf["r_max"], "coinflip r_max", 1)
+        z = _real(value if axis == "coin_z" else cf["z"], "coin probability")
         return coinflip_reduce(CoinflipModel({s: 1.0}, z, r_max)), (s, z, r_max)
-    zeta = {int(r): float(w) for r, w in thresholds["zeta"].items()}
+    zeta = _weights(thresholds["zeta"], "zeta")
     if axis == "zeta_fraction":
-        high = int(sweep.get("threshold", max(zeta)))
-        low = int(sweep.get("complement", min(zeta)))
-        zeta = {low: 1.0 - float(value), high: float(value)}
+        high = _integer(sweep.get("threshold", max(zeta)), "sweep threshold", 1)
+        low = _integer(sweep.get("complement", min(zeta)), "sweep complement", 1)
+        fraction = _real(value, "zeta_fraction")
+        zeta = {low: 1.0 - fraction, high: fraction}
         zeta = {r: w for r, w in zeta.items() if w > 0.0}
     return ThresholdDistribution.from_mapping(zeta), None
 
@@ -468,6 +511,7 @@ _INTERVENTION_COLUMNS = [
 
 
 def _variant_at(section: Mapping[str, Any], alpha: float, thresholds: tuple[int, ...]):
+    """The intervention at one alpha point; its threshold laws cover ``thresholds``."""
     kind = section["variant"]
     if kind == "bolster_a":
         return bolster_a(alpha, thresholds)
@@ -475,35 +519,45 @@ def _variant_at(section: Mapping[str, Any], alpha: float, thresholds: tuple[int,
         return bolster_b(alpha, thresholds)
     if kind == "bolster":
         law = {
-            int(r): {int(v): float(w) for v, w in inner.items()}
+            _key(r, "zeta_prime threshold"): _weights(inner, "zeta_prime")
             for r, inner in section["zeta_prime"].items()
         }
+        missing = sorted(set(thresholds) - set(law))
+        if missing:
+            raise ConfigError(f"zeta_prime has no law for drawable thresholds {missing}")
         return Bolster(
             law,
-            allow_weaken=bool(section.get("allow_weaken", False)),
-            save_vertices=bool(section.get("save_vertices", False)),
+            allow_weaken=_flag(section.get("allow_weaken", False), "allow_weaken"),
+            save_vertices=_flag(section.get("save_vertices", False), "save_vertices"),
         )
     if kind == "delay":
-        z_prime = float(section.get("z_prime", alpha))
-        return Delay(z_prime, int(section.get("r_max_prime", 20)))
+        # cutting the coin probability to z' is the geometric bolster that
+        # preflips the coins of a vertex one contact short of threshold r
+        z_prime = _real(section.get("z_prime", alpha), "z_prime")
+        r_max_prime = _integer(section.get("r_max_prime", 20), "r_max_prime", 1)
+        law = {}
+        for r in thresholds:
+            coins = CoinflipModel({r - 1: 1.0}, z_prime, max(r_max_prime, r))
+            law[r] = {v: w for v, w in enumerate(coinflip_reduce(coins).zeta, 1) if v >= r}
+        return Bolster(law)
+    alpha_q = alpha * _real(section["alpha_q_ratio"], "alpha_q_ratio")
     if kind == "diminish":
-        return Diminish(alpha, alpha * float(section["alpha_q_ratio"]))
+        return Diminish(alpha, alpha_q)
     if kind == "sequester":
-        return Sequester(alpha, alpha * float(section["alpha_q_ratio"]))
+        return Sequester(alpha, alpha_q)
     raise ConfigError(f"unknown intervention variant {kind!r}")
 
 
 def _baseline_seed_count(config: ExperimentConfig) -> int:
     """Seed count of the baseline runs: given, or a factor of the critical seed."""
-    section, params = config.intervention, config.params
-    if "baseline_seed_count" in section:
-        count = section["baseline_seed_count"]
-    else:
+    plan, params = config.intervention, config.params
+    count = plan.baseline_seed_count
+    if count is None:
         # the alpha axis keeps the configured law at every point: laws[0] is the baseline's
         phi_crit = critical_seed(AnalyticModel(params, config.laws[0])).phi_critical
         if phi_crit is None:
             raise ConfigError("baseline has no finite critical seed; set baseline_seed_count")
-        count = int(round(section["baseline_seed_factor"] * phi_crit))
+        count = int(round(plan.baseline_seed_factor * phi_crit))
     if not 0 <= count < params.n:
         raise ConfigError(f"baseline seed count {count} is not in [0, n = {params.n})")
     return count
@@ -511,7 +565,7 @@ def _baseline_seed_count(config: ExperimentConfig) -> int:
 
 def _intervention_graph_task(args: tuple) -> list[dict]:
     config, graph_idx, baseline = args
-    section, params, seed = config.intervention, config.params, config.master_seed
+    plan, params, seed = config.intervention, config.params, config.master_seed
     g = sample_graph(params, rngutil.substream(seed, rngutil.GRAPH, 0, graph_idx))
     thresholds = assign_thresholds(
         config.laws[0], params.n, rngutil.substream(seed, rngutil.THRESHOLDS, 0, graph_idx)
@@ -519,13 +573,8 @@ def _intervention_graph_task(args: tuple) -> list[dict]:
     seeds = select_seeds(
         baseline, params.n, rngutil.substream(seed, rngutil.SEEDS, 0, graph_idx)
     )
-    engine_config = EngineConfig(stop_fraction=section["stop_fraction"])
-    lam = section["lambda"]
-    thresholds_present = tuple(np.flatnonzero(np.bincount(thresholds)).tolist())
-    probe_spec = InterventionSpec(
-        _variant_at(section, float(config.sweep_values[0]), thresholds_present), lam
-    )
-    run, triggered = run_to_trigger(g, thresholds, seeds, probe_spec, engine_config)
+    engine_config = EngineConfig(stop_fraction=plan.stop_fraction)
+    run, triggered = run_to_trigger(g, thresholds, seeds, plan.specs[0], engine_config)
     rows: list[dict] = []
     if not triggered:
         rows.append(
@@ -552,12 +601,9 @@ def _intervention_graph_task(args: tuple) -> list[dict]:
         return rows
     observed = snapshot_observed(run)
     profile = build_profile(observed, params)
-    for point_idx, value in enumerate(config.sweep_values):
-        alpha = float(value)
-        variant = _variant_at(section, alpha, thresholds_present)
-        surrogate = build_surrogate(observed, variant, params, profile)
+    for point_idx, (alpha, spec) in enumerate(zip(plan.alphas, plan.specs)):
+        surrogate = build_surrogate(observed, spec.variant, params, profile)
         verdict = predict(surrogate, config.epsilon)
-        spec = InterventionSpec(variant, lam)
         trace = apply_in_simulation(
             run.clone(),
             spec,
@@ -568,8 +614,8 @@ def _intervention_graph_task(args: tuple) -> list[dict]:
         # a run that had finished before the intervention acted is not scored
         agree = None if expected is None or run.verdict is not None else actual == expected
         boundary = math.nan
-        if section["compute_boundary"]:
-            boundary = boundary_scan(observed, variant, params)
+        if plan.compute_boundary:
+            boundary = boundary_scan(observed, spec.variant, params)
         rows.append(
             {
                 "point": point_idx,
@@ -598,8 +644,6 @@ def run_intervention(config: ExperimentConfig, jobs: int = 1) -> ResultTable:
     """Trigger, predict, intervene and compare across the sweep grid."""
     if config.intervention is None:
         raise ConfigError("intervention configs need an intervention section")
-    if config.axis != "alpha":
-        raise ConfigError("intervention sweeps use the alpha axis")
     baseline = _baseline_seed_count(config)
     tasks = [(config, graph_idx, baseline) for graph_idx in range(config.graphs)]
     rows: list[dict] = []

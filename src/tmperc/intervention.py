@@ -29,7 +29,6 @@ from .tmgraph import SampledGraph, TMParams, ThresholdDistribution
 
 __all__ = [
     "Bolster",
-    "Delay",
     "Diminish",
     "Sequester",
     "InterventionSpec",
@@ -39,7 +38,6 @@ __all__ = [
     "Verdict",
     "bolster_a",
     "bolster_b",
-    "delay_to_bolster",
     "residual_tm",
     "build_profile",
     "thin_residual",
@@ -94,24 +92,6 @@ class Bolster:
 
 
 @dataclass(frozen=True)
-class Delay:
-    """Lower the coin probability to z_prime for the rest of the run.
-
-    Equivalent to a geometric bolster: old threshold r maps to j >= r with
-    probability (1-z')^(j-r) * z', leftover mass on the cap r_max_prime.
-    """
-
-    z_prime: float
-    r_max_prime: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.z_prime <= 1.0:
-            raise ValueError(f"z_prime={self.z_prime} outside (0, 1]")
-        if self.r_max_prime < 1:
-            raise ValueError("r_max_prime must be >= 1")
-
-
-@dataclass(frozen=True)
 class Diminish:
     """Delete every near edge w.p. 1-alpha_p and far edge w.p. 1-alpha_q."""
 
@@ -128,7 +108,7 @@ class Sequester(Diminish):
     """Like Diminish, but only edges incident to an infected vertex are at risk."""
 
 
-Variant = Bolster | Delay | Diminish | Sequester
+Variant = Bolster | Diminish | Sequester
 
 
 @dataclass(frozen=True)
@@ -143,13 +123,14 @@ class InterventionSpec:
             raise ValueError(f"trigger fraction {self.trigger_fraction} outside (0, 1)")
 
 
+def _raise_by(steps: Mapping[int, float], thresholds: tuple[int, ...]) -> Bolster:
+    """Raise each threshold r to r + d with probability ``steps[d]``."""
+    return Bolster({r: {r + d: w for d, w in steps.items() if w > 0} for r in thresholds})
+
+
 def bolster_a(alpha: float, thresholds: tuple[int, ...]) -> Bolster:
     """Raise by one w.p. alpha, by two w.p. 1-alpha (strategy A of the sweeps)."""
-    law = {
-        r: {v: w for v, w in {r + 1: alpha, r + 2: 1.0 - alpha}.items() if w > 0}
-        for r in thresholds
-    }
-    return Bolster(law)
+    return _raise_by({1: alpha, 2: 1.0 - alpha}, thresholds)
 
 
 def bolster_b(alpha: float, thresholds: tuple[int, ...]) -> Bolster:
@@ -158,31 +139,7 @@ def bolster_b(alpha: float, thresholds: tuple[int, ...]) -> Bolster:
     Matches strategy A's expected new threshold r + 2 - alpha while spreading
     the mass two apart.
     """
-    law = {
-        r: {
-            v: w
-            for v, w in {r + 1: 0.5 + alpha / 2.0, r + 3: 0.5 - alpha / 2.0}.items()
-            if w > 0
-        }
-        for r in thresholds
-    }
-    return Bolster(law)
-
-
-def delay_to_bolster(delay: Delay, thresholds: tuple[int, ...]) -> Bolster:
-    """Expand a coin-probability cut into its geometric threshold reassignment."""
-    z = delay.z_prime
-    law: dict[int, dict[int, float]] = {}
-    for r in thresholds:
-        cap = max(delay.r_max_prime, r)
-        inner: dict[int, float] = {}
-        stay = 1.0
-        for j in range(r, cap):
-            inner[j] = stay * z
-            stay *= 1.0 - z
-        inner[cap] = inner.get(cap, 0.0) + stay
-        law[r] = inner
-    return Bolster(law)
+    return _raise_by({1: 0.5 + alpha / 2.0, 3: 0.5 - alpha / 2.0}, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +420,12 @@ def build_surrogate(
     A healthy vertex with old threshold r and exposure a < r draws new
     threshold r' from the variant's law and lands at residual threshold
     s = r' - a; exposure a >= r means the vertex is already doomed and joins
-    the seed mass.  Delay is its geometric Bolster.  Diminish and Sequester
-    thin the residual exposures by the retention rates and keep every
-    threshold (the identity law); only Diminish also thins the surrogate's
-    future edges, since Sequester spares healthy-healthy edges.
+    the seed mass.  Diminish and Sequester thin the residual exposures by the
+    retention rates and keep every threshold (the identity law); only
+    Diminish also thins the surrogate's future edges, since Sequester spares
+    healthy-healthy edges.
     """
-    if not isinstance(variant, (Bolster, Delay, Diminish)):
+    if not isinstance(variant, (Bolster, Diminish)):
         raise TypeError(f"unknown intervention variant {variant!r}")
     profile = profile or build_profile(observed, params)
     flags = {
@@ -478,8 +435,6 @@ def build_surrogate(
         "cluster_heterogeneous": profile.cluster_tv_max > 0.05,
     }
     p, q = params.p, params.q
-    if isinstance(variant, Delay):
-        variant = delay_to_bolster(variant, tuple(sorted(observed.healthy_by_threshold)))
     if isinstance(variant, Bolster):
         flags["modification2"] = variant.allow_weaken
         bolster = variant
@@ -603,9 +558,6 @@ def apply_in_simulation(
 ) -> "PercolationTrace":
     """Mutate a triggered run according to the variant and finish it."""
     variant = spec.variant
-    if isinstance(variant, Delay):
-        thresholds = tuple(np.flatnonzero(np.bincount(run.thresholds[~run.infected])).tolist())
-        variant = delay_to_bolster(variant, thresholds)
     if isinstance(variant, Bolster):
         _apply_bolster(run, variant, rng)
     elif isinstance(variant, Diminish):

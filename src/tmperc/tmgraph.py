@@ -99,6 +99,8 @@ class ThresholdDistribution:
     zeta: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        # Python floats, so the reports derived from the law hold JSON-ready bools
+        object.__setattr__(self, "zeta", tuple(float(z) for z in self.zeta))
         if len(self.zeta) == 0:
             raise ValueError("threshold distribution needs at least one entry")
         if any(z < 0 for z in self.zeta):

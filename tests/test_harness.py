@@ -3,6 +3,7 @@ import concurrent.futures
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -186,15 +187,16 @@ def test_single_point_single_trial_row_count():
 
 
 def test_dichotomy_rejects_intervention_config():
-    config = harness.load_config(base_config(intervention={"variant": "bolster_a"}))
+    with pytest.raises(ConfigError):
+        harness.load_config(base_config(intervention={"variant": "bolster_a"}))
+    config = harness.load_config(_intervention_config())
     with pytest.raises(ConfigError):
         harness.run_dichotomy(config)
 
 
 def test_intervention_requires_alpha_axis():
-    config = harness.load_config(base_config(intervention={"variant": "bolster_a"}))
-    with pytest.raises(ConfigError):
-        harness.run_intervention(config)
+    with pytest.raises(ConfigError, match="alpha axis"):
+        harness.load_config(base_config(intervention={"variant": "bolster_a"}))
 
 
 def test_intervention_rows_and_no_trigger(tmp_path):
@@ -271,7 +273,8 @@ def test_config_rejects_epsilon_outside_zero_to_one(value):
 def test_config_rejects_intervention_lambda_outside_open_unit_interval(value):
     with pytest.raises(ConfigError, match="lambda"):
         harness.load_config(_intervention_config(**{"lambda": value}))
-    assert harness.load_config(_intervention_config(**{"lambda": 0.5})).intervention["lambda"] == 0.5
+    config = harness.load_config(_intervention_config(**{"lambda": 0.5}))
+    assert config.intervention.specs[0].trigger_fraction == 0.5
 
 
 @pytest.mark.parametrize("value", [0.0, -0.2, 1.5])
@@ -279,7 +282,7 @@ def test_config_rejects_intervention_stop_fraction_outside_unit_interval(value):
     with pytest.raises(ConfigError, match="stop_fraction"):
         harness.load_config(_intervention_config(stop_fraction=value))
     config = harness.load_config(_intervention_config(stop_fraction=1.0))
-    assert config.intervention["stop_fraction"] == 1.0
+    assert config.intervention.stop_fraction == 1.0
 
 
 @pytest.mark.parametrize(
@@ -338,9 +341,9 @@ def _sweep_config(axis, value, **overrides):
         base_config(trials=1.5),
         base_config(master_seed=-3),
         base_config(graphs=True),
-        base_config(intervention={"variant": "diminish", "baseline_seed_count": 2.5}),
-        base_config(intervention={"variant": "diminish", "baseline_seed_count": -1}),
-        base_config(intervention={"variant": "diminish", "baseline_seed_count": True}),
+        _intervention_config(baseline_seed_count=2.5),
+        _intervention_config(baseline_seed_count=-1),
+        _intervention_config(baseline_seed_count=True),
     ],
     ids=[
         "zeta_fraction-1.5",
@@ -404,6 +407,90 @@ def test_config_rejects_bad_graph_and_scalars_at_load(raw):
         harness.load_config(raw)
 
 
+def _coinflip_config(**coin):
+    law = {"s": 1, "z": 0.5, "r_max": 20, **coin}
+    return base_config(thresholds={"coinflip": law}, sweep={"axis": "none", "values": [0]})
+
+
+def _variant_config(variant, zeta=None, **section):
+    raw = base_config(thresholds={"zeta": zeta or {"2": 0.5, "3": 0.5}}, sweep={"axis": "alpha", "values": [0.5]})
+    raw["intervention"] = {"variant": variant, **section}
+    return raw
+
+
+_RAISE_BY_ONE = {"2": {"3": 1.0}, "3": {"4": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _graph_config({"kind": "ring", "k": 10.7, "reach": 1}, p=0.01),
+        _graph_config({"kind": "ring", "k": 10, "reach": 1.9}, p=0.01),
+        _graph_config({"kind": "planted", "k": 2.0}, p=0.01),
+        _graph_config({"kind": "custom", "neighbors": {"0.5": [0]}}, p=0.01),
+        base_config(thresholds={"zeta": {"2": "0.5", "3": "0.5"}}),
+        base_config(thresholds={"zeta": {"2.5": 1.0}}),
+        base_config(sweep={"axis": "zeta_fraction", "threshold": 3.5, "complement": 2, "values": [0.5]}),
+        _coinflip_config(s="1"),
+        _coinflip_config(z="0.5"),
+        _coinflip_config(r_max=20.0),
+        _variant_config("bolster", zeta={"3": 1.0}, zeta_prime={"3": {"2": 1.0}}, allow_weaken="false"),
+        _variant_config("bolster", zeta_prime=_RAISE_BY_ONE, allow_weaken=0),
+        _variant_config("bolster", zeta_prime=_RAISE_BY_ONE, save_vertices="true"),
+        _variant_config("bolster", zeta_prime=_RAISE_BY_ONE, save_vertices=1),
+        _variant_config("bolster", zeta_prime={"2": {"3": "1.0"}, "3": {"4": 1.0}}),
+        _variant_config("bolster_a", compute_boundary="yes"),
+        _variant_config("delay", r_max_prime=8.5),
+        _variant_config("delay", z_prime="0.5"),
+        _variant_config("diminish", alpha_q_ratio="1"),
+    ],
+    ids=[
+        "ring-k-10.7",
+        "ring-reach-1.9",
+        "planted-k-float",
+        "custom-cluster-key-0.5",
+        "zeta-string-weights",
+        "zeta-threshold-2.5",
+        "sweep-threshold-3.5",
+        "coinflip-s-string",
+        "coinflip-z-string",
+        "coinflip-r_max-float",
+        "allow_weaken-string",
+        "allow_weaken-int",
+        "save_vertices-string",
+        "save_vertices-int",
+        "zeta_prime-string-weight",
+        "compute_boundary-string",
+        "r_max_prime-float",
+        "z_prime-string",
+        "alpha_q_ratio-string",
+    ],
+)
+def test_config_rejects_coerced_fields_at_load(raw):
+    with pytest.raises(ConfigError):
+        harness.load_config(raw)
+
+
+def test_custom_bolster_needs_a_law_for_every_drawable_threshold():
+    with pytest.raises(ConfigError, match=r"no law for drawable thresholds \[3\]"):
+        harness.load_config(_variant_config("bolster", zeta_prime={"2": {"3": 1.0}}))
+    config = harness.load_config(_variant_config("bolster", zeta_prime=_RAISE_BY_ONE))
+    assert config.intervention.specs[0].variant.zeta_prime == {2: {3: 1.0}, 3: {4: 1.0}}
+
+
+def test_intervention_plan_holds_one_typed_spec_per_alpha_point():
+    raw = _variant_config("bolster_a", **{"lambda": 0.2})
+    raw["sweep"]["values"] = [0, 0.5, 1]
+    plan = harness.load_config(raw).intervention
+    assert plan.alphas == (0.0, 0.5, 1.0) and all(type(a) is float for a in plan.alphas)
+    assert [spec.trigger_fraction for spec in plan.specs] == [0.2] * 3
+    # every threshold the law can draw has a law, at every point
+    assert [sorted(spec.variant.zeta_prime) for spec in plan.specs] == [[2, 3]] * 3
+    assert plan.specs[1].variant.zeta_prime[3] == {4: 0.5, 5: 0.5}
+    assert (plan.stop_fraction, plan.baseline_seed_count, plan.baseline_seed_factor) == (0.8, None, 1.3)
+    assert plan.compute_boundary is True
+
+
 def _n200(**overrides):
     # critical seed 2 at every sweep point
     graph = {"template": {"kind": "single"}, "n": 200, "p": 0.05}
@@ -432,7 +519,7 @@ def test_config_accepts_sweep_and_count_boundaries():
         _sweep_config("alpha", 0.0, intervention={"variant": "diminish"}),
         _sweep_config("alpha", 1.0, intervention={"variant": "bolster_a"}),
         base_config(master_seed=0, graphs=1, trials=1),
-        base_config(intervention={"variant": "diminish", "baseline_seed_count": 0}),
+        _intervention_config(baseline_seed_count=0),
         base_config(seed_factors=[0, 2.5]),
     ):
         harness.load_config(raw)
@@ -544,6 +631,34 @@ def test_coinflip_sweep_path():
     assert len(table.rows) == 4  # two factors, two trials
     dist = config.laws[0]
     assert dist.zeta[1] == 1.0  # z = 1 collapses to threshold s + 1
+
+
+def test_cli_analytic_prints_json_for_every_bench_and_golden_config(tmp_path, capsys):
+    from test_golden import CONFIGS
+
+    paths = sorted((Path(__file__).resolve().parents[1] / "bench" / "configs").glob("*.json"))
+    assert paths
+    for name, raw in CONFIGS.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(raw))
+    for path in paths:
+        assert cli.main(["analytic", "-c", str(path)]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert rows and all(type(row["within_theory"]) is bool for row in rows), path
+
+
+def test_coinflip_table_outside_theory_writes_json_booleans(tmp_path):
+    # s = 0 puts half the mass on threshold 1, outside the theorem
+    raw = _coinflip_config(s=0)
+    raw["graph"] = {"template": {"kind": "single"}, "n": 1000, "near_degree": 10.0}
+    table = harness.run_dichotomy(harness.load_config(raw))
+    assert table.rows
+    harness.emit(table, str(tmp_path / "s0"))
+    with open(tmp_path / "s0.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert {row["within_theory"] for row in rows} == {"false"}
+    lines = (tmp_path / "s0.jsonl").read_text().splitlines()
+    assert [json.loads(line)["within_theory"] for line in lines[1:]] == [False] * len(rows)
 
 
 def test_cli_analytic_and_validate(tmp_path, capsys):

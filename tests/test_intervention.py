@@ -180,6 +180,20 @@ def test_surrogate_bolster_point_mass_expansion():
     assert surrogate.seed_count == pytest.approx(state.healthy_total * doomed, rel=1e-9)
 
 
+def delay_bolster(z_prime, r_max_prime, zeta):
+    """The Bolster that load_config builds for a delay section."""
+    config = harness.load_config(
+        {
+            "name": "delay-unit",
+            "graph": {"template": {"kind": "single"}, "n": 1000, "p": 0.01},
+            "thresholds": {"zeta": zeta},
+            "sweep": {"axis": "alpha", "values": [0.5]},
+            "intervention": {"variant": "delay", "z_prime": z_prime, "r_max_prime": r_max_prime},
+        }
+    )
+    return config.intervention.specs[0].variant
+
+
 def test_surrogate_mass_balance():
     params, state, profile = uniform_r2_profile()
     for variant in (
@@ -187,7 +201,7 @@ def test_surrogate_mass_balance():
         iv.bolster_b(0.4, (2,)),
         iv.Diminish(0.6, 0.6),
         iv.Sequester(0.6, 0.6),
-        iv.Delay(0.5, 10),
+        delay_bolster(0.5, 10, {"2": 1.0}),
     ):
         surrogate = iv.build_surrogate(state, variant, params, profile)
         balance = surrogate.seed_count / state.healthy_total + surrogate.j.sum()
@@ -195,19 +209,14 @@ def test_surrogate_mass_balance():
 
 
 def test_delay_is_geometric_bolster():
-    thresholds = (2, 3)
-    delay = iv.Delay(0.5, 6)
-    bolster = iv.delay_to_bolster(delay, thresholds)
+    bolster = delay_bolster(0.5, 6, {"2": 0.5, "3": 0.5})
+    assert isinstance(bolster, iv.Bolster)
     law = bolster.zeta_prime[2]
     assert law[2] == pytest.approx(0.5)
     assert law[3] == pytest.approx(0.25)
     assert law[4] == pytest.approx(0.125)
     assert law[6] == pytest.approx(1 - 0.5 - 0.25 - 0.125 - 0.0625)
     assert sum(law.values()) == pytest.approx(1.0)
-    params, state, profile = uniform_r2_profile()
-    via_delay = iv.build_surrogate(state, delay, params, profile)
-    via_bolster = iv.build_surrogate(state, iv.delay_to_bolster(delay, (2,)), params, profile)
-    assert np.allclose(via_delay.j, via_bolster.j)
 
 
 def test_bolster_j_decay_under_gate():
