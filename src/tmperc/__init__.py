@@ -16,7 +16,7 @@ from .analytic import (
     critical_seed,
     coinflip_reduce,
 )
-from .engine import EngineConfig, PercolationTrace, run_standard
+from .engine import PercolationTrace, run_standard
 from .template import TemplateGraph, make_cube3, make_planted, make_ring, make_single
 from .tmgraph import (
     SampledGraph,

@@ -410,13 +410,13 @@ def check_growth_bounds(params: TMParams, r: int, t: int, x: int) -> GrowthBound
 class CoinflipModel:
     """Coinflip dynamics: susceptible after s contacts, then coin z per contact.
 
-    ``s_dist`` gives the law of the susceptibility count; ``z`` is either a
-    single coin probability or a per-susceptibility-class mapping.  Every
-    vertex is unconditionally infected at r_max contacts.
+    ``s_dist`` gives the law of the susceptibility count and ``z`` the coin
+    probability of every class.  Every vertex is unconditionally infected
+    at r_max contacts.
     """
 
     s_dist: Mapping[int, float]
-    z: float | Mapping[int, float]
+    z: float
     r_max: int
 
     def __post_init__(self) -> None:
@@ -431,15 +431,8 @@ class CoinflipModel:
             raise ValueError(
                 f"forcing cap r_max={self.r_max} must exceed max susceptibility {max(self.s_dist)}"
             )
-        for s in self.s_dist:
-            z = self.z_for(s)
-            if not 0.0 < z <= 1.0:
-                raise ValueError(f"coin probability {z} for class s={s} outside (0, 1]")
-
-    def z_for(self, s: int) -> float:
-        if isinstance(self.z, Mapping):
-            return float(self.z[s])
-        return float(self.z)
+        if not 0.0 < self.z <= 1.0:
+            raise ValueError(f"coin probability {self.z} outside (0, 1]")
 
 
 def coinflip_reduce(cf: CoinflipModel) -> ThresholdDistribution:
@@ -451,10 +444,9 @@ def coinflip_reduce(cf: CoinflipModel) -> ThresholdDistribution:
     """
     zeta = np.zeros(cf.r_max)
     for s, weight in sorted(cf.s_dist.items()):
-        z = cf.z_for(s)
         stay = 1.0
         for j in range(1, cf.r_max - s):
-            zeta[s + j - 1] += weight * stay * z
-            stay *= 1.0 - z
+            zeta[s + j - 1] += weight * stay * cf.z
+            stay *= 1.0 - cf.z
         zeta[cf.r_max - 1] += weight * stay
     return ThresholdDistribution(tuple(zeta))

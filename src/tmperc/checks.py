@@ -25,7 +25,7 @@ from .analytic import (
     log_sum_row,
     pi_r,
 )
-from .engine import EngineConfig, run_standard
+from .engine import run_standard
 from .intervention import ObservedState, residual_tm
 from .rngutil import substream
 from .tmgraph import TMParams, ThresholdDistribution, sample_graph
@@ -155,7 +155,7 @@ def check_engine_fixpoint(instances: int = 60) -> CheckResult:
         g = sample_graph(params, substream(900, i))
         thresholds = rng.integers(1, 4, size=n)
         seeds = np.flatnonzero(rng.random(n) < 0.3)
-        trace = run_standard(g, thresholds, seeds, EngineConfig(stop_fraction=1.0))
+        trace = run_standard(g, thresholds, seeds, stop_fraction=1.0)
         dense = np.zeros((n, n), dtype=int)
         dense[g.edge_u, g.edge_v] = 1
         dense[g.edge_v, g.edge_u] = 1
@@ -183,7 +183,7 @@ def check_residual_enumeration(instances: int = 25) -> CheckResult:
         obs = ObservedState(
             n=n, k=1, i_cur=m + delta, i_prev=m,
             i_cur_cluster=(m + delta,), i_prev_cluster=(m,),
-            healthy_by_threshold={r: n - m - delta}, tau=2,
+            healthy_by_threshold={r: n - m - delta},
         )
         params = TMParams(params_template, n, p)
         mine = residual_tm(obs, r, params, 0)[0][:, 0]

@@ -19,7 +19,6 @@ import numpy as np
 from .tmgraph import SampledGraph
 
 __all__ = [
-    "EngineConfig",
     "EngineError",
     "PercolationTrace",
     "CoinflipState",
@@ -34,21 +33,6 @@ HALTED = "halted"
 
 class EngineError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Stopping rule shared by every mode.
-
-    ``stop_fraction`` operationalizes "almost all vertices infected": a run
-    counts as spread once the infected fraction reaches it.
-    """
-
-    stop_fraction: float = 0.9
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.stop_fraction <= 1.0:
-            raise ValueError(f"stop_fraction {self.stop_fraction} outside (0, 1]")
 
 
 @dataclass
@@ -109,13 +93,17 @@ class _Run:
 
     A subclass picks each generation's newly infected vertices in
     ``_next_infected``; ``step`` commits the vertices and owns the totals,
-    per-cluster counts, verdict and generation cap, and ``finish`` is the
-    one loop that drives generations.
+    per-cluster counts and verdict, and ``finish`` is the one loop that
+    drives generations.  ``stop_fraction`` operationalizes "almost all
+    vertices infected": a run counts as spread once the infected fraction
+    reaches it.
     """
 
-    def __init__(self, g: SampledGraph, seeds: np.ndarray, config: EngineConfig):
+    def __init__(self, g: SampledGraph, seeds: np.ndarray, stop_fraction: float):
+        if not 0.0 < stop_fraction <= 1.0:
+            raise ValueError(f"stop_fraction {stop_fraction} outside (0, 1]")
         self.g = g
-        self.config = config
+        self.stop_fraction = stop_fraction
         seeds = np.asarray(seeds, dtype=np.int64)
         if seeds.size and (seeds.min() < 0 or seeds.max() >= g.n):
             raise ValueError("seed ids outside the vertex range")
@@ -130,7 +118,7 @@ class _Run:
         self.totals = [int(seeds.size)]
         self.per_cluster = [np.bincount(g.clusters[seeds], minlength=g.k)]
         self.verdict: str | None = None
-        if self.totals[0] >= config.stop_fraction * g.n:
+        if self.totals[0] >= stop_fraction * g.n:
             self.verdict = SPREAD
         elif seeds.size == 0:
             self.verdict = HALTED
@@ -161,7 +149,7 @@ class _Run:
         self.per_cluster.append(
             self.per_cluster[-1] + np.bincount(self.g.clusters[newly], minlength=self.g.k)
         )
-        if total >= self.config.stop_fraction * self.g.n:
+        if total >= self.stop_fraction * self.g.n:
             self.verdict = SPREAD
         elif newly.size == 0:
             self.verdict = HALTED
@@ -197,14 +185,14 @@ class StandardRun(_Run):
         g: SampledGraph,
         thresholds: np.ndarray,
         seeds: np.ndarray,
-        config: EngineConfig | None = None,
+        stop_fraction: float = 0.9,
     ):
         self.thresholds = np.array(thresholds, dtype=np.int64, copy=True)
         if self.thresholds.shape != (g.n,):
             raise ValueError("need one threshold per vertex")
         if self.thresholds.size and self.thresholds.min() < 1:
             raise ValueError("thresholds must be >= 1")
-        super().__init__(g, seeds, config or EngineConfig())
+        super().__init__(g, seeds, stop_fraction)
 
     def clone(self) -> "StandardRun":
         """Independent copy of the run state; the graph is shared, not copied."""
@@ -246,10 +234,10 @@ def run_standard(
     g: SampledGraph,
     thresholds: np.ndarray,
     seeds: np.ndarray,
-    config: EngineConfig | None = None,
+    stop_fraction: float = 0.9,
 ) -> PercolationTrace:
     """Deterministic threshold percolation."""
-    run = StandardRun(g, thresholds, seeds, config)
+    run = StandardRun(g, thresholds, seeds, stop_fraction)
     run.finish()
     return run.trace()
 
@@ -283,10 +271,10 @@ class _CoinflipRun(_Run):
         g: SampledGraph,
         cf: CoinflipState,
         seeds: np.ndarray,
-        config: EngineConfig,
+        stop_fraction: float,
         rng: np.random.Generator,
     ):
-        super().__init__(g, seeds, config)
+        super().__init__(g, seeds, stop_fraction)
         self.cf = cf
         self.rng = rng
 
@@ -313,7 +301,7 @@ def run_coinflip(
     g: SampledGraph,
     cf: CoinflipState,
     seeds: np.ndarray,
-    config: EngineConfig | None = None,
+    stop_fraction: float = 0.9,
     rng: np.random.Generator | None = None,
 ) -> PercolationTrace:
     """Coinflip dynamics: one coin per newly infected neighbor past susceptibility.
@@ -324,6 +312,6 @@ def run_coinflip(
     """
     if rng is None:
         raise ValueError("coinflip mode requires an explicit rng")
-    run = _CoinflipRun(g, cf, seeds, config or EngineConfig(), rng)
+    run = _CoinflipRun(g, cf, seeds, stop_fraction, rng)
     run.finish()
     return run.trace()

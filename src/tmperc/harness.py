@@ -1,14 +1,16 @@
 """Experiment harness: config parsing, sweep drivers, and tabular output.
 
-Configs are JSON with nested sections; unknown keys are rejected so typos
-fail loudly.  ``load_config`` parses a config once: it checks every field,
-sets every default and builds the graph parameters and each sweep point's
-law and intervention, so a bad config fails before any work and the drivers
-and their workers read only typed fields.  The normalized dict ``raw`` is
-kept only as the input of ``config_hash``.  Every row of a result table is
-regenerable from the config plus the master seed: each (sweep point,
-graph, trial) work item draws from its own RNG substream, and rows are
-sorted canonically, so parallel and serial execution emit identical files.
+Configs are JSON with nested sections; a section that is not an object, or
+that has unknown keys, is rejected so typos fail loudly.  ``load_config``
+parses a config once: it checks every field, sets every default and builds
+the graph parameters, each sweep point's law and the typed intervention
+plan, whose ``variant_at`` gives the intervention at any strength alpha.  A
+bad config fails before any work, and the drivers and their workers read
+only typed fields.  The normalized dict ``raw`` is kept only as the input of
+``config_hash``.  Every row of a result table is regenerable from the config
+plus the master seed: each (sweep point, graph, trial) work item draws from
+its own RNG substream, and rows are sorted canonically, so parallel and
+serial execution emit identical files.
 """
 
 from __future__ import annotations
@@ -18,22 +20,17 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 from . import rngutil
 from .analytic import AnalyticModel, CoinflipModel, coinflip_reduce, critical_seed
-from .engine import (
-    EngineConfig,
-    CoinflipState,
-    run_coinflip,
-    run_standard,
-)
+from .engine import CoinflipState, run_coinflip, run_standard
 from .intervention import (
     Bolster,
     Diminish,
-    InterventionSpec,
     Sequester,
+    Variant,
     apply_in_simulation,
     bolster_a,
     bolster_b,
@@ -70,10 +67,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _require_keys(section: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+def _section(value: Any, allowed: set[str] | None, where: str) -> dict:
+    """A copy of the JSON object ``value``, whose keys must lie in ``allowed`` unless it is None."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{where} must be an object, not {type(value).__name__}")
+    unknown = set(value) - allowed if allowed is not None else set()
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+    return dict(value)
 
 
 _TEMPLATE_KEYS = {"kind", "k", "reach", "neighbors"}
@@ -95,6 +96,7 @@ _INTERVENTION_KEYS = {
     "compute_boundary",
     "stop_fraction",
 }
+_VARIANTS = ("bolster_a", "bolster_b", "bolster", "delay", "diminish", "sequester")
 _TOP_KEYS = {
     "name",
     "master_seed",
@@ -113,14 +115,60 @@ _TOP_KEYS = {
 
 @dataclass(frozen=True)
 class InterventionPlan:
-    """An alpha sweep's intervention section: ``specs[i]`` acts at sweep point i."""
+    """An alpha sweep's intervention section, parsed once into typed fields.
 
-    alphas: tuple[float, ...]
-    specs: tuple[InterventionSpec, ...]
+    ``variant_at(alpha)`` is the intervention of kind ``kind`` at strength
+    alpha; its threshold laws cover ``thresholds``, the thresholds the
+    configured law can draw.  ``variants[i]`` is the one at sweep point i,
+    built with the plan so every point's law check fails before any work.
+    A baseline run triggers once |I| > trigger_fraction * n, and every run
+    of the plan counts as spread at ``stop_fraction``.
+    """
+
+    kind: str
+    thresholds: tuple[int, ...]
+    alpha_q_ratio: float
+    zeta_prime: dict[int, dict[int, float]] | None  # the custom bolster's law
+    z_prime: float | None  # None: the delay's coin probability is alpha
+    r_max_prime: int
+    allow_weaken: bool
+    save_vertices: bool
+    trigger_fraction: float
     stop_fraction: float
     baseline_seed_count: int | None  # None: a factor of the critical seed
     baseline_seed_factor: float
     compute_boundary: bool
+    alphas: tuple[float, ...]
+    variants: tuple[Variant, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        variants = []
+        for alpha in self.alphas:
+            try:  # each point meets the library's own checks
+                variants.append(self.variant_at(alpha))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"sweep value {alpha!r}: {exc}") from exc
+        object.__setattr__(self, "variants", tuple(variants))
+
+    def variant_at(self, alpha: float) -> Variant:
+        """The intervention at strength ``alpha`` (the custom bolster has none)."""
+        if self.kind == "bolster_a":
+            return bolster_a(alpha, self.thresholds)
+        if self.kind == "bolster_b":
+            return bolster_b(alpha, self.thresholds)
+        if self.kind == "bolster":
+            return Bolster(self.zeta_prime, self.allow_weaken, self.save_vertices)
+        if self.kind == "delay":
+            # cutting the coin probability to z' is the geometric bolster that
+            # preflips the coins of a vertex one contact short of threshold r
+            z_prime = alpha if self.z_prime is None else self.z_prime
+            law = {}
+            for r in self.thresholds:
+                coins = CoinflipModel({r - 1: 1.0}, z_prime, max(self.r_max_prime, r))
+                law[r] = {v: w for v, w in enumerate(coinflip_reduce(coins).zeta, 1) if v >= r}
+            return Bolster(law)
+        variant = Diminish if self.kind == "diminish" else Sequester
+        return variant(alpha, alpha * self.alpha_q_ratio)
 
 
 @dataclass(frozen=True)
@@ -166,9 +214,12 @@ def _key(key: Any, where: str) -> int:
     return _integer(int(key) if isinstance(key, str) and key.isdecimal() else key, where, 0)
 
 
-def _weights(law: Mapping[Any, Any], where: str) -> dict[int, float]:
+def _weights(law: Any, where: str) -> dict[int, float]:
     """A threshold law written as {"2": 0.5, "3": 0.5}."""
-    return {_key(r, f"{where} threshold"): _real(w, f"{where} weight") for r, w in law.items()}
+    return {
+        _key(r, f"{where} threshold"): _real(w, f"{where} weight")
+        for r, w in _section(law, None, where).items()
+    }
 
 
 def _flag(value: Any, key: str) -> bool:
@@ -194,14 +245,11 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = dict(source)
-    _require_keys(data, _TOP_KEYS, "config")
+            source = json.load(fh)
+    out = _section(source, _TOP_KEYS, "config")
     for key in ("name", "graph", "thresholds", "sweep"):
-        if key not in data:
+        if key not in out:
             raise ConfigError(f"config missing required key {key!r}")
-    out = dict(data)
     out.setdefault("master_seed", 0)
     out.setdefault("graphs", 50)
     out.setdefault("trials", 50)
@@ -216,35 +264,32 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
         for f in factors
     ):
         raise ConfigError(f"seed_factors {factors!r} is not a non-empty list of finite numbers >= 0")
-    graph = dict(out["graph"])
-    _require_keys(graph, _GRAPH_KEYS, "graph")
+    graph = _section(out["graph"], _GRAPH_KEYS, "graph")
     if "template" not in graph or "n" not in graph:
         raise ConfigError("graph section needs 'template' and 'n'")
-    _require_keys(graph["template"], _TEMPLATE_KEYS, "graph.template")
+    graph["template"] = _section(graph["template"], _TEMPLATE_KEYS, "graph.template")
     family = ("p", "q") if "p" in graph else ("near_degree", "far_degree")
     if family[0] not in graph or set(graph) - {"template", "n", *family}:
         raise ConfigError("specify the graph by p/q or by near_degree/far_degree, not both")
     out["graph"] = graph
-    thresholds = dict(out["thresholds"])
-    _require_keys(thresholds, _THRESHOLD_KEYS, "thresholds")
+    thresholds = _section(out["thresholds"], _THRESHOLD_KEYS, "thresholds")
     if ("zeta" in thresholds) == ("coinflip" in thresholds):
         raise ConfigError("thresholds section needs exactly one of 'zeta' or 'coinflip'")
     if "coinflip" in thresholds:
-        _require_keys(dict(thresholds["coinflip"]), _COINFLIP_KEYS, "thresholds.coinflip")
+        coin = _section(thresholds["coinflip"], _COINFLIP_KEYS, "thresholds.coinflip")
+        thresholds["coinflip"] = coin
     out["thresholds"] = thresholds
-    sweep = dict(out["sweep"])
-    _require_keys(sweep, _SWEEP_KEYS, "sweep")
+    sweep = _section(out["sweep"], _SWEEP_KEYS, "sweep")
     if sweep.get("axis") not in ("zeta_fraction", "coin_z", "alpha", "seed_count", "none"):
         raise ConfigError(f"unknown sweep axis {sweep.get('axis')!r}")
-    if not sweep.get("values"):
-        raise ConfigError("sweep.values must be non-empty")
+    if not isinstance(sweep.get("values"), list) or not sweep["values"]:
+        raise ConfigError("sweep.values must be a non-empty list")
     out["sweep"] = sweep
     section = out.get("intervention")
     if section is not None:
         if sweep["axis"] != "alpha":
             raise ConfigError("intervention sweeps use the alpha axis")
-        section = dict(section)
-        _require_keys(section, _INTERVENTION_KEYS, "intervention")
+        section = _section(section, _INTERVENTION_KEYS, "intervention")
         section.setdefault("lambda", 0.1)
         section.setdefault("baseline_seed_factor", 1.3)
         section.setdefault("alpha_q_ratio", 1.0)
@@ -252,7 +297,6 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
         # post-intervention threshold mixes finish near 90%, so the spread
         # verdict for continuations uses a lower cutoff by default
         section.setdefault("stop_fraction", 0.8)
-        lam = _fraction(section["lambda"], "intervention lambda", "()")
         out["intervention"] = section
     n = _integer(graph["n"], "n", 1)
     master_seed = _integer(out["master_seed"], "master_seed", 0)
@@ -268,28 +312,45 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"graph.template needs {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"graph: {exc}") from exc
-    points, specs = [], []
+    points = []
     for value in sweep["values"]:
-        # each point meets the library's own checks
-        try:
+        try:  # each point meets the library's own checks
             points.append(_law_at(thresholds, sweep, value))
-            if section is not None:  # the alpha axis keeps the configured law and its thresholds
-                drawable = tuple(r for r, w in enumerate(points[-1][0].zeta, 1) if w > 0)
-                variant = _variant_at(section, _real(value, "alpha"), drawable)
-                specs.append(InterventionSpec(variant, lam))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"sweep value {value!r}: {exc}") from exc
     laws, coins = zip(*points)
     plan = None
     if section is not None:
+        # the alpha axis keeps the configured law, and so its thresholds, at every point
+        drawable = tuple(r for r, w in enumerate(laws[0].zeta, 1) if w > 0)
+        kind = section.get("variant")
+        if kind not in _VARIANTS:
+            raise ConfigError(f"unknown intervention variant {kind!r}")
+        zeta_prime = None
+        if kind == "bolster":
+            zeta_prime = {
+                _key(r, "zeta_prime threshold"): _weights(inner, "zeta_prime")
+                for r, inner in _section(section.get("zeta_prime"), None, "zeta_prime").items()
+            }
+            missing = sorted(set(drawable) - set(zeta_prime))
+            if missing:
+                raise ConfigError(f"zeta_prime has no law for drawable thresholds {missing}")
         count = section.get("baseline_seed_count")
         plan = InterventionPlan(
-            alphas=tuple(_real(value, "alpha") for value in sweep["values"]),
-            specs=tuple(specs),
+            kind=kind,
+            thresholds=drawable,
+            alpha_q_ratio=_real(section["alpha_q_ratio"], "alpha_q_ratio"),
+            zeta_prime=zeta_prime,
+            z_prime=_real(section["z_prime"], "z_prime") if "z_prime" in section else None,
+            r_max_prime=_integer(section.get("r_max_prime", 20), "r_max_prime", 1),
+            allow_weaken=_flag(section.get("allow_weaken", False), "allow_weaken"),
+            save_vertices=_flag(section.get("save_vertices", False), "save_vertices"),
+            trigger_fraction=_fraction(section["lambda"], "intervention lambda", "()"),
             stop_fraction=_fraction(section["stop_fraction"], "intervention stop_fraction", "(]"),
             baseline_seed_count=None if count is None else _integer(count, "baseline_seed_count", 0),
             baseline_seed_factor=_real(section["baseline_seed_factor"], "baseline_seed_factor"),
             compute_boundary=_flag(section["compute_boundary"], "compute_boundary"),
+            alphas=tuple(_real(value, "alpha") for value in sweep["values"]),
         )
     return ExperimentConfig(
         raw=out,
@@ -328,7 +389,8 @@ def _graph_params(graph: Mapping[str, Any]) -> TMParams:
     elif kind == "planted":
         template = make_planted(_integer(spec["k"], "template k", 1))
     elif kind == "custom":
-        template = from_neighbors({_key(i, "cluster"): set(v) for i, v in spec["neighbors"].items()})
+        neighbors = _section(spec["neighbors"], None, "graph.template neighbors")
+        template = from_neighbors({_key(i, "cluster"): set(v) for i, v in neighbors.items()})
     else:
         raise ConfigError(f"unknown template kind {kind!r}")
     if "p" in graph:
@@ -421,7 +483,6 @@ def _dichotomy_graph_task(args: tuple) -> list[dict]:
     config, point_idx, graph_idx, result, seed_counts = args
     params, seed = config.params, config.master_seed
     value = config.sweep_values[point_idx]
-    engine_config = EngineConfig(stop_fraction=config.stop_fraction)
     g = sample_graph(params, rngutil.substream(seed, rngutil.GRAPH, point_idx, graph_idx))
     coin = config.coins[point_idx] if config.coins else None
     if coin is None:
@@ -435,10 +496,10 @@ def _dichotomy_graph_task(args: tuple) -> list[dict]:
             key = (point_idx, graph_idx, trial, _factor_key(factor))
             seeds = select_seeds(count, params.n, rngutil.substream(seed, rngutil.SEEDS, *key))
             if coin is None:
-                trace = run_standard(g, thresholds, seeds, engine_config)
+                trace = run_standard(g, thresholds, seeds, config.stop_fraction)
             else:
                 stream = rngutil.substream(seed, rngutil.ENGINE, *key)
-                trace = run_coinflip(g, cf_base, seeds, engine_config, stream)
+                trace = run_coinflip(g, cf_base, seeds, config.stop_fraction, stream)
             rows.append(
                 {
                     "point": point_idx,
@@ -510,44 +571,6 @@ _INTERVENTION_COLUMNS = [
 ]
 
 
-def _variant_at(section: Mapping[str, Any], alpha: float, thresholds: tuple[int, ...]):
-    """The intervention at one alpha point; its threshold laws cover ``thresholds``."""
-    kind = section["variant"]
-    if kind == "bolster_a":
-        return bolster_a(alpha, thresholds)
-    if kind == "bolster_b":
-        return bolster_b(alpha, thresholds)
-    if kind == "bolster":
-        law = {
-            _key(r, "zeta_prime threshold"): _weights(inner, "zeta_prime")
-            for r, inner in section["zeta_prime"].items()
-        }
-        missing = sorted(set(thresholds) - set(law))
-        if missing:
-            raise ConfigError(f"zeta_prime has no law for drawable thresholds {missing}")
-        return Bolster(
-            law,
-            allow_weaken=_flag(section.get("allow_weaken", False), "allow_weaken"),
-            save_vertices=_flag(section.get("save_vertices", False), "save_vertices"),
-        )
-    if kind == "delay":
-        # cutting the coin probability to z' is the geometric bolster that
-        # preflips the coins of a vertex one contact short of threshold r
-        z_prime = _real(section.get("z_prime", alpha), "z_prime")
-        r_max_prime = _integer(section.get("r_max_prime", 20), "r_max_prime", 1)
-        law = {}
-        for r in thresholds:
-            coins = CoinflipModel({r - 1: 1.0}, z_prime, max(r_max_prime, r))
-            law[r] = {v: w for v, w in enumerate(coinflip_reduce(coins).zeta, 1) if v >= r}
-        return Bolster(law)
-    alpha_q = alpha * _real(section["alpha_q_ratio"], "alpha_q_ratio")
-    if kind == "diminish":
-        return Diminish(alpha, alpha_q)
-    if kind == "sequester":
-        return Sequester(alpha, alpha_q)
-    raise ConfigError(f"unknown intervention variant {kind!r}")
-
-
 def _baseline_seed_count(config: ExperimentConfig) -> int:
     """Seed count of the baseline runs: given, or a factor of the critical seed."""
     plan, params = config.intervention, config.params
@@ -573,8 +596,9 @@ def _intervention_graph_task(args: tuple) -> list[dict]:
     seeds = select_seeds(
         baseline, params.n, rngutil.substream(seed, rngutil.SEEDS, 0, graph_idx)
     )
-    engine_config = EngineConfig(stop_fraction=plan.stop_fraction)
-    run, triggered = run_to_trigger(g, thresholds, seeds, plan.specs[0], engine_config)
+    run, triggered = run_to_trigger(
+        g, thresholds, seeds, plan.variants[0], plan.trigger_fraction, plan.stop_fraction
+    )
     rows: list[dict] = []
     if not triggered:
         rows.append(
@@ -601,12 +625,12 @@ def _intervention_graph_task(args: tuple) -> list[dict]:
         return rows
     observed = snapshot_observed(run)
     profile = build_profile(observed, params)
-    for point_idx, (alpha, spec) in enumerate(zip(plan.alphas, plan.specs)):
-        surrogate = build_surrogate(observed, spec.variant, params, profile)
+    for point_idx, (alpha, variant) in enumerate(zip(plan.alphas, plan.variants)):
+        surrogate = build_surrogate(observed, variant, params, profile)
         verdict = predict(surrogate, config.epsilon)
         trace = apply_in_simulation(
             run.clone(),
-            spec,
+            variant,
             rngutil.substream(seed, rngutil.INTERVENTION, point_idx, graph_idx),
         )
         actual = trace.verdict
@@ -615,7 +639,7 @@ def _intervention_graph_task(args: tuple) -> list[dict]:
         agree = None if expected is None or run.verdict is not None else actual == expected
         boundary = math.nan
         if plan.compute_boundary:
-            boundary = boundary_scan(observed, spec.variant, params)
+            boundary = boundary_scan(observed, variant, params)
         rows.append(
             {
                 "point": point_idx,

@@ -24,14 +24,13 @@ from .analytic import (
     critical_seed,
     log_binom_row,
 )
-from .engine import EngineConfig, PercolationTrace, StandardRun
+from .engine import PercolationTrace, StandardRun
 from .tmgraph import SampledGraph, TMParams, ThresholdDistribution
 
 __all__ = [
     "Bolster",
     "Diminish",
     "Sequester",
-    "InterventionSpec",
     "ObservedState",
     "ResidualProfile",
     "SurrogateSpec",
@@ -111,18 +110,6 @@ class Sequester(Diminish):
 Variant = Bolster | Diminish | Sequester
 
 
-@dataclass(frozen=True)
-class InterventionSpec:
-    """A variant plus the trigger fraction lambda (intervene once |I| > lambda*n)."""
-
-    variant: Variant
-    trigger_fraction: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.trigger_fraction < 1.0:
-            raise ValueError(f"trigger fraction {self.trigger_fraction} outside (0, 1)")
-
-
 def _raise_by(steps: Mapping[int, float], thresholds: tuple[int, ...]) -> Bolster:
     """Raise each threshold r to r + d with probability ``steps[d]``."""
     return Bolster({r: {r + d: w for d, w in steps.items() if w > 0} for r in thresholds})
@@ -162,7 +149,6 @@ class ObservedState:
     i_cur_cluster: tuple[int, ...]
     i_prev_cluster: tuple[int, ...]
     healthy_by_threshold: Mapping[int, int]
-    tau: int
     # boundary_scan's scaled (state, profile) pairs by (params, i_cur); not part of the state
     _scan_profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -194,7 +180,6 @@ def snapshot_observed(run: StandardRun) -> ObservedState:
         i_cur_cluster=tuple(int(c) for c in run.per_cluster[-1]),
         i_prev_cluster=tuple(int(c) for c in prev_cluster),
         healthy_by_threshold={int(v): int(c) for v, c in zip(values, counts)},
-        tau=run.generation,
     )
 
 
@@ -432,7 +417,6 @@ def build_surrogate(
         "too_late": not profile.gate_ok,
         "profile_decay_violations": len(profile.decay_violations()) if profile.gate_ok else 0,
         "cluster_tv_max": profile.cluster_tv_max,
-        "cluster_heterogeneous": profile.cluster_tv_max > 0.05,
     }
     p, q = params.p, params.q
     if isinstance(variant, Bolster):
@@ -481,7 +465,6 @@ class Verdict:
     Phi_J: int | None
     t_star_J: int | None
     band: tuple[float, float]
-    epsilon: float
     flags: dict
 
 
@@ -493,15 +476,7 @@ def predict(surrogate: SurrogateSpec, epsilon: float = 0.1) -> Verdict:
     if total <= 1e-12:
         # every healthy vertex is doomed; the surrogate is all seed
         flags["degenerate_all_seed"] = True
-        return Verdict(
-            PREDICTED_SPREAD,
-            surrogate.seed_count,
-            0,
-            None,
-            (0.0, 0.0),
-            epsilon,
-            flags,
-        )
+        return Verdict(PREDICTED_SPREAD, surrogate.seed_count, 0, None, (0.0, 0.0), flags)
     dist = ThresholdDistribution(tuple(surrogate.j / total))
     model = AnalyticModel(surrogate.params, dist)
     result = critical_seed(model)
@@ -509,9 +484,7 @@ def predict(surrogate: SurrogateSpec, epsilon: float = 0.1) -> Verdict:
     phi_j = surrogate.seed_count
     if result.phi_critical is None:
         # subcritical for every seed size up to n_J
-        return Verdict(
-            PREDICTED_HALT, phi_j, None, None, (math.inf, math.inf), epsilon, flags
-        )
+        return Verdict(PREDICTED_HALT, phi_j, None, None, (math.inf, math.inf), flags)
     band = ((1.0 - epsilon) * result.phi_critical, (1.0 + epsilon) * result.phi_critical)
     if phi_j < band[0]:
         outcome = PREDICTED_HALT
@@ -519,9 +492,7 @@ def predict(surrogate: SurrogateSpec, epsilon: float = 0.1) -> Verdict:
         outcome = PREDICTED_SPREAD
     else:
         outcome = UNCERTAIN
-    return Verdict(
-        outcome, phi_j, result.phi_critical, result.t_star, band, epsilon, flags
-    )
+    return Verdict(outcome, phi_j, result.phi_critical, result.t_star, band, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -532,20 +503,24 @@ def run_to_trigger(
     g: SampledGraph,
     thresholds: np.ndarray,
     seeds: np.ndarray,
-    spec: InterventionSpec,
-    config: EngineConfig | None = None,
+    variant: Variant,
+    trigger_fraction: float,
+    stop_fraction: float = 0.9,
 ) -> tuple[StandardRun, bool]:
     """Drive a run until the infected count first exceeds lambda * n.
 
-    Returns (run, triggered).  A triggered run is paused at the trigger or
-    has already spread past it; an untriggered run carries its verdict (the
-    baseline finished at or below the trigger line).
+    ``trigger_fraction`` is lambda.  Returns (run, triggered).  A triggered
+    run is paused at the trigger or has already spread past it; an
+    untriggered run carries its verdict (the baseline finished at or below
+    the trigger line).
     """
-    run = StandardRun(g, thresholds, seeds, config)
-    trigger_at = spec.trigger_fraction * g.n
+    if not 0.0 < trigger_fraction < 1.0:
+        raise ValueError(f"trigger fraction {trigger_fraction} outside (0, 1)")
+    run = StandardRun(g, thresholds, seeds, stop_fraction)
+    trigger_at = trigger_fraction * g.n
     # a modification that rescues doomed vertices must fire before the
     # crossing generation commits, so it peeks one step ahead
-    peek = isinstance(spec.variant, Bolster) and spec.variant.save_vertices
+    peek = isinstance(variant, Bolster) and variant.save_vertices
     while run.verdict is None:
         if run.totals[-1] + (run._candidates().size if peek else 0) > trigger_at:
             return run, True
@@ -554,10 +529,9 @@ def run_to_trigger(
 
 
 def apply_in_simulation(
-    run: StandardRun, spec: InterventionSpec, rng: np.random.Generator
+    run: StandardRun, variant: Variant, rng: np.random.Generator
 ) -> "PercolationTrace":
     """Mutate a triggered run according to the variant and finish it."""
-    variant = spec.variant
     if isinstance(variant, Bolster):
         _apply_bolster(run, variant, rng)
     elif isinstance(variant, Diminish):
@@ -655,7 +629,6 @@ def _scaled_state(observed: ObservedState, i_cur: int, delta: int) -> ObservedSt
         i_cur_cluster=cur_cluster,
         i_prev_cluster=prev_cluster,
         healthy_by_threshold=healthy,
-        tau=observed.tau,
     )
 
 

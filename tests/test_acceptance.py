@@ -38,7 +38,7 @@ from tmperc.analytic import (
     critical_seed,
     log_sum_row,
 )
-from tmperc.engine import CoinflipState, EngineConfig, run_coinflip, run_standard
+from tmperc.engine import CoinflipState, run_coinflip, run_standard
 from tmperc.rngutil import substream
 from tmperc.tmgraph import (
     TMParams,
@@ -62,7 +62,6 @@ def _report(name: str, ok: bool, detail: str) -> None:
 def test_acceptance_1_engine_oracle_equivalence():
     start = time.monotonic()
     rng = np.random.default_rng(101)
-    config = EngineConfig(stop_fraction=1.0)
     templates = [
         tpl.make_single(),
         tpl.make_planted(2),
@@ -82,7 +81,7 @@ def test_acceptance_1_engine_oracle_equivalence():
         g = sample_graph(params, substream(4000, i))
         thresholds = rng.integers(1, 4, size=n)
         seeds = np.flatnonzero(rng.random(n) < 0.3)
-        trace = run_standard(g, thresholds, seeds, config)
+        trace = run_standard(g, thresholds, seeds, stop_fraction=1.0)
         expected = dense_fixpoint(n, g.edge_u, g.edge_v, thresholds, seeds)
         if not np.array_equal(trace.final_infected, expected):
             mismatches += 1
@@ -116,7 +115,7 @@ def test_acceptance_2_residual_exactness():
         state = iv.ObservedState(
             n=n, k=1, i_cur=m + delta, i_prev=m,
             i_cur_cluster=(m + delta,), i_prev_cluster=(m,),
-            healthy_by_threshold={r: n - m - delta}, tau=2,
+            healthy_by_threshold={r: n - m - delta},
         )
         params = TMParams(tpl.make_single(), n, p)
         mine = iv.residual_tm(state, r, params, 0)[0][:, 0]
@@ -141,7 +140,6 @@ def test_acceptance_2_residual_exactness():
             i_cur_cluster=(m_near + d_near, m_far + d_far),
             i_prev_cluster=(m_near, m_far),
             healthy_by_threshold={r: n - (m_near + d_near + m_far + d_far)},
-            tau=2,
         )
         params = TMParams(template, n, p, q)
         mine, _ = iv.residual_tm(state, r, params, 0)
@@ -204,7 +202,7 @@ def _random_gated_state(rng) -> tuple[iv.ObservedState, TMParams]:
         n=n, k=k, i_cur=i_cur, i_prev=i_prev,
         i_cur_cluster=tuple(int(c) for c in cur_cluster),
         i_prev_cluster=tuple(int(c) for c in prev_cluster),
-        healthy_by_threshold=healthy_by_threshold, tau=4,
+        healthy_by_threshold=healthy_by_threshold,
     )
     return state, params
 
@@ -227,8 +225,8 @@ def _early_trigger_profiles():
             g = sample_graph(params, substream(5000, idx, graph_idx))
             thresholds = assign_thresholds(dist, n, substream(5001, idx, graph_idx))
             seeds = select_seeds(int(1.4 * phi_base), n, substream(5002, idx, graph_idx))
-            spec = iv.InterventionSpec(iv.bolster_a(0.5, (2, 3)), lam)
-            run, triggered = iv.run_to_trigger(g, thresholds, seeds, spec)
+            variant = iv.bolster_a(0.5, (2, 3))
+            run, triggered = iv.run_to_trigger(g, thresholds, seeds, variant, lam)
             if not triggered:
                 continue
             observed = iv.snapshot_observed(run)
@@ -495,7 +493,6 @@ Z_GRID = [0.3, 0.4, 0.5, 0.6, 0.7]
 def _empirical_critical_coinflip(z: float, trials: int = 20) -> tuple[int, float]:
     n = 10000
     params = TMParams(tpl.make_single(), n, 10 / n)
-    config = EngineConfig(stop_fraction=0.9)
     cf = CoinflipState.uniform(n, 1, z, 20)
     dist = coinflip_reduce(CoinflipModel({1: 1.0}, z, 20))
     phi = critical_seed(AnalyticModel(params, dist)).phi_critical
@@ -508,7 +505,7 @@ def _empirical_critical_coinflip(z: float, trials: int = 20) -> tuple[int, float
         for trial in range(trials):
             g = sample_graph(params, substream(108, 1, key, step, trial))
             seeds = select_seeds(mid, n, substream(108, 2, key, step, trial))
-            trace = run_coinflip(g, cf, seeds, config, substream(108, 3, key, step, trial))
+            trace = run_coinflip(g, cf, seeds, 0.9, substream(108, 3, key, step, trial))
             wins += trace.verdict == "spread"
         if wins >= trials / 2:
             hi = mid

@@ -10,7 +10,6 @@ from oracles import (
 from tmperc import intervention as iv
 from tmperc import template as tpl
 from tmperc.engine import (
-    EngineConfig,
     StandardRun,
     _gather_neighbors,
     _tally,
@@ -82,17 +81,16 @@ def test_no_seeds_halts_at_generation_zero():
 def test_complete_graph_threshold_one_spreads_in_one_generation():
     params = TMParams(tpl.make_single(), 4, 1.0)
     g = sample_graph(params, substream(1, 1))
-    trace = run_standard(g, np.ones(4, dtype=int), np.array([2]), EngineConfig(stop_fraction=1.0))
+    trace = run_standard(g, np.ones(4, dtype=int), np.array([2]), stop_fraction=1.0)
     assert trace.verdict == "spread"
     assert trace.totals.tolist() == [1, 4]
 
 
 def test_standard_matches_dense_fixpoint_on_random_instances():
     rng = np.random.default_rng(42)
-    config = EngineConfig(stop_fraction=1.0)
     for _ in range(250):
         g, thresholds, seeds = random_instance(rng)
-        trace = run_standard(g, thresholds, seeds, config)
+        trace = run_standard(g, thresholds, seeds, stop_fraction=1.0)
         expected = dense_fixpoint(g.n, g.edge_u, g.edge_v, thresholds, seeds)
         assert np.array_equal(trace.final_infected, expected)
 
@@ -101,7 +99,7 @@ def test_trace_conservation_and_monotonicity():
     rng = np.random.default_rng(43)
     for _ in range(50):
         g, thresholds, seeds = random_instance(rng)
-        trace = run_standard(g, thresholds, seeds, EngineConfig(stop_fraction=1.0))
+        trace = run_standard(g, thresholds, seeds, stop_fraction=1.0)
         assert np.all(np.diff(trace.totals) >= 0)
         assert np.array_equal(trace.per_cluster.sum(axis=1), trace.totals)
 
@@ -119,9 +117,8 @@ def test_standard_determinism():
 
 def path_to_trigger(lam: float) -> tuple[StandardRun, bool]:
     g = path_graph(10)
-    spec = iv.InterventionSpec(iv.Bolster({1: {1: 1.0}}), lam)
-    config = EngineConfig(stop_fraction=1.0)
-    return iv.run_to_trigger(g, np.ones(10, dtype=int), np.array([0]), spec, config)
+    variant = iv.Bolster({1: {1: 1.0}})
+    return iv.run_to_trigger(g, np.ones(10, dtype=int), np.array([0]), variant, lam, 1.0)
 
 
 def test_run_pauses_at_trigger():
@@ -142,7 +139,7 @@ def test_replace_graph_disconnects():
 
 def test_current_exposure_counts_full_infected_set():
     g = path_graph(6)
-    run = StandardRun(g, np.full(6, 2), np.array([0, 1]), EngineConfig(stop_fraction=1.0))
+    run = StandardRun(g, np.full(6, 2), np.array([0, 1]), stop_fraction=1.0)
     exposure = run.current_exposure()
     assert exposure[2] == 1  # neighbor 1 infected
     assert exposure[3] == 0
@@ -197,11 +194,10 @@ def test_coinflip_monotone_and_conserving():
 def test_duplicate_seeds_rejected_in_every_mode():
     g = path_graph(5)
     seeds = np.array([0, 0])
-    config = EngineConfig(stop_fraction=1.0)
     with pytest.raises(ValueError):
-        run_standard(g, np.full(5, 5), seeds, config)
+        run_standard(g, np.full(5, 5), seeds, 1.0)
     with pytest.raises(ValueError):
-        run_coinflip(g, CoinflipState.uniform(5, 0, 1.0, 3), seeds, config, substream(19, 1))
+        run_coinflip(g, CoinflipState.uniform(5, 0, 1.0, 3), seeds, 1.0, substream(19, 1))
 
 
 def test_coinflip_requires_rng():
@@ -211,8 +207,13 @@ def test_coinflip_requires_rng():
 
 
 def test_engine_config_validation():
-    with pytest.raises(ValueError):
-        EngineConfig(stop_fraction=0.0)
+    g = path_graph(4)
+    with pytest.raises(ValueError, match=r"stop_fraction 0.0 outside \(0, 1\]"):
+        run_standard(g, np.ones(4, dtype=int), np.array([0]), stop_fraction=0.0)
+    with pytest.raises(ValueError, match="stop_fraction"):
+        StandardRun(g, np.ones(4, dtype=int), np.array([0]), stop_fraction=1.5)
+    with pytest.raises(ValueError, match="stop_fraction"):
+        run_coinflip(g, CoinflipState.uniform(4, 1, 0.5, 3), np.array([0]), 0.0, substream(19, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,7 @@ def test_standard_matches_reference_step():
     for i in range(120):
         g, thresholds, seeds = (medium_instance if i % 2 else random_instance)(rng)
         stop = float(rng.choice([0.5, 0.9, 1.0]))
-        trace = run_standard(g, thresholds, seeds, EngineConfig(stop_fraction=stop))
+        trace = run_standard(g, thresholds, seeds, stop_fraction=stop)
         assert_trace_equals(trace, reference_standard(g, thresholds, seeds, stop))
 
 
@@ -266,7 +267,7 @@ def test_candidates_and_exposure_match_reference():
     rng = np.random.default_rng(52)
     for i in range(60):
         g, thresholds, seeds = (medium_instance if i % 2 else random_instance)(rng)
-        run = StandardRun(g, thresholds, seeds, EngineConfig(stop_fraction=1.0))
+        run = StandardRun(g, thresholds, seeds, stop_fraction=1.0)
         while True:
             exposure = reference_exposure(g, run.infected)
             assert np.array_equal(run.current_exposure(), exposure)
@@ -286,8 +287,7 @@ def test_coinflip_matches_reference_draw_for_draw():
         z = rng.uniform(0.0, 1.0, size=g.n)
         stop = float(rng.choice([0.5, 1.0]))
         ours, theirs = substream(54, i), substream(54, i)
-        config = EngineConfig(stop_fraction=stop)
-        trace = run_coinflip(g, CoinflipState(s, z, r_max), seeds, config, ours)
+        trace = run_coinflip(g, CoinflipState(s, z, r_max), seeds, stop, ours)
         expected = reference_coinflip(g, s, z, r_max, seeds, stop, theirs)
         assert_trace_equals(trace, expected)
         assert ours.random() == theirs.random()  # same number of coins drawn
@@ -324,8 +324,8 @@ def test_save_vertices_runs_match_reference():
         g, thresholds, seeds = (medium_instance if i % 2 else random_instance)(rng)
         lam = float(rng.uniform(0.05, 0.6))
         stop = float(rng.choice([0.8, 1.0]))
-        spec = iv.InterventionSpec(iv.Bolster(law, save_vertices=True), lam)
-        run, triggered = iv.run_to_trigger(g, thresholds, seeds, spec, EngineConfig(stop))
+        bolster = iv.Bolster(law, save_vertices=True)
+        run, triggered = iv.run_to_trigger(g, thresholds, seeds, bolster, lam, stop)
         infected = np.zeros(g.n, dtype=bool)
         infected[seeds] = True
         totals = [int(seeds.size)]
@@ -344,10 +344,8 @@ def test_save_vertices_runs_match_reference():
         assert np.array_equal(
             run._candidates(), np.flatnonzero(~infected & (exposure >= thresholds))
         )
-        variant = iv.Diminish(0.5, 0.5) if i % 3 == 0 else spec.variant
-        trace = iv.apply_in_simulation(
-            run, iv.InterventionSpec(variant, lam), substream(58, i)
-        )
+        variant = iv.Diminish(0.5, 0.5) if i % 3 == 0 else bolster
+        trace = iv.apply_in_simulation(run, variant, substream(58, i))
         # continue on the graph and thresholds the intervention left behind
         verdict = _reference_generations(run.g, run.thresholds, infected, totals, stop)
         assert np.array_equal(trace.totals, totals) and trace.verdict == verdict

@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from tmperc import cli, harness
+from tmperc import intervention as iv
+from tmperc.analytic import CoinflipModel, coinflip_reduce
 from tmperc.harness import ConfigError
 
 
@@ -274,7 +277,7 @@ def test_config_rejects_intervention_lambda_outside_open_unit_interval(value):
     with pytest.raises(ConfigError, match="lambda"):
         harness.load_config(_intervention_config(**{"lambda": value}))
     config = harness.load_config(_intervention_config(**{"lambda": 0.5}))
-    assert config.intervention.specs[0].trigger_fraction == 0.5
+    assert config.intervention.trigger_fraction == 0.5
 
 
 @pytest.mark.parametrize("value", [0.0, -0.2, 1.5])
@@ -471,11 +474,45 @@ def test_config_rejects_coerced_fields_at_load(raw):
         harness.load_config(raw)
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (base_config(graph=5), "graph must be an object"),
+        (base_config(thresholds="x"), "thresholds must be an object"),
+        (base_config(sweep={"axis": "none", "values": 0.5}), "sweep.values must be a non-empty"),
+        (_sweep_config("alpha", 0.5, intervention=3), "intervention must be an object"),
+        (
+            base_config(thresholds={"coinflip": 7}, sweep={"axis": "none", "values": [0]}),
+            "thresholds.coinflip must be an object",
+        ),
+        (_graph_config({"kind": "custom", "neighbors": 5}, p=0.01), "neighbors must be an object"),
+        ([base_config()], "config must be an object"),
+        (_graph_config("single", p=0.01), "graph.template must be an object"),
+    ],
+    ids=["graph", "thresholds", "sweep-values", "intervention", "coinflip", "neighbors", "list",
+         "template-string"],
+)
+def test_config_rejects_sections_of_the_wrong_type(raw, message):
+    # each raised a bare TypeError, ValueError or AttributeError, or (the
+    # template string) a ConfigError about its letters as unknown keys
+    with pytest.raises(ConfigError, match=message):
+        harness.load_config(raw)
+
+
 def test_custom_bolster_needs_a_law_for_every_drawable_threshold():
     with pytest.raises(ConfigError, match=r"no law for drawable thresholds \[3\]"):
         harness.load_config(_variant_config("bolster", zeta_prime={"2": {"3": 1.0}}))
     config = harness.load_config(_variant_config("bolster", zeta_prime=_RAISE_BY_ONE))
-    assert config.intervention.specs[0].variant.zeta_prime == {2: {3: 1.0}, 3: {4: 1.0}}
+    assert config.intervention.variants[0].zeta_prime == {2: {3: 1.0}, 3: {4: 1.0}}
+
+
+def _delay(z_prime, r_max_prime, thresholds):
+    """The geometric Bolster that preflips the coins one contact short of each threshold."""
+    law = {}
+    for r in thresholds:
+        coins = CoinflipModel({r - 1: 1.0}, z_prime, max(r_max_prime, r))
+        law[r] = {v: w for v, w in enumerate(coinflip_reduce(coins).zeta, 1) if v >= r}
+    return iv.Bolster(law)
 
 
 def test_intervention_plan_holds_one_typed_spec_per_alpha_point():
@@ -483,12 +520,58 @@ def test_intervention_plan_holds_one_typed_spec_per_alpha_point():
     raw["sweep"]["values"] = [0, 0.5, 1]
     plan = harness.load_config(raw).intervention
     assert plan.alphas == (0.0, 0.5, 1.0) and all(type(a) is float for a in plan.alphas)
-    assert [spec.trigger_fraction for spec in plan.specs] == [0.2] * 3
+    assert plan.trigger_fraction == 0.2
     # every threshold the law can draw has a law, at every point
-    assert [sorted(spec.variant.zeta_prime) for spec in plan.specs] == [[2, 3]] * 3
-    assert plan.specs[1].variant.zeta_prime[3] == {4: 0.5, 5: 0.5}
+    assert [sorted(variant.zeta_prime) for variant in plan.variants] == [[2, 3]] * 3
+    assert plan.variants[1].zeta_prime[3] == {4: 0.5, 5: 0.5}
     assert (plan.stop_fraction, plan.baseline_seed_count, plan.baseline_seed_factor) == (0.8, None, 1.3)
     assert plan.compute_boundary is True
+    assert plan.variants == tuple(plan.variant_at(alpha) for alpha in plan.alphas)
+    # off the grid, variant_at agrees with the public constructors of every kind
+    def plan_of(kind, **section):
+        return harness.load_config(_variant_config(kind, alpha_q_ratio=0.4, **section)).intervention
+
+    plans = {
+        kind: plan_of(kind) for kind in ("bolster_a", "bolster_b", "diminish", "sequester", "delay")
+    }
+    fixed_delay = plan_of("delay", z_prime=0.6, r_max_prime=8)
+    custom = plan_of("bolster", zeta_prime=_RAISE_BY_ONE, save_vertices=True)
+    drawable = (2, 3)
+    for alpha in (0.13, 0.37, 0.81):
+        assert plans["bolster_a"].variant_at(alpha) == iv.bolster_a(alpha, drawable)
+        assert plans["bolster_b"].variant_at(alpha) == iv.bolster_b(alpha, drawable)
+        assert plans["diminish"].variant_at(alpha) == iv.Diminish(alpha, 0.4 * alpha)
+        assert plans["sequester"].variant_at(alpha) == iv.Sequester(alpha, 0.4 * alpha)
+        assert plans["delay"].variant_at(alpha) == _delay(alpha, 20, drawable)
+        assert fixed_delay.variant_at(alpha) == _delay(0.6, 8, drawable)
+        # the custom law has no strength
+        assert custom.variant_at(alpha) == iv.Bolster(
+            {2: {3: 1.0}, 3: {4: 1.0}}, save_vertices=True
+        )
+
+
+@pytest.mark.parametrize(
+    "variant, section",
+    [
+        ("delay", {"r_max_prime": 8}),
+        ("bolster", {"zeta_prime": {"2": {"3": 0.5, "4": 0.5}}, "save_vertices": True}),
+        ("sequester", {"alpha_q_ratio": 0.5, "compute_boundary": True, "stop_fraction": 0.7}),
+    ],
+)
+def test_intervention_drivers_read_no_raw_section(variant, section):
+    raw = base_config(
+        graph={"template": {"kind": "single"}, "n": 2000, "p": 0.0035},
+        thresholds={"zeta": {"2": 1.0}},
+        sweep={"axis": "alpha", "values": [0.2, 0.6]},
+        graphs=2,
+    )
+    raw["intervention"] = {"variant": variant, "baseline_seed_factor": 1.6, **section}
+    config = harness.load_config(raw)
+    stripped = {k: v for k, v in config.raw.items() if k != "intervention"}
+    rows = harness.run_intervention(config).rows
+    assert any(row["triggered"] for row in rows)
+    blind = harness.run_intervention(dataclasses.replace(config, raw=stripped)).rows
+    assert repr(blind) == repr(rows)
 
 
 def _n200(**overrides):

@@ -9,7 +9,7 @@ from tmperc import harness
 from tmperc import intervention as iv
 from tmperc import template as tpl
 from tmperc.analytic import AnalyticModel, critical_seed
-from tmperc.engine import EngineConfig, StandardRun, run_standard
+from tmperc.engine import StandardRun, run_standard
 from tmperc.rngutil import substream
 from tmperc.tmgraph import (
     TMParams,
@@ -25,7 +25,7 @@ def er_state(n, i_cur, i_prev, r, healthy_r=None):
     return iv.ObservedState(
         n=n, k=1, i_cur=i_cur, i_prev=i_prev,
         i_cur_cluster=(i_cur,), i_prev_cluster=(i_prev,),
-        healthy_by_threshold=healthy, tau=3,
+        healthy_by_threshold=healthy,
     )
 
 
@@ -76,7 +76,7 @@ def test_residual_tm_symmetric_clusters_cluster_independent():
     state = iv.ObservedState(
         n=40, k=4, i_cur=8, i_prev=4,
         i_cur_cluster=(2, 2, 2, 2), i_prev_cluster=(1, 1, 1, 1),
-        healthy_by_threshold={2: 32}, tau=2,
+        healthy_by_threshold={2: 32},
     )
     joints = [iv.residual_tm(state, 2, params, c)[0] for c in range(4)]
     for other in joints[1:]:
@@ -102,7 +102,6 @@ def test_residual_tm_matches_joint_enumeration():
             i_cur_cluster=(m_near + d_near, m_far + d_far),
             i_prev_cluster=(m_near, m_far),
             healthy_by_threshold={r: n - (m_near + d_near + m_far + d_far)},
-            tau=2,
         )
         params = TMParams(template, n, p, q)
         mine, _ = iv.residual_tm(state, r, params, 0)
@@ -146,7 +145,7 @@ def test_thin_residual_matches_enumeration():
     state = iv.ObservedState(
         n=n, k=2, i_cur=6, i_prev=3,
         i_cur_cluster=(3, 3), i_prev_cluster=(2, 1),
-        healthy_by_threshold={3: 54}, tau=2,
+        healthy_by_threshold={3: 54},
     )
     profile = iv.build_profile(state, params)
     joint = profile.joints[3]
@@ -191,7 +190,7 @@ def delay_bolster(z_prime, r_max_prime, zeta):
             "intervention": {"variant": "delay", "z_prime": z_prime, "r_max_prime": r_max_prime},
         }
     )
-    return config.intervention.specs[0].variant
+    return config.intervention.variants[0]
 
 
 def test_surrogate_mass_balance():
@@ -314,11 +313,11 @@ def test_predict_noop_bolster_past_bottleneck_is_spread():
     model = AnalyticModel(params, dist)
     base = critical_seed(model)
     seeds = select_seeds(2 * base.phi_critical, n, substream(200, 3))
-    spec = iv.InterventionSpec(iv.Bolster({2: {2: 1.0}}), 0.1)
-    run, triggered = iv.run_to_trigger(g, thresholds, seeds, spec)
+    variant = iv.Bolster({2: {2: 1.0}})
+    run, triggered = iv.run_to_trigger(g, thresholds, seeds, variant, 0.1)
     assert triggered
     observed = iv.snapshot_observed(run)
-    surrogate = iv.build_surrogate(observed, spec.variant, params)
+    surrogate = iv.build_surrogate(observed, variant, params)
     verdict = iv.predict(surrogate)
     assert verdict.outcome == iv.PREDICTED_SPREAD
     assert verdict.flags["too_late"]
@@ -352,9 +351,8 @@ def triggered_run(seed=300, n=4000, p_scale=7.0, r=2, factor=1.8):
     model = AnalyticModel(params, dist)
     base = critical_seed(model)
     seeds = select_seeds(int(factor * base.phi_critical), n, substream(seed, 3))
-    spec = iv.InterventionSpec(iv.bolster_a(0.5, (r,)), 0.1)
     run, triggered = iv.run_to_trigger(
-        g, thresholds, seeds, spec, EngineConfig(stop_fraction=0.8)
+        g, thresholds, seeds, iv.bolster_a(0.5, (r,)), 0.1, stop_fraction=0.8
     )
     assert triggered
     return params, g, thresholds, seeds, run
@@ -362,9 +360,8 @@ def triggered_run(seed=300, n=4000, p_scale=7.0, r=2, factor=1.8):
 
 def test_noop_diminish_leaves_trace_unchanged():
     params, g, thresholds, seeds, run = triggered_run()
-    baseline = run_standard(g, thresholds, seeds, EngineConfig(stop_fraction=0.8))
-    spec = iv.InterventionSpec(iv.Diminish(1.0, 1.0), 0.1)
-    trace = iv.apply_in_simulation(run.clone(), spec, substream(301, 1))
+    baseline = run_standard(g, thresholds, seeds, stop_fraction=0.8)
+    trace = iv.apply_in_simulation(run.clone(), iv.Diminish(1.0, 1.0), substream(301, 1))
     assert np.array_equal(trace.totals, baseline.totals)
     assert np.array_equal(trace.final_infected, baseline.final_infected)
 
@@ -372,8 +369,7 @@ def test_noop_diminish_leaves_trace_unchanged():
 def test_bolster_to_unreachable_threshold_halts_next_generation():
     params, g, thresholds, seeds, run = triggered_run()
     huge = g.n  # no vertex can accumulate n infected neighbors
-    spec = iv.InterventionSpec(iv.Bolster({2: {huge: 1.0}}), 0.1)
-    trace = iv.apply_in_simulation(run.clone(), spec, substream(301, 2))
+    trace = iv.apply_in_simulation(run.clone(), iv.Bolster({2: {huge: 1.0}}), substream(301, 2))
     assert trace.verdict == "halted"
     # only the already-doomed vertices turn after the intervention
     assert trace.tau_end <= run.generation + 2
@@ -382,9 +378,8 @@ def test_bolster_to_unreachable_threshold_halts_next_generation():
 def test_sequester_never_deletes_healthy_healthy_edges():
     params, g, thresholds, seeds, run = triggered_run()
     infected_before = run.infected.copy()
-    spec = iv.InterventionSpec(iv.Sequester(0.0, 0.0), 0.1)
     clone = run.clone()
-    iv.apply_in_simulation(clone, spec, substream(301, 3))
+    iv.apply_in_simulation(clone, iv.Sequester(0.0, 0.0), substream(301, 3))
     kept = clone.g
     healthy_pairs_original = int(
         np.count_nonzero(~infected_before[g.edge_u] & ~infected_before[g.edge_v])
@@ -399,8 +394,7 @@ def test_sequester_never_deletes_healthy_healthy_edges():
 
 def test_diminish_alpha_zero_halts():
     params, g, thresholds, seeds, run = triggered_run()
-    spec = iv.InterventionSpec(iv.Diminish(0.0, 0.0), 0.1)
-    trace = iv.apply_in_simulation(run.clone(), spec, substream(301, 4))
+    trace = iv.apply_in_simulation(run.clone(), iv.Diminish(0.0, 0.0), substream(301, 4))
     assert trace.verdict == "halted"
 
 
@@ -411,18 +405,23 @@ def test_run_to_trigger_reports_subcritical_baseline():
     g = sample_graph(params, substream(302, 1))
     thresholds = assign_thresholds(dist, n, substream(302, 2))
     seeds = select_seeds(5, n, substream(302, 3))  # far below critical
-    spec = iv.InterventionSpec(iv.bolster_a(0.5, (2,)), 0.1)
-    run, triggered = iv.run_to_trigger(g, thresholds, seeds, spec)
+    run, triggered = iv.run_to_trigger(g, thresholds, seeds, iv.bolster_a(0.5, (2,)), 0.1)
     assert not triggered
     assert run.verdict == "halted"
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0, -0.1])
+def test_run_to_trigger_rejects_lambda_outside_open_unit_interval(lam):
+    g = sample_graph(TMParams(tpl.make_single(), 10, 0.5), substream(303, 1))
+    with pytest.raises(ValueError, match=r"trigger fraction .* outside \(0, 1\)"):
+        iv.run_to_trigger(g, np.full(10, 2), np.array([0]), iv.bolster_a(0.5, (2,)), lam)
+
+
 def test_run_to_trigger_save_vertices_pauses_before_the_crossing():
     params, g, thresholds, seeds, plain = triggered_run()
-    config = EngineConfig(stop_fraction=0.8)
-    spec = iv.InterventionSpec(iv.Bolster({2: {3: 1.0}}, save_vertices=True), 0.1)
-    run, triggered = iv.run_to_trigger(g, thresholds, seeds, spec, config)
-    trigger_at = spec.trigger_fraction * g.n
+    variant = iv.Bolster({2: {3: 1.0}}, save_vertices=True)
+    run, triggered = iv.run_to_trigger(g, thresholds, seeds, variant, 0.1, stop_fraction=0.8)
+    trigger_at = 0.1 * g.n
     assert triggered
     assert run.verdict is None
     assert run.totals[-1] <= trigger_at < run.totals[-1] + run._candidates().size
@@ -431,10 +430,9 @@ def test_run_to_trigger_save_vertices_pauses_before_the_crossing():
 
 def test_run_to_trigger_save_vertices_seeds_past_stop_fraction_trigger():
     params, g, thresholds, seeds, _ = triggered_run()
-    config = EngineConfig(stop_fraction=0.001)
     for save in (False, True):
-        spec = iv.InterventionSpec(iv.Bolster({2: {3: 1.0}}, save_vertices=save), 0.0001)
-        run, triggered = iv.run_to_trigger(g, thresholds, seeds, spec, config)
+        variant = iv.Bolster({2: {3: 1.0}}, save_vertices=save)
+        run, triggered = iv.run_to_trigger(g, thresholds, seeds, variant, 0.0001, 0.001)
         assert run.verdict == "spread" and run.generation == 0
         assert triggered
 
