@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -201,14 +201,7 @@ class AssumptionReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "zeta1_condition_ok": self.zeta1_condition_ok,
-            "beta_max": self.beta_max,
-            "beta_positive": self.beta_positive,
-            "sparsity_ok": self.sparsity_ok,
-            "probabilities_small": self.probabilities_small,
-            "within_theory": self.within_theory,
-        }
+        return {**asdict(self), "within_theory": self.within_theory}
 
 
 def _assumption_report(params: TMParams, dist: ThresholdDistribution) -> AssumptionReport:
@@ -302,9 +295,9 @@ def critical_seed(model: AnalyticModel) -> CriticalResult:
     with A(t) < 1 needs phi >= (k*t - n*A(t)) / (1 - A(t)), and a t with
     A(t) = 1 needs only k*t <= n.  The largest of those roots, rounded up,
     is stepped by one until the feasibility test on the table holds at phi
-    and fails at phi - 1, which absorbs the rounding of the division.  (The
-    bisection this replaces is kept as a test oracle.)  The minimizing t is
-    found by full scan of the table; ties break to the smallest t.
+    and fails at phi - 1, which absorbs the rounding of the division.  The
+    minimizing t is found by full scan of the table; ties break to the
+    smallest t.
     """
     params = model.params
     n, k = params.n, params.k

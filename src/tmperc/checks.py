@@ -181,7 +181,7 @@ def check_residual_enumeration(instances: int = 25) -> CheckResult:
         p = float(rng.uniform(0.05, 0.6))
         n = 50
         obs = ObservedState(
-            n=n, k=1, i_cur=m + delta, i_prev=m,
+            n=n, i_cur=m + delta, i_prev=m,
             i_cur_cluster=(m + delta,), i_prev_cluster=(m,),
             healthy_by_threshold={r: n - m - delta},
         )

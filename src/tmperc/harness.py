@@ -393,6 +393,8 @@ def _graph_params(graph: Mapping[str, Any]) -> TMParams:
         template = from_neighbors({_key(i, "cluster"): set(v) for i, v in neighbors.items()})
     else:
         raise ConfigError(f"unknown template kind {kind!r}")
+    if n % template.k != 0:  # every sampled graph splits n into k equal clusters
+        raise ValueError(f"n={n} not divisible by k={template.k}")
     if "p" in graph:
         return TMParams(template, n, _real(graph["p"], "p"), _real(graph.get("q", 0.0), "q"))
     eta = n / template.k
@@ -599,34 +601,32 @@ def _intervention_graph_task(args: tuple) -> list[dict]:
     run, triggered = run_to_trigger(
         g, thresholds, seeds, plan.variants[0], plan.trigger_fraction, plan.stop_fraction
     )
-    rows: list[dict] = []
+    observed = snapshot_observed(run)
+    shared = {"graph": graph_idx, "i_cur": observed.i_cur, "i_prev": observed.i_prev,
+              "healthy": observed.healthy_total}
     if not triggered:
-        rows.append(
+        return [
             {
+                **shared,
                 "point": -1,
                 "alpha": math.nan,
-                "graph": graph_idx,
                 "triggered": False,
-                "i_cur": int(run.totals[-1]),
-                "i_prev": int(run.totals[-2]) if len(run.totals) > 1 else 0,
                 "growth": math.nan,
-                "healthy": params.n - int(run.totals[-1]),
                 "phi_J": math.nan,
                 "Phi_J": None,
                 "predicted": "no-trigger",
                 "actual": run.verdict,
-                "final_fraction": run.totals[-1] / params.n,
+                "final_fraction": observed.i_cur / params.n,
                 "agree": None,
                 "boundary_i_cur": math.nan,
                 "too_late": None,
                 "j_decay_ok": None,
             }
-        )
-        return rows
-    observed = snapshot_observed(run)
+        ]
     profile = build_profile(observed, params)
+    rows: list[dict] = []
     for point_idx, (alpha, variant) in enumerate(zip(plan.alphas, plan.variants)):
-        surrogate = build_surrogate(observed, variant, params, profile)
+        surrogate = build_surrogate(profile, variant)
         verdict = predict(surrogate, config.epsilon)
         trace = apply_in_simulation(
             run.clone(),
@@ -639,17 +639,14 @@ def _intervention_graph_task(args: tuple) -> list[dict]:
         agree = None if expected is None or run.verdict is not None else actual == expected
         boundary = math.nan
         if plan.compute_boundary:
-            boundary = boundary_scan(observed, variant, params)
+            boundary = boundary_scan(profile, variant)
         rows.append(
             {
+                **shared,
                 "point": point_idx,
                 "alpha": alpha,
-                "graph": graph_idx,
                 "triggered": True,
-                "i_cur": observed.i_cur,
-                "i_prev": observed.i_prev,
                 "growth": observed.i_cur - observed.i_prev,
-                "healthy": observed.healthy_total,
                 "phi_J": verdict.phi_J,
                 "Phi_J": verdict.Phi_J,
                 "predicted": verdict.outcome,

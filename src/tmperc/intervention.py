@@ -143,14 +143,11 @@ class ObservedState:
     """
 
     n: int
-    k: int
     i_cur: int
     i_prev: int
     i_cur_cluster: tuple[int, ...]
     i_prev_cluster: tuple[int, ...]
     healthy_by_threshold: Mapping[int, int]
-    # boundary_scan's scaled (state, profile) pairs by (params, i_cur); not part of the state
-    _scan_profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.i_prev > self.i_cur:
@@ -174,7 +171,6 @@ def snapshot_observed(run: StandardRun) -> ObservedState:
     values, counts = np.unique(healthy_thr, return_counts=True)
     return ObservedState(
         n=run.g.n,
-        k=run.g.k,
         i_cur=int(run.totals[-1]),
         i_prev=prev,
         i_cur_cluster=tuple(int(c) for c in run.per_cluster[-1]),
@@ -244,8 +240,10 @@ def residual_tm(
 
 @dataclass
 class ResidualProfile:
-    """Residual exposure laws per threshold, averaged over clusters.
+    """Residual exposure laws per threshold of one observed state, averaged over clusters.
 
+    ``observed`` and ``params`` are the state and graph family the profile was
+    built from, so a surrogate or scan needs nothing else.
     ``joints[r][b, c]`` is Pr[near = b, far = c | healthy, threshold r];
     ``weights[r]`` is |H(r)| / |H|.  ``gate_ok`` records whether the trigger
     happened early enough (|I(tau)| < k / (3*phi)) for the geometric-decay
@@ -253,11 +251,15 @@ class ResidualProfile:
     marginal are stored regardless.
     """
 
+    observed: ObservedState
+    params: TMParams
     joints: dict[int, np.ndarray]
     weights: dict[int, float]
     gate_ok: bool
     dropped_mass: float
     cluster_tv_max: float
+    # boundary_scan's profiles of scaled states by i_cur, shared by every variant
+    _scan_profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def marginal(self, r: int) -> np.ndarray:
         return _marginal(self.joints[r])
@@ -328,6 +330,8 @@ def build_profile(observed: ObservedState, params: TMParams) -> ResidualProfile:
     phi_edge = params.phi
     gate_ok = phi_edge > 0 and observed.i_cur < params.k / (3.0 * phi_edge)
     return ResidualProfile(
+        observed=observed,
+        params=params,
         joints=joints,
         weights=weights,
         gate_ok=gate_ok,
@@ -336,26 +340,20 @@ def build_profile(observed: ObservedState, params: TMParams) -> ResidualProfile:
     )
 
 
-def thin_residual(profile: ResidualProfile, alpha_p: float, alpha_q: float) -> ResidualProfile:
-    """Push the profile through independent edge retention.
+def thin_residual(
+    joints: Mapping[int, np.ndarray], alpha_p: float, alpha_q: float
+) -> dict[int, np.ndarray]:
+    """Push (near, far) exposure joints through independent edge retention.
 
     Each near exposure survives w.p. alpha_p and each far exposure w.p.
-    alpha_q, so the new joint is the old one filtered through binomial
+    alpha_q, so each new joint is the old one filtered through binomial
     thinning matrices; the sums are exact because the support is finite.
     """
-    new_joints: dict[int, np.ndarray] = {}
-    for r, joint in profile.joints.items():
+    thinned: dict[int, np.ndarray] = {}
+    for r, joint in joints.items():
         rows, cols = joint.shape
-        t_near = _thinning_matrix(rows, alpha_p)
-        t_far = _thinning_matrix(cols, alpha_q)
-        new_joints[r] = t_near @ joint @ t_far.T
-    return ResidualProfile(
-        joints=new_joints,
-        weights=dict(profile.weights),
-        gate_ok=profile.gate_ok,
-        dropped_mass=profile.dropped_mass,
-        cluster_tv_max=profile.cluster_tv_max,
-    )
+        thinned[r] = _thinning_matrix(rows, alpha_p) @ joint @ _thinning_matrix(cols, alpha_q).T
+    return thinned
 
 
 def _thinning_matrix(size: int, alpha: float) -> np.ndarray:
@@ -372,18 +370,18 @@ class SurrogateSpec:
     """Derived percolation instance on the healthy population.
 
     ``j[s-1]`` is the residual-threshold mass j_s; the doomed healthy mass
-    1 - sum(j) becomes the seed count.  ``params`` carries the surrogate's
-    edge probabilities (thinned for Diminish, original otherwise).
+    1 - sum(j) becomes the seed count.  ``params`` is the family on the
+    healthy population: its n is |H|, and its edge probabilities are thinned
+    for Diminish and original otherwise.
     """
 
     j: np.ndarray
     seed_count: float
     params: TMParams
-    healthy_total: int
     flags: dict
 
     def __post_init__(self) -> None:
-        balance = self.seed_count / self.healthy_total + float(self.j.sum())
+        balance = self.seed_count / self.params.n + float(self.j.sum())
         if abs(balance - 1.0) > 1e-9:
             raise ValueError(f"mass balance violated: {balance!r} != 1")
 
@@ -394,49 +392,44 @@ class SurrogateSpec:
         return j1 == 0.0 or j1 < (2.0 / 3.0) * j2
 
 
-def build_surrogate(
-    observed: ObservedState,
-    variant: Variant,
-    params: TMParams,
-    profile: ResidualProfile | None = None,
-) -> SurrogateSpec:
-    """Residual-threshold law of the healthy population after the intervention.
+def build_surrogate(profile: ResidualProfile, variant: Variant) -> SurrogateSpec:
+    """Residual-threshold law of the profile's healthy population after the intervention.
 
     A healthy vertex with old threshold r and exposure a < r draws new
     threshold r' from the variant's law and lands at residual threshold
     s = r' - a; exposure a >= r means the vertex is already doomed and joins
     the seed mass.  Diminish and Sequester thin the residual exposures by the
-    retention rates and keep every threshold (the identity law); only
-    Diminish also thins the surrogate's future edges, since Sequester spares
+    retention rates and keep every threshold (the law {r: 1}); only Diminish
+    also thins the surrogate's future edges, since Sequester spares
     healthy-healthy edges.
     """
     if not isinstance(variant, (Bolster, Diminish)):
         raise TypeError(f"unknown intervention variant {variant!r}")
-    profile = profile or build_profile(observed, params)
+    params = profile.params
     flags = {
         "too_late": not profile.gate_ok,
         "profile_decay_violations": len(profile.decay_violations()) if profile.gate_ok else 0,
         "cluster_tv_max": profile.cluster_tv_max,
     }
     p, q = params.p, params.q
+    save = False
     if isinstance(variant, Bolster):
         flags["modification2"] = variant.allow_weaken
-        bolster = variant
+        joints, size, save = profile.joints, variant.r_max_prime, variant.save_vertices
     else:
         if not isinstance(variant, Sequester):
             p, q = variant.alpha_p * p, variant.alpha_q * q
-        profile = thin_residual(profile, variant.alpha_p, variant.alpha_q)
-        bolster = Bolster({r: {r: 1.0} for r in profile.weights})
-    j = np.zeros(bolster.r_max_prime)
+        joints = thin_residual(profile.joints, variant.alpha_p, variant.alpha_q)
+        size = max(profile.weights)
+    j = np.zeros(size)
     for r, weight in profile.weights.items():
         if weight <= 0.0:
             continue
-        try:
-            law = bolster.zeta_prime[r]
-        except KeyError:
-            raise KeyError(f"no reassignment law for observed threshold {r}") from None
-        marg = profile.marginal(r)
-        a_limit = marg.size if bolster.save_vertices else min(r, marg.size)
+        law = variant.zeta_prime.get(r) if isinstance(variant, Bolster) else {r: 1.0}
+        if law is None:
+            raise KeyError(f"no reassignment law for observed threshold {r}")
+        marg = _marginal(joints[r])
+        a_limit = marg.size if save else min(r, marg.size)
         for a in range(a_limit):
             mass = weight * marg[a]
             if mass <= 0.0:
@@ -445,10 +438,9 @@ def build_surrogate(
                 s = new_r - a
                 if s >= 1 and prob > 0.0:
                     j[s - 1] += mass * prob
-    healthy = observed.healthy_total
+    healthy = profile.observed.healthy_total
     seed = healthy * max(0.0, 1.0 - float(j.sum()))
-    j_params = TMParams(params.template, healthy, p, q, allow_fractional_clusters=True)
-    return SurrogateSpec(j, seed, j_params, healthy, flags)
+    return SurrogateSpec(j, seed, TMParams(params.template, healthy, p, q), flags)
 
 
 PREDICTED_HALT = "predicted-halt"
@@ -574,26 +566,24 @@ _SCAN_LO_FRAC = 0.001
 _SCAN_HI_FRAC = 0.6
 
 
-def boundary_scan(observed: ObservedState, variant: Variant, params: TMParams) -> float:
+def boundary_scan(profile: ResidualProfile, variant: Variant) -> float:
     """Hypothetical |I(tau)| at which the intervention sits exactly at Phi_J.
 
-    Holds the observed growth |I(tau)| - |I(tau-1)| and the cluster and
-    threshold proportions fixed while scaling the infected count; bisects on
-    the sign of phi_J - Phi_J (the epsilon = 0 surface).  Returns NaN when
-    no crossing lies inside the scanned range.  A scaled state's residual
-    profile does not depend on the variant, so it is built once, kept on
-    ``observed`` and reused by every later scan of it with the same params
-    (every alpha of a graph); it is freed with ``observed``.
+    Holds the profile's observed growth |I(tau)| - |I(tau-1)| and its cluster
+    and threshold proportions fixed while scaling the infected count; bisects
+    on the sign of phi_J - Phi_J (the epsilon = 0 surface).  Returns NaN when
+    no crossing lies inside the scanned range.  A scaled state's profile does
+    not depend on the variant, so it is built once, kept on ``profile`` and
+    reused by every later scan of it (every alpha of a graph).
     """
+    observed, params = profile.observed, profile.params
     delta = observed.i_cur - observed.i_prev
-    profiles = observed._scan_profiles
+    profiles = profile._scan_profiles
 
     def excess(i_cur: int) -> float:
-        if (params, i_cur) not in profiles:
-            hypo = _scaled_state(observed, i_cur, delta)
-            profiles[params, i_cur] = hypo, build_profile(hypo, params)
-        hypo, profile = profiles[params, i_cur]
-        verdict = predict(build_surrogate(hypo, variant, params, profile), epsilon=0.0)
+        if i_cur not in profiles:
+            profiles[i_cur] = build_profile(_scaled_state(observed, i_cur, delta), params)
+        verdict = predict(build_surrogate(profiles[i_cur], variant), epsilon=0.0)
         if verdict.Phi_J is None:
             return -math.inf
         return verdict.phi_J - verdict.Phi_J
@@ -623,7 +613,6 @@ def _scaled_state(observed: ObservedState, i_cur: int, delta: int) -> ObservedSt
     healthy = dict(zip(keys, _proportional([shares[r] for r in keys], observed.n - i_cur)))
     return ObservedState(
         n=observed.n,
-        k=observed.k,
         i_cur=i_cur,
         i_prev=i_prev,
         i_cur_cluster=cur_cluster,

@@ -36,16 +36,15 @@ __all__ = [
 class TMParams:
     """Graph-family parameters (template, n, p, q) with the derived quantities.
 
-    ``allow_fractional_clusters`` relaxes the even-partition requirement for
-    analytic-only parameter sets (surrogate graphs built on the healthy
-    population); sampling always requires an even partition.
+    n need not split evenly into the k clusters: the analytic model only
+    reads eta = n/k (a surrogate on the healthy population has any n), while
+    sampling a graph requires an even partition.
     """
 
     template: TemplateGraph
     n: int
     p: float
     q: float = 0.0
-    allow_fractional_clusters: bool = False
 
     def __post_init__(self) -> None:
         report = validate(self.template)
@@ -57,8 +56,6 @@ class TMParams:
             raise ValueError(f"edge probabilities must lie in [0,1], got p={self.p}, q={self.q}")
         if self.q > self.p:
             raise ValueError(f"need q <= p, got q={self.q} > p={self.p}")
-        if not self.allow_fractional_clusters and self.n % self.template.k != 0:
-            raise ValueError(f"n={self.n} not divisible by k={self.template.k}")
 
     @property
     def k(self) -> int:

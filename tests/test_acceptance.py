@@ -113,7 +113,7 @@ def test_acceptance_2_residual_exactness():
         p = float(rng.uniform(0.02, 0.6))
         n = m + delta + 20
         state = iv.ObservedState(
-            n=n, k=1, i_cur=m + delta, i_prev=m,
+            n=n, i_cur=m + delta, i_prev=m,
             i_cur_cluster=(m + delta,), i_prev_cluster=(m,),
             healthy_by_threshold={r: n - m - delta},
         )
@@ -134,7 +134,7 @@ def test_acceptance_2_residual_exactness():
         q = float(rng.uniform(0.0, p))
         n = 2 * (m_near + d_near + m_far + d_far + 10)
         state = iv.ObservedState(
-            n=n, k=2,
+            n=n,
             i_cur=m_near + d_near + m_far + d_far,
             i_prev=m_near + m_far,
             i_cur_cluster=(m_near + d_near, m_far + d_far),
@@ -199,7 +199,7 @@ def _random_gated_state(rng) -> tuple[iv.ObservedState, TMParams]:
     counts[0] += healthy - counts.sum()
     healthy_by_threshold = {r + 2: int(c) for r, c in enumerate(counts) if c > 0}
     state = iv.ObservedState(
-        n=n, k=k, i_cur=i_cur, i_prev=i_prev,
+        n=n, i_cur=i_cur, i_prev=i_prev,
         i_cur_cluster=tuple(int(c) for c in cur_cluster),
         i_prev_cluster=tuple(int(c) for c in prev_cluster),
         healthy_by_threshold=healthy_by_threshold,
@@ -259,7 +259,7 @@ def test_acceptance_3_residual_decay():
             support = list(range(r, r + 4))
             weights = rng.dirichlet(np.ones(len(support)))
             law[r] = dict(zip(support, map(float, weights)))
-        surrogate = iv.build_surrogate(state, iv.Bolster(law), params, profile)
+        surrogate = iv.build_surrogate(profile, iv.Bolster(law))
         if not surrogate.j_decay_ok:
             j_violations += 1
     elapsed = time.monotonic() - start

@@ -23,10 +23,25 @@ from tmperc.tmgraph import (
 def er_state(n, i_cur, i_prev, r, healthy_r=None):
     healthy = healthy_r or {r: n - i_cur}
     return iv.ObservedState(
-        n=n, k=1, i_cur=i_cur, i_prev=i_prev,
+        n=n, i_cur=i_cur, i_prev=i_prev,
         i_cur_cluster=(i_cur,), i_prev_cluster=(i_prev,),
         healthy_by_threshold=healthy,
     )
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (dict(i_cur=3, i_prev=4, i_cur_cluster=(3,), i_prev_cluster=(4,)), "non-decreasing"),
+        (dict(i_cur=3, i_prev=2, i_cur_cluster=(2,), i_prev_cluster=(2,)), "sum to the totals"),
+        (dict(i_cur=3, i_prev=2, i_cur_cluster=(3,), i_prev_cluster=(1,)), "sum to the totals"),
+        (dict(i_cur=3, i_prev=2, i_cur_cluster=(3,), i_prev_cluster=(2,), n=11), "cover every"),
+    ],
+    ids=["decreasing", "cur-cluster-sum", "prev-cluster-sum", "healthy-plus-infected"],
+)
+def test_observed_state_rejects_inconsistent_counts(counts, message):
+    with pytest.raises(ValueError, match=message):
+        iv.ObservedState(**{"n": 10, "healthy_by_threshold": {2: 7}, **counts})
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +89,7 @@ def test_residual_tm_reduces_to_er_when_far_is_empty():
 def test_residual_tm_symmetric_clusters_cluster_independent():
     params = TMParams(tpl.make_ring(4, 1), 40, 0.3, 0.1)
     state = iv.ObservedState(
-        n=40, k=4, i_cur=8, i_prev=4,
+        n=40, i_cur=8, i_prev=4,
         i_cur_cluster=(2, 2, 2, 2), i_prev_cluster=(1, 1, 1, 1),
         healthy_by_threshold={2: 32},
     )
@@ -96,7 +111,7 @@ def test_residual_tm_matches_joint_enumeration():
         q = float(rng.uniform(0.0, p))
         n = 40
         state = iv.ObservedState(
-            n=n, k=2,
+            n=n,
             i_cur=m_near + d_near + m_far + d_far,
             i_prev=m_near + m_far,
             i_cur_cluster=(m_near + d_near, m_far + d_far),
@@ -133,26 +148,24 @@ def test_thin_residual_identity_and_annihilation():
     n = 1000
     params = TMParams(tpl.make_single(), n, 0.01)
     profile = iv.build_profile(er_state(n, 30, 20, 3), params)
-    same = iv.thin_residual(profile, 1.0, 1.0)
-    assert tv_distance_2d(same.joints[3], profile.joints[3]) < 1e-12
-    dead = iv.thin_residual(profile, 0.0, 0.0)
-    assert dead.joints[3][0, 0] == pytest.approx(1.0, abs=1e-12)
+    same = iv.thin_residual(profile.joints, 1.0, 1.0)
+    assert tv_distance_2d(same[3], profile.joints[3]) < 1e-12
+    dead = iv.thin_residual(profile.joints, 0.0, 0.0)
+    assert dead[3][0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_thin_residual_matches_enumeration():
     n = 60
     params = TMParams(tpl.make_planted(2), n, 0.3, 0.2)
     state = iv.ObservedState(
-        n=n, k=2, i_cur=6, i_prev=3,
+        n=n, i_cur=6, i_prev=3,
         i_cur_cluster=(3, 3), i_prev_cluster=(2, 1),
         healthy_by_threshold={3: 54},
     )
     profile = iv.build_profile(state, params)
     joint = profile.joints[3]
     small = joint[:5, :5] / joint[:5, :5].sum()
-    thinned = iv.thin_residual(
-        iv.ResidualProfile({3: small}, {3: 1.0}, True, 0.0, 0.0), 0.5, 0.3
-    ).joints[3]
+    thinned = iv.thin_residual({3: small}, 0.5, 0.3)[3]
     truth = enum_thinning(small, 0.5, 0.3)
     assert tv_distance_2d(thinned, truth) < 1e-12
 
@@ -170,7 +183,7 @@ def uniform_r2_profile(n=10000, i_cur=300, i_prev=200):
 def test_surrogate_bolster_point_mass_expansion():
     params, state, profile = uniform_r2_profile()
     bolster = iv.Bolster({2: {3: 1.0}})
-    surrogate = iv.build_surrogate(state, bolster, params, profile)
+    surrogate = iv.build_surrogate(profile, bolster)
     marg = profile.marginal(2)
     assert surrogate.j[2] == pytest.approx(marg[0], rel=1e-12)  # j_3 = Pr[H_0]
     assert surrogate.j[1] == pytest.approx(marg[1], rel=1e-12)  # j_2 = Pr[H_1]
@@ -202,7 +215,7 @@ def test_surrogate_mass_balance():
         iv.Sequester(0.6, 0.6),
         delay_bolster(0.5, 10, {"2": 1.0}),
     ):
-        surrogate = iv.build_surrogate(state, variant, params, profile)
+        surrogate = iv.build_surrogate(profile, variant)
         balance = surrogate.seed_count / state.healthy_total + surrogate.j.sum()
         assert balance == pytest.approx(1.0, abs=1e-10)
 
@@ -222,7 +235,7 @@ def test_bolster_j_decay_under_gate():
     params, state, profile = uniform_r2_profile()
     assert profile.gate_ok
     for alpha in (0.0, 0.3, 0.7, 1.0):
-        surrogate = iv.build_surrogate(state, iv.bolster_a(alpha, (2,)), params, profile)
+        surrogate = iv.build_surrogate(profile, iv.bolster_a(alpha, (2,)))
         assert surrogate.j_decay_ok
 
 
@@ -239,11 +252,11 @@ def test_bolster_rejects_bad_laws():
 
 def test_surrogate_diminish_identity_and_annihilation():
     params, state, profile = uniform_r2_profile()
-    noop = iv.build_surrogate(state, iv.Diminish(1.0, 1.0), params, profile)
+    noop = iv.build_surrogate(profile, iv.Diminish(1.0, 1.0))
     plain_j = np.array([profile.marginal(2)[1], profile.marginal(2)[0]])
     assert np.allclose(noop.j, plain_j)
     assert noop.params.p == params.p
-    dead = iv.build_surrogate(state, iv.Diminish(0.0, 0.0), params, profile)
+    dead = iv.build_surrogate(profile, iv.Diminish(0.0, 0.0))
     assert dead.j[1] == pytest.approx(1.0, abs=1e-12)  # all mass at full threshold
     assert dead.seed_count == pytest.approx(0.0, abs=1e-9)
     assert dead.params.p == 0.0
@@ -257,7 +270,7 @@ def test_surrogate_diminish_monte_carlo():
     m, delta, r, alpha = 250, 120, 2, 0.5
     state = er_state(n, m + delta, m, r)
     profile = iv.build_profile(state, params)
-    surrogate = iv.build_surrogate(state, iv.Diminish(alpha, alpha), params, profile)
+    surrogate = iv.build_surrogate(profile, iv.Diminish(alpha, alpha))
     rng = np.random.default_rng(77)
     samples = 1_000_000
     prior = rng.binomial(m, params.p, size=4 * samples)
@@ -275,8 +288,8 @@ def test_surrogate_diminish_monte_carlo():
 def test_sequester_keeps_probabilities_and_shares_j():
     params, state, profile = uniform_r2_profile()
     for alpha in (0.0, 0.5, 1.0):
-        dim = iv.build_surrogate(state, iv.Diminish(alpha, alpha), params, profile)
-        seq = iv.build_surrogate(state, iv.Sequester(alpha, alpha), params, profile)
+        dim = iv.build_surrogate(profile, iv.Diminish(alpha, alpha))
+        seq = iv.build_surrogate(profile, iv.Sequester(alpha, alpha))
         assert np.allclose(dim.j, seq.j)
         assert seq.params.p == params.p and seq.params.q == params.q
         assert seq.params.p >= dim.params.p and seq.params.q >= dim.params.q
@@ -290,7 +303,7 @@ def test_diminish_verdict_monotone_in_alpha():
     alphas = np.linspace(0.05, 1.0, 12)
     phis, seeds, outcomes = [], [], []
     for alpha in alphas:
-        surrogate = iv.build_surrogate(state, iv.Diminish(alpha, alpha), params, profile)
+        surrogate = iv.build_surrogate(profile, iv.Diminish(alpha, alpha))
         verdict = iv.predict(surrogate)
         phis.append(math.inf if verdict.Phi_J is None else verdict.Phi_J)
         seeds.append(verdict.phi_J)
@@ -317,7 +330,7 @@ def test_predict_noop_bolster_past_bottleneck_is_spread():
     run, triggered = iv.run_to_trigger(g, thresholds, seeds, variant, 0.1)
     assert triggered
     observed = iv.snapshot_observed(run)
-    surrogate = iv.build_surrogate(observed, variant, params)
+    surrogate = iv.build_surrogate(iv.build_profile(observed, params), variant)
     verdict = iv.predict(surrogate)
     assert verdict.outcome == iv.PREDICTED_SPREAD
     assert verdict.flags["too_late"]
@@ -325,7 +338,7 @@ def test_predict_noop_bolster_past_bottleneck_is_spread():
 
 def test_verdict_band_membership():
     params, state, profile = uniform_r2_profile()
-    surrogate = iv.build_surrogate(state, iv.bolster_a(0.5, (2,)), params, profile)
+    surrogate = iv.build_surrogate(profile, iv.bolster_a(0.5, (2,)))
     verdict = iv.predict(surrogate, epsilon=0.1)
     lo, hi = verdict.band
     if verdict.outcome == iv.UNCERTAIN:
@@ -398,6 +411,12 @@ def test_diminish_alpha_zero_halts():
     assert trace.verdict == "halted"
 
 
+def test_apply_in_simulation_rejects_unknown_variant():
+    *_, run = triggered_run()
+    with pytest.raises(TypeError, match="unknown intervention variant"):
+        iv.apply_in_simulation(run.clone(), "diminish", substream(301, 5))
+
+
 def test_run_to_trigger_reports_subcritical_baseline():
     n = 3000
     params = TMParams(tpl.make_single(), n, 7 / n)
@@ -450,8 +469,9 @@ def test_boundary_scan_brackets_actual_state():
     # strong intervention: the boundary should exceed a weak intervention's
     params, g, thresholds, seeds, run = triggered_run(seed=305, n=10000, factor=1.4)
     observed = iv.snapshot_observed(run)
-    strong = iv.boundary_scan(observed, iv.bolster_a(0.0, (2,)), params)
-    weak = iv.boundary_scan(observed, iv.bolster_a(1.0, (2,)), params)
+    profile = iv.build_profile(observed, params)
+    strong = iv.boundary_scan(profile, iv.bolster_a(0.0, (2,)))
+    weak = iv.boundary_scan(profile, iv.bolster_a(1.0, (2,)))
     if not (math.isnan(strong) or math.isnan(weak)):
         assert strong > weak
 
@@ -462,7 +482,7 @@ def _uncached_boundary_scan(observed, variant, params, lo_frac=0.001, hi_frac=0.
 
     def excess(i_cur):
         hypo = iv._scaled_state(observed, i_cur, delta)
-        surrogate = iv.build_surrogate(hypo, variant, params, iv.build_profile(hypo, params))
+        surrogate = iv.build_surrogate(iv.build_profile(hypo, params), variant)
         verdict = iv.predict(surrogate, epsilon=0.0)
         return -math.inf if verdict.Phi_J is None else verdict.phi_J - verdict.Phi_J
 
@@ -484,28 +504,38 @@ def test_boundary_scan_profile_memo_matches_uncached_scans(monkeypatch):
     variants = [iv.bolster_a(0.0, (2,)), iv.bolster_a(1.0, (2,)), iv.Diminish(0.6, 0.6)]
     expected = [[_uncached_boundary_scan(obs, v, params) for v in variants] for obs, params in states]
     assert not np.isnan(expected).any()
+    profiles = [iv.build_profile(obs, params) for obs, params in states]
     calls = []
     build_profile = iv.build_profile
     monkeypatch.setattr(iv, "build_profile", lambda *a: calls.append(a) or build_profile(*a))
     built = []
     for which in (0, 1, 0):
-        observed, params = states[which]
         before = len(calls)
-        got = [iv.boundary_scan(observed, v, params) for v in variants]
+        got = [iv.boundary_scan(profiles[which], v) for v in variants]
         assert got == expected[which]
         built.append(len(calls) - before)
     # one profile per distinct scaled state, shared by the three scans and
-    # kept on the observed state, so state A's second pass builds none
-    assert built == [len(states[0][0]._scan_profiles), len(states[1][0]._scan_profiles), 0]
+    # kept on the graph's profile, so state A's second pass builds none
+    assert built == [len(profiles[0]._scan_profiles), len(profiles[1]._scan_profiles), 0]
     assert min(built[:2]) > 0
+
+
+def test_build_surrogate_rejects_unknown_variant():
+    params, state, profile = uniform_r2_profile()
+    with pytest.raises(TypeError, match="unknown intervention variant"):
+        iv.build_surrogate(profile, "bolster_a")
+
+
+def test_build_surrogate_needs_a_law_for_every_observed_threshold():
+    params, state, profile = uniform_r2_profile()
+    with pytest.raises(KeyError, match="no reassignment law for observed threshold 2"):
+        iv.build_surrogate(profile, iv.Bolster({3: {4: 1.0}}))
 
 
 def test_modification1_save_vertices_changes_surrogate():
     params, state, profile = uniform_r2_profile()
-    plain = iv.build_surrogate(state, iv.Bolster({2: {4: 1.0}}), params, profile)
-    saving = iv.build_surrogate(
-        state, iv.Bolster({2: {4: 1.0}}, save_vertices=True), params, profile
-    )
+    plain = iv.build_surrogate(profile, iv.Bolster({2: {4: 1.0}}))
+    saving = iv.build_surrogate(profile, iv.Bolster({2: {4: 1.0}}, save_vertices=True))
     # saving vertices moves doomed mass back into the threshold law
     assert saving.seed_count < plain.seed_count
     assert saving.j.sum() > plain.j.sum()
@@ -514,7 +544,7 @@ def test_modification1_save_vertices_changes_surrogate():
 def test_modification2_weaken_voids_decay_guarantee():
     params, state, profile = uniform_r2_profile()
     weaken = iv.Bolster({2: {2: 0.5, 3: 0.5}}, allow_weaken=True)
-    surrogate = iv.build_surrogate(state, weaken, params, profile)
+    surrogate = iv.build_surrogate(profile, weaken)
     assert surrogate.flags["modification2"]
 
 

@@ -125,7 +125,8 @@ def test_cli_import_loads_neither_process_pool_nor_battery():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["loaded"] == []
     layer_entry_points = {"run_standard", "run_coinflip", "sample_graph", "run_to_trigger",
-                               "apply_in_simulation", "boundary_scan", "build_profile", "predict"}
+                               "apply_in_simulation", "boundary_scan", "build_profile",
+                               "build_surrogate", "predict"}
     assert layer_entry_points <= set(result["wrapped"])
 
 

@@ -38,18 +38,18 @@ def test_params_rejections():
     with pytest.raises(ValueError):
         TMParams(tpl.make_single(), 10, 0.2, 0.5)  # q > p
     with pytest.raises(ValueError):
-        TMParams(tpl.make_planted(3), 10, 0.1)  # 10 not divisible by 3
-    with pytest.raises(ValueError):
         TMParams(tpl.make_single(), 10, 1.5)
-    # relaxed mode admits uneven clusters for analytic-only use
-    relaxed = TMParams(tpl.make_planted(3), 10, 0.1, allow_fractional_clusters=True)
+    # the parameters admit uneven clusters for analytic-only use; sampling refuses them
+    relaxed = TMParams(tpl.make_planted(3), 10, 0.1)
     assert relaxed.eta == pytest.approx(10 / 3)
+    with pytest.raises(ValueError):
+        sample_graph(relaxed, substream(0, 1))  # 10 not divisible by 3
 
 
 @pytest.mark.parametrize("template, n", [(tpl.make_planted(3), 10), (tpl.make_ring(5, 1), 3)])
 def test_sample_graph_rejects_uneven_clusters(template, n):
     # analytic-only params admit n % k != 0; sampling still refuses them
-    params = TMParams(template, n, 0.3, 0.1, allow_fractional_clusters=True)
+    params = TMParams(template, n, 0.3, 0.1)
     with pytest.raises(ValueError, match=f"n={n} not divisible by k={template.k}"):
         sample_graph(params, substream(0, 1))
 
