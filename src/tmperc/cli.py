@@ -19,8 +19,12 @@ from . import harness
 __all__ = ["main"]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-c", "--config", required=True, help="path to a JSON config")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_config(parser)
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--out", default=None, help="output path base (overrides config)")
     parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
@@ -28,8 +32,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _load(args: argparse.Namespace) -> harness.ExperimentConfig:
     config = harness.load_config(args.config)
-    if args.seed is not None:
-        config = harness.load_config({**config.raw, "master_seed": args.seed})
+    if args.seed is not None:  # reparse the file as written, not the dict holding its defaults
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = harness.load_config({**json.load(fh), "master_seed": args.seed})
     return config
 
 
@@ -44,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analytic = sub.add_parser("analytic", help="print critical seed sizes")
-    _add_common(p_analytic)
+    _add_config(p_analytic)  # it draws nothing and writes no file
 
     p_dichotomy = sub.add_parser("dichotomy", help="run a dichotomy sweep")
     _add_common(p_dichotomy)
@@ -66,11 +71,11 @@ def main(argv: list[str] | None = None) -> int:
             failures += 0 if ok else 1
         return 1 if failures else 0
 
-    config = _load(args)
     if args.command == "analytic":
-        for row in harness.analytic_summary(config):
+        for row in harness.analytic_summary(harness.load_config(args.config)):
             print(json.dumps(row))
         return 0
+    config = _load(args)
     if args.command == "dichotomy":
         table = harness.run_dichotomy(config, jobs=args.jobs)
         _emit(table, config, args)

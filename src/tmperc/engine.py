@@ -5,7 +5,7 @@ vertices whose infected-neighbor count against I(t) reaches their threshold.
 Propagation is frontier-based.  A standard or coinflip generation gathers the
 F adjacency entries of the vertices infected in the previous one and tallies
 them once, by one sort when F <= n and by an n-sized count when F > n, so it
-costs O(min(F log F, n + F) + k), and a whole run costs O(n) set-up plus
+costs O(min(F log F, n + F)), and a whole run costs O(n) set-up plus
 O(E log n) over its E scanned edges.
 """
 
@@ -39,13 +39,11 @@ class EngineError(RuntimeError):
 class PercolationTrace:
     """Per-generation infected counts plus the final verdict.
 
-    ``totals[t]`` is |I(t)| (index 0 is the seed generation) and
-    ``per_cluster[t]`` its split by cluster.
+    ``totals[t]`` is |I(t)| (index 0 is the seed generation).
     """
 
     n: int
     totals: np.ndarray
-    per_cluster: np.ndarray
     verdict: str
     final_infected: np.ndarray
 
@@ -92,11 +90,10 @@ class _Run:
     """State and commit path shared by the standard and coinflip runs.
 
     A subclass picks each generation's newly infected vertices in
-    ``_next_infected``; ``step`` commits the vertices and owns the totals,
-    per-cluster counts and verdict, and ``finish`` is the one loop that
-    drives generations.  ``stop_fraction`` operationalizes "almost all
-    vertices infected": a run counts as spread once the infected fraction
-    reaches it.
+    ``_next_infected``; ``step`` commits the vertices and owns the totals and
+    verdict, and ``finish`` is the one loop that drives generations.
+    ``stop_fraction`` operationalizes "almost all vertices infected": a run
+    counts as spread once the infected fraction reaches it.
     """
 
     def __init__(self, g: SampledGraph, seeds: np.ndarray, stop_fraction: float):
@@ -112,11 +109,9 @@ class _Run:
         if np.count_nonzero(self.infected) != seeds.size:
             raise ValueError("duplicate seed ids")
         self.counts = np.zeros(g.n, dtype=np.int64)  # infected neighbors seen so far
-        self.frontier = seeds
+        self.frontier = seeds  # the last generation's newly infected; the seeds at first
         self._frontier_counts = None  # _frontier_tally of this frontier, once computed
-        self.generation = 0
         self.totals = [int(seeds.size)]
-        self.per_cluster = [np.bincount(g.clusters[seeds], minlength=g.k)]
         self.verdict: str | None = None
         if self.totals[0] >= stop_fraction * g.n:
             self.verdict = SPREAD
@@ -143,12 +138,8 @@ class _Run:
         newly = self._next_infected()
         self.infected[newly] = True
         self.frontier, self._frontier_counts = newly, None
-        self.generation += 1
         total = self.totals[-1] + int(newly.size)
         self.totals.append(total)
-        self.per_cluster.append(
-            self.per_cluster[-1] + np.bincount(self.g.clusters[newly], minlength=self.g.k)
-        )
         if total >= self.stop_fraction * self.g.n:
             self.verdict = SPREAD
         elif newly.size == 0:
@@ -166,7 +157,6 @@ class _Run:
         return PercolationTrace(
             n=self.g.n,
             totals=np.asarray(self.totals, dtype=np.int64),
-            per_cluster=np.asarray(self.per_cluster, dtype=np.int64),
             verdict=self.verdict,
             final_infected=np.flatnonzero(self.infected),
         )

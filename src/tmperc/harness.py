@@ -97,6 +97,12 @@ _INTERVENTION_KEYS = {
     "stop_fraction",
 }
 _VARIANTS = ("bolster_a", "bolster_b", "bolster", "delay", "diminish", "sequester")
+# the intervention keys that only some variants read, and those variants
+_VARIANT_KEYS = {
+    **dict.fromkeys(("zeta_prime", "allow_weaken", "save_vertices"), ("bolster",)),
+    **dict.fromkeys(("z_prime", "r_max_prime"), ("delay",)),
+    "alpha_q_ratio": ("diminish", "sequester"),
+}
 _TOP_KEYS = {
     "name",
     "master_seed",
@@ -177,7 +183,7 @@ class ExperimentConfig:
 
     ``load_config`` is the only parser and builds the graph parameters, each
     sweep point's law and the intervention plan once.  ``raw`` is the normalized
-    dict, kept only for ``config_hash`` and for the CLI ``--seed`` override.
+    dict, kept only for ``config_hash``.
     """
 
     raw: dict
@@ -250,6 +256,13 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
     for key in ("name", "graph", "thresholds", "sweep"):
         if key not in out:
             raise ConfigError(f"config missing required key {key!r}")
+    if out.get("intervention") is not None:
+        # checked as written: the defaults below still feed config_hash
+        if out.get("trials", 1) != 1:
+            raise ConfigError(f"trials {out['trials']!r}: an intervention sweep runs one trial per graph")
+        ignored = sorted({"seed_factors", "stop_fraction"} & set(out))
+        if ignored:
+            raise ConfigError(f"intervention sweeps do not read {ignored}; set stop_fraction in the section")
     out.setdefault("master_seed", 0)
     out.setdefault("graphs", 50)
     out.setdefault("trials", 50)
@@ -290,6 +303,12 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
         if sweep["axis"] != "alpha":
             raise ConfigError("intervention sweeps use the alpha axis")
         section = _section(section, _INTERVENTION_KEYS, "intervention")
+        kind = section.get("variant")
+        if kind not in _VARIANTS:
+            raise ConfigError(f"unknown intervention variant {kind!r}")
+        ignored = sorted(key for key in section if kind not in _VARIANT_KEYS.get(key, (kind,)))
+        if ignored:
+            raise ConfigError(f"intervention variant {kind!r} does not read {ignored}")
         section.setdefault("lambda", 0.1)
         section.setdefault("baseline_seed_factor", 1.3)
         section.setdefault("alpha_q_ratio", 1.0)
@@ -319,13 +338,16 @@ def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"sweep value {value!r}: {exc}") from exc
     laws, coins = zip(*points)
+    keys = [_factor_key(factor) for factor in factors]
+    if section is None and sweep["axis"] != "seed_count" and len(set(keys)) < len(keys):
+        raise ConfigError(
+            f"seed_factors {factors} share RNG substreams (equal after rounding to 0.001);"
+            " give seed_factors that differ"
+        )
     plan = None
     if section is not None:
         # the alpha axis keeps the configured law, and so its thresholds, at every point
         drawable = tuple(r for r, w in enumerate(laws[0].zeta, 1) if w > 0)
-        kind = section.get("variant")
-        if kind not in _VARIANTS:
-            raise ConfigError(f"unknown intervention variant {kind!r}")
         zeta_prime = None
         if kind == "bolster":
             zeta_prime = {
@@ -430,14 +452,6 @@ class ResultTable:
     columns: list[str]
     rows: list[dict]
 
-    def sorted_rows(self) -> list[dict]:
-        def key(row: dict):
-            return tuple(
-                (v is None, v if v is not None else 0) for v in (row.get(c) for c in self.columns)
-            )
-
-        return sorted(self.rows, key=key)
-
 
 # ---------------------------------------------------------------------------
 # dichotomy experiments
@@ -541,12 +555,7 @@ def run_dichotomy(config: ExperimentConfig, jobs: int = 1) -> ResultTable:
         if any(count > n for _, count in counts):
             raise ConfigError(f"sweep value {value!r}: seed counts {counts} exceed n = {n}")
         tasks.extend((config, point_idx, g_idx, result, counts) for g_idx in range(config.graphs))
-    rows: list[dict] = []
-    for chunk in _execute(tasks, _dichotomy_graph_task, jobs):
-        rows.extend(chunk)
-    table = ResultTable(config.name, config_hash(config), list(_DICHOTOMY_COLUMNS), rows)
-    table.rows = table.sorted_rows()
-    return table
+    return _table(config, _DICHOTOMY_COLUMNS, tasks, _dichotomy_graph_task, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -667,23 +676,29 @@ def run_intervention(config: ExperimentConfig, jobs: int = 1) -> ResultTable:
         raise ConfigError("intervention configs need an intervention section")
     baseline = _baseline_seed_count(config)
     tasks = [(config, graph_idx, baseline) for graph_idx in range(config.graphs)]
-    rows: list[dict] = []
-    for chunk in _execute(tasks, _intervention_graph_task, jobs):
-        rows.extend(chunk)
-    table = ResultTable(config.name, config_hash(config), list(_INTERVENTION_COLUMNS), rows)
-    table.rows = table.sorted_rows()
-    return table
+    return _table(config, _INTERVENTION_COLUMNS, tasks, _intervention_graph_task, jobs)
 
 
-def _execute(tasks: list, fn, jobs: int) -> list:
+def _table(config: ExperimentConfig, columns: list[str], tasks: list, fn, jobs: int) -> ResultTable:
+    """Run ``fn`` on every task, in ``jobs`` processes, and sort the rows column by column.
+
+    The canonical order makes a parallel table identical to a serial one.
+    """
     if jobs < 1:
         raise ConfigError(f"jobs {jobs} must be >= 1")
     if jobs == 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
+        chunks = [fn(task) for task in tasks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            chunks = list(pool.map(fn, tasks))
+
+    def key(row: dict):
+        return tuple((v is None, v if v is not None else 0) for v in (row.get(c) for c in columns))
+
+    rows = sorted((row for chunk in chunks for row in chunk), key=key)
+    return ResultTable(config.name, config_hash(config), list(columns), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -699,21 +714,19 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def emit(table: ResultTable, path_base: str, formats: tuple[str, ...] = ("csv", "jsonl")) -> list[str]:
-    """Write the table as CSV and/or JSON lines; returns the paths written.
+def emit(table: ResultTable, path_base: str) -> list[str]:
+    """Write the table as CSV and as JSON lines; returns the two paths.
 
     Each file is written beside its final path and renamed into place, so a
     failed write leaves any earlier file at that path intact.
     """
-    paths = []
     directory = os.path.dirname(path_base)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    if "csv" in formats:
-        paths.append(_write_replace(path_base + ".csv", _csv_lines(table)))
-    if "jsonl" in formats:
-        paths.append(_write_replace(path_base + ".jsonl", _jsonl_lines(table)))
-    return paths
+    return [
+        _write_replace(path_base + ".csv", _csv_lines(table)),
+        _write_replace(path_base + ".jsonl", _jsonl_lines(table)),
+    ]
 
 
 def _csv_lines(table: ResultTable) -> Iterator[str]:

@@ -138,8 +138,9 @@ class ObservedState:
     """Aggregate counts available at the trigger generation.
 
     ``i_cur``/``i_prev`` are the infected totals after the triggering
-    generation and the one before; the per-cluster arrays split them.
-    ``healthy_by_threshold`` maps r to |H(r)| over the currently healthy.
+    generation and the one before; the per-cluster arrays split them over
+    the k clusters of n/k vertices each.  ``healthy_by_threshold`` maps r to
+    |H(r)| over the currently healthy.
     """
 
     n: int
@@ -154,6 +155,8 @@ class ObservedState:
             raise ValueError("infected counts must be non-decreasing")
         if sum(self.i_cur_cluster) != self.i_cur or sum(self.i_prev_cluster) != self.i_prev:
             raise ValueError("per-cluster counts must sum to the totals")
+        if len(self.i_cur_cluster) * max(self.i_cur_cluster + self.i_prev_cluster) > self.n:
+            raise ValueError("a per-cluster count exceeds the cluster size n/k")
         if sum(self.healthy_by_threshold.values()) + self.i_cur != self.n:
             raise ValueError("healthy plus infected must cover every vertex")
 
@@ -163,17 +166,16 @@ class ObservedState:
 
 
 def snapshot_observed(run: StandardRun) -> ObservedState:
-    prev = int(run.totals[-2]) if len(run.totals) >= 2 else 0
-    prev_cluster = (
-        run.per_cluster[-2] if len(run.per_cluster) >= 2 else np.zeros(run.g.k, dtype=np.int64)
-    )
-    healthy_thr = run.thresholds[~run.infected]
-    values, counts = np.unique(healthy_thr, return_counts=True)
+    """The counts of a paused run; |I(tau-1)| leaves out the last generation, its frontier."""
+    eta, k = run.g.eta, run.g.k
+    cur_cluster = np.bincount(np.flatnonzero(run.infected) // eta, minlength=k)
+    prev_cluster = cur_cluster - np.bincount(run.frontier // eta, minlength=k)
+    values, counts = np.unique(run.thresholds[~run.infected], return_counts=True)
     return ObservedState(
         n=run.g.n,
         i_cur=int(run.totals[-1]),
-        i_prev=prev,
-        i_cur_cluster=tuple(int(c) for c in run.per_cluster[-1]),
+        i_prev=int(run.totals[-1]) - run.frontier.size,
+        i_cur_cluster=tuple(int(c) for c in cur_cluster),
         i_prev_cluster=tuple(int(c) for c in prev_cluster),
         healthy_by_threshold={int(v): int(c) for v, c in zip(values, counts)},
     )
@@ -310,7 +312,6 @@ def build_profile(observed: ObservedState, params: TMParams) -> ResidualProfile:
     healthy_per_cluster = np.array(
         [eta - observed.i_cur_cluster[i] for i in range(params.k)], dtype=float
     )
-    healthy_per_cluster = np.maximum(healthy_per_cluster, 0.0)
     cluster_weight = healthy_per_cluster / healthy_per_cluster.sum()
     joints: dict[int, np.ndarray] = {}
     per_cluster_mixtures: list[np.ndarray] = []
@@ -571,10 +572,12 @@ def boundary_scan(profile: ResidualProfile, variant: Variant) -> float:
 
     Holds the profile's observed growth |I(tau)| - |I(tau-1)| and its cluster
     and threshold proportions fixed while scaling the infected count; bisects
-    on the sign of phi_J - Phi_J (the epsilon = 0 surface).  Returns NaN when
-    no crossing lies inside the scanned range.  A scaled state's profile does
-    not depend on the variant, so it is built once, kept on ``profile`` and
-    reused by every later scan of it (every alpha of a graph).
+    on the sign of phi_J - Phi_J (the epsilon = 0 surface).  The scan stops
+    below the first scaled state that would put more than n/k infected in a
+    cluster.  Returns NaN when no crossing lies inside the scanned range.  A
+    scaled state's profile does not depend on the variant, so it is built
+    once, kept on ``profile`` and reused by every later scan of it (every
+    alpha of a graph).
     """
     observed, params = profile.observed, profile.params
     delta = observed.i_cur - observed.i_prev
@@ -589,7 +592,7 @@ def boundary_scan(profile: ResidualProfile, variant: Variant) -> float:
         return verdict.phi_J - verdict.Phi_J
 
     lo = max(delta, int(_SCAN_LO_FRAC * observed.n), 1)
-    hi = min(int(_SCAN_HI_FRAC * observed.n), observed.n - 1)
+    hi = _scan_top(observed, delta, lo, min(int(_SCAN_HI_FRAC * observed.n), observed.n - 1))
     if lo >= hi:
         return math.nan
     f_lo, f_hi = excess(lo), excess(hi)
@@ -604,10 +607,44 @@ def boundary_scan(profile: ResidualProfile, variant: Variant) -> float:
     return 0.5 * (lo + hi)
 
 
-def _scaled_state(observed: ObservedState, i_cur: int, delta: int) -> ObservedState:
+def _scan_top(observed: ObservedState, delta: int, lo: int, hi: int) -> int:
+    """The largest i_cur <= hi such that every scaled state from lo up to it fits n/k per cluster.
+
+    A split of a total T over k clusters puts at most T * share + k in one
+    cluster (share: the largest count over their sum, 1/k when all are 0), so
+    every state below that bound fits; past it the states are checked in turn.
+    """
+    n, k = observed.n, len(observed.i_cur_cluster)
+    top = hi
+    for counts, offset in ((observed.i_cur_cluster, 0), (_prev_shape(observed), delta)):
+        base = sum(counts)
+        top = min(top, offset + (base * (n - k * k) // (k * max(counts)) if base else n - k * k))
+    top = max(top, lo - 1)
+    while top < hi:
+        _, cur, prev = _scaled_splits(observed, top + 1, delta)
+        if k * max(cur + prev) > n:
+            break
+        top += 1
+    return top
+
+
+def _prev_shape(observed: ObservedState) -> tuple[int, ...]:
+    """The cluster proportions a scaled |I(tau-1)| is split by."""
+    return observed.i_prev_cluster if observed.i_prev else observed.i_cur_cluster
+
+
+def _scaled_splits(observed: ObservedState, i_cur: int, delta: int) -> tuple[int, tuple, tuple]:
+    """|I(tau-1)| and the two cluster splits of the state scaled to ``i_cur`` infected."""
     i_prev = max(0, i_cur - delta)
-    cur_cluster = _proportional(observed.i_cur_cluster, i_cur)
-    prev_cluster = _proportional(observed.i_prev_cluster if observed.i_prev else observed.i_cur_cluster, i_prev)
+    return (
+        i_prev,
+        _proportional(observed.i_cur_cluster, i_cur),
+        _proportional(_prev_shape(observed), i_prev),
+    )
+
+
+def _scaled_state(observed: ObservedState, i_cur: int, delta: int) -> ObservedState:
+    i_prev, cur_cluster, prev_cluster = _scaled_splits(observed, i_cur, delta)
     shares = observed.healthy_by_threshold
     keys = sorted(shares)
     healthy = dict(zip(keys, _proportional([shares[r] for r in keys], observed.n - i_cur)))

@@ -15,10 +15,18 @@ from typing import Iterable, Mapping
 
 @dataclass(frozen=True)
 class TemplateGraph:
-    """Cluster topology: ``neighbors[i]`` is the set of clusters near cluster i."""
+    """Cluster topology: ``neighbors[i]`` is the set of clusters near cluster i.
+
+    Construction runs ``validate`` and rejects an invalid topology.
+    """
 
     k: int
     neighbors: tuple[frozenset[int], ...]
+
+    def __post_init__(self) -> None:
+        report = validate(self)
+        if report is not None:
+            raise ValueError(f"invalid template: {report}")
 
     @property
     def k_p(self) -> int:
@@ -60,13 +68,6 @@ def validate(template: TemplateGraph) -> str | None:
     return None
 
 
-def _checked(template: TemplateGraph) -> TemplateGraph:
-    report = validate(template)
-    if report is not None:
-        raise ValueError(f"invalid template: {report}")
-    return template
-
-
 def make_single() -> TemplateGraph:
     """One cluster with a self-loop; k_p=1, k_q=0."""
     return TemplateGraph(1, (frozenset({0}),))
@@ -81,7 +82,7 @@ def make_ring(k: int, reach: int) -> TemplateGraph:
     neighbors = tuple(
         frozenset((i + a) % k for a in range(-reach, reach + 1)) for i in range(k)
     )
-    return _checked(TemplateGraph(k, neighbors))
+    return TemplateGraph(k, neighbors)
 
 
 def make_cube3() -> TemplateGraph:
@@ -89,13 +90,11 @@ def make_cube3() -> TemplateGraph:
     neighbors = tuple(
         frozenset({i, i ^ 1, i ^ 2, i ^ 4}) for i in range(8)
     )
-    return _checked(TemplateGraph(8, neighbors))
+    return TemplateGraph(8, neighbors)
 
 
 def make_planted(k: int) -> TemplateGraph:
     """k isolated clusters (near = own cluster only); k_p=1, k_q=k-1."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     return TemplateGraph(k, tuple(frozenset({i}) for i in range(k)))
 
 
@@ -107,5 +106,4 @@ def from_neighbors(neighbors: Mapping[int, Iterable[int]]) -> TemplateGraph:
     k = len(neighbors)
     if sorted(neighbors) != list(range(k)):
         raise ValueError("neighbor map keys must be exactly 0..k-1")
-    template = TemplateGraph(k, tuple(frozenset(neighbors[i]) for i in range(k)))
-    return _checked(template)
+    return TemplateGraph(k, tuple(frozenset(neighbors[i]) for i in range(k)))

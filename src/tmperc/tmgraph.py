@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .template import TemplateGraph, validate
+from .template import TemplateGraph
 
 __all__ = [
     "TMParams",
@@ -47,9 +47,6 @@ class TMParams:
     q: float = 0.0
 
     def __post_init__(self) -> None:
-        report = validate(self.template)
-        if report is not None:
-            raise ValueError(f"invalid template: {report}")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
@@ -137,7 +134,7 @@ class ThresholdDistribution:
 
 
 class SampledGraph:
-    """Concrete undirected graph with cluster bookkeeping.
+    """Concrete undirected graph; vertex u lies in cluster u // eta.
 
     Immutable after construction: the edge and adjacency arrays are marked
     read-only, so instances can be shared freely across worker processes.
@@ -157,10 +154,9 @@ class SampledGraph:
         if self.edge_u.size and not np.all(self.edge_u < self.edge_v):
             raise ValueError("edges must be stored with u < v")
         self.indptr, self.indices = _edges_to_csr(self.n, self.edge_u, self.edge_v)
-        self.clusters = (np.arange(self.n, dtype=np.int64) // self.eta).astype(np.int64)
         self._near = params.near_matrix()
         self._edge_near: np.ndarray | None = None
-        for arr in (self.edge_u, self.edge_v, self.indptr, self.indices, self.clusters):
+        for arr in (self.edge_u, self.edge_v, self.indptr, self.indices):
             arr.flags.writeable = False
 
     @property

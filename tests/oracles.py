@@ -193,7 +193,7 @@ def _reference_run(g, seeds: np.ndarray, stop_fraction: float, advance):
     infected[seeds] = True
     frontier = seeds
     totals = [int(seeds.size)]
-    per_cluster = [np.bincount(g.clusters[seeds], minlength=g.k)]
+    per_cluster = [np.bincount(seeds // g.eta, minlength=g.k)]
     stop_at = stop_fraction * g.n
     verdict = "spread" if totals[0] >= stop_at else ("halted" if totals[0] == 0 else None)
     while verdict is None:
@@ -201,7 +201,7 @@ def _reference_run(g, seeds: np.ndarray, stop_fraction: float, advance):
         infected[newly] = True
         frontier = newly
         totals.append(totals[-1] + int(newly.size))
-        per_cluster.append(per_cluster[-1] + np.bincount(g.clusters[newly], minlength=g.k))
+        per_cluster.append(per_cluster[-1] + np.bincount(newly // g.eta, minlength=g.k))
         if totals[-1] >= stop_at:
             verdict = "spread"
         elif newly.size == 0:

@@ -552,8 +552,9 @@ def _intervention_config(name, variant, graph, zeta, values, ratio=1.0, seed=109
                 "variant": variant,
                 "lambda": 0.1,
                 "baseline_seed_factor": 1.3,
-                "alpha_q_ratio": ratio,
                 "compute_boundary": False,
+                # only the edge-removal variants read the far-edge ratio
+                **({"alpha_q_ratio": ratio} if variant in ("diminish", "sequester") else {}),
             },
         }
     )

@@ -63,9 +63,8 @@ def medium_instance(rng):
 
 
 def assert_trace_equals(trace, expected):
-    totals, per_cluster, verdict, final_infected = expected[:4]
+    totals, _, verdict, final_infected = expected[:4]
     assert np.array_equal(trace.totals, totals)
-    assert np.array_equal(trace.per_cluster, per_cluster)
     assert trace.verdict == verdict
     assert np.array_equal(trace.final_infected, final_infected)
 
@@ -101,7 +100,7 @@ def test_trace_conservation_and_monotonicity():
         g, thresholds, seeds = random_instance(rng)
         trace = run_standard(g, thresholds, seeds, stop_fraction=1.0)
         assert np.all(np.diff(trace.totals) >= 0)
-        assert np.array_equal(trace.per_cluster.sum(axis=1), trace.totals)
+        assert trace.totals[-1] == trace.final_infected.size
 
 
 def test_standard_determinism():
@@ -188,7 +187,7 @@ def test_coinflip_monotone_and_conserving():
     cf = CoinflipState.uniform(200, s=1, z=0.4, r_max=6)
     trace = run_coinflip(g, cf, np.arange(10), rng=substream(10, 2))
     assert np.all(np.diff(trace.totals) >= 0)
-    assert np.array_equal(trace.per_cluster.sum(axis=1), trace.totals)
+    assert trace.totals[-1] == trace.final_infected.size
 
 
 def test_duplicate_seeds_rejected_in_every_mode():

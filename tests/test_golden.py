@@ -145,7 +145,7 @@ def _csv_digest(name: str, tmp_path) -> str:
     config = harness.load_config(CONFIGS[name])
     run = harness.run_intervention if "intervention" in CONFIGS[name] else harness.run_dichotomy
     base = str(tmp_path / name)
-    harness.emit(run(config), base, formats=("csv",))
+    harness.emit(run(config), base)
     with open(base + ".csv", "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 

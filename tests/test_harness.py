@@ -147,17 +147,28 @@ class _Unprintable:
         raise RuntimeError("cell cannot be formatted")
 
 
+class _NotJson:
+    """A cell the CSV writer prints and ``json.dumps`` refuses."""
+
+    def __str__(self):
+        return "opaque"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_emit_failure_keeps_previous_file(tmp_path, fmt):
     base = str(tmp_path / "rows")
     good = harness.ResultTable("good", "cafe", ["a"], [{"a": i} for i in range(3)])
     harness.emit(good, base)
-    before = open(f"{base}.{fmt}", "rb").read()
-    # the second row fails after the header and first row are written
-    bad = harness.ResultTable("bad", "beef", ["a"], [{"a": 1}, {"a": _Unprintable()}])
+    before = {ext: open(f"{base}.{ext}", "rb").read() for ext in ("csv", "jsonl")}
+    # the second row fails after the header and first row are written: in the
+    # CSV, which comes first, or only in the JSON lines
+    cell = _Unprintable() if fmt == "csv" else _NotJson()
+    bad = harness.ResultTable("bad", "beef", ["a"], [{"a": 1}, {"a": cell}])
     with pytest.raises((RuntimeError, TypeError)):
-        harness.emit(bad, base, formats=(fmt,))
-    assert open(f"{base}.{fmt}", "rb").read() == before
+        harness.emit(bad, base)
+    assert open(f"{base}.{fmt}", "rb").read() == before[fmt]
+    if fmt == "jsonl":
+        assert open(f"{base}.csv", "rb").read() != before["csv"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "rows.jsonl"]
 
 
@@ -269,7 +280,7 @@ def test_config_rejects_stop_fraction_outside_unit_interval(value):
 def test_config_rejects_epsilon_outside_zero_to_one(value):
     with pytest.raises(ConfigError, match="epsilon"):
         harness.load_config(base_config(epsilon=value))
-    assert harness.load_config(base_config(epsilon=0.0)).epsilon == 0.0
+    assert harness.load_config(base_config(epsilon=0.0, seed_factors=[1.0])).epsilon == 0.0
 
 
 @pytest.mark.parametrize("value", [0.0, 1.0, -0.2, 1.5])
@@ -529,7 +540,9 @@ def test_intervention_plan_holds_one_typed_spec_per_alpha_point():
     assert plan.variants == tuple(plan.variant_at(alpha) for alpha in plan.alphas)
     # off the grid, variant_at agrees with the public constructors of every kind
     def plan_of(kind, **section):
-        return harness.load_config(_variant_config(kind, alpha_q_ratio=0.4, **section)).intervention
+        if kind in ("diminish", "sequester"):
+            section["alpha_q_ratio"] = 0.4
+        return harness.load_config(_variant_config(kind, **section)).intervention
 
     plans = {
         kind: plan_of(kind) for kind in ("bolster_a", "bolster_b", "diminish", "sequester", "delay")
@@ -621,6 +634,24 @@ def test_cli_seed_override_is_validated_and_keeps_the_config_hash(tmp_path, monk
     expected = harness.load_config({**harness.load_config(str(path)).raw, "master_seed": 12})
     assert harness.config_hash(overridden) == harness.config_hash(expected)
     assert overridden.raw == expected.raw
+
+
+def test_cli_seed_override_of_an_intervention_config(tmp_path):
+    # the override re-reads the file as written: the normalized dict carries
+    # top-level defaults that an intervention config may not set
+    path = tmp_path / "iv.json"
+    path.write_text(json.dumps(_variant_config("bolster_a")))
+    overridden = cli._load(argparse.Namespace(config=str(path), seed=12))
+    assert overridden.master_seed == 12
+    expected = harness.load_config({**_variant_config("bolster_a"), "master_seed": 12})
+    assert overridden.raw == expected.raw
+    # the keys are checked as written; the defaults still feed config_hash
+    raw = expected.raw
+    assert (raw["stop_fraction"], raw["seed_factors"], raw["intervention"]["alpha_q_ratio"]) == (
+        0.9, [0.9, 1.1], 1.0
+    )
+    with pytest.raises(ConfigError, match="do not read"):
+        harness.load_config(raw)
 
 
 def test_jobs_rejected_below_one_and_capped_at_task_count(monkeypatch):
@@ -754,3 +785,73 @@ def test_cli_analytic_and_validate(tmp_path, capsys):
     assert "phi_critical" in out
     assert main(["dichotomy", "-c", str(path), "--out", str(tmp_path / "rows")]) == 0
     assert (tmp_path / "rows.csv").exists()
+
+
+def _n400(**overrides):
+    graph = {"template": {"kind": "single"}, "n": 400, "p": 0.02}
+    fields = {"master_seed": 5, "trials": 3, "sweep": {"axis": "none", "values": [0]}}
+    return base_config(graph=graph, thresholds={"zeta": {"2": 1.0}}, **{**fields, **overrides})
+
+
+def test_seed_factors_sharing_a_substream_are_rejected():
+    # a factor picks its seed substream by round(1000 * factor), so 1.0 and
+    # 1.0004 drew the same seeds and emitted identical trials
+    with pytest.raises(ConfigError, match=r"seed_factors \[1.0, 1.0004\] share RNG substreams"):
+        harness.load_config(_n400(seed_factors=[1.0, 1.0004]))
+    # epsilon = 0 makes the default factors [1.0, 1.0]
+    with pytest.raises(ConfigError, match=r"\[1.0, 1.0\] share .*give seed_factors"):
+        harness.load_config(_n400(epsilon=0.0))
+    factors = harness.load_config(_n400(seed_factors=[1.0, 1.0006])).seed_factors
+    assert [harness._factor_key(f) for f in factors] == [1000, 1001]
+    # the seed-count axis reads no factor
+    harness.load_config(_n400(epsilon=0.0, sweep={"axis": "seed_count", "values": [10]}))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {**_variant_config("bolster_a"), "trials": 3},
+        {**_variant_config("bolster_a"), "seed_factors": [0.9, 1.1]},
+        {**_variant_config("diminish"), "stop_fraction": 0.7},
+        _variant_config("bolster_a", save_vertices=True),
+        _variant_config("delay", allow_weaken=True),
+        _variant_config("diminish", zeta_prime=_RAISE_BY_ONE),
+        _variant_config("bolster", zeta_prime=_RAISE_BY_ONE, z_prime=0.5),
+        _variant_config("sequester", r_max_prime=8),
+        _variant_config("bolster_a", alpha_q_ratio=0.5),
+        _variant_config("bolster_b", alpha_q_ratio=1.0),
+        _variant_config("bolster", zeta_prime=_RAISE_BY_ONE, alpha_q_ratio=0.5),
+        _variant_config("delay", alpha_q_ratio=0.5),
+    ],
+    ids=[
+        "trials-3",
+        "seed_factors",
+        "top-level-stop_fraction",
+        "save_vertices-on-bolster_a",
+        "allow_weaken-on-delay",
+        "zeta_prime-on-diminish",
+        "z_prime-on-bolster",
+        "r_max_prime-on-sequester",
+        "alpha_q_ratio-on-bolster_a",
+        "alpha_q_ratio-on-bolster_b",
+        "alpha_q_ratio-on-bolster",
+        "alpha_q_ratio-on-delay",
+    ],
+)
+def test_intervention_config_rejects_keys_its_run_ignores(raw):
+    # each loaded and changed nothing: bolster_a with save_vertices built a
+    # variant that does not save vertices
+    with pytest.raises(ConfigError, match="one trial per graph|do not read|does not read"):
+        harness.load_config(raw)
+
+
+@pytest.mark.parametrize(
+    "flags", [["--seed", "3"], ["--jobs", "7"], ["--out", "x"]], ids=["seed", "jobs", "out"]
+)
+def test_cli_analytic_rejects_options_it_ignores(tmp_path, capsys, flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config()))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analytic", "-c", str(path), *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

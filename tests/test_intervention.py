@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import enum_residual_er, enum_residual_tm, enum_thinning, tv_distance, tv_distance_2d
+from oracles import (
+    enum_residual_er,
+    enum_residual_tm,
+    enum_thinning,
+    reference_standard,
+    tv_distance,
+    tv_distance_2d,
+)
 from tmperc import harness
 from tmperc import intervention as iv
 from tmperc import template as tpl
@@ -36,8 +43,13 @@ def er_state(n, i_cur, i_prev, r, healthy_r=None):
         (dict(i_cur=3, i_prev=2, i_cur_cluster=(2,), i_prev_cluster=(2,)), "sum to the totals"),
         (dict(i_cur=3, i_prev=2, i_cur_cluster=(3,), i_prev_cluster=(1,)), "sum to the totals"),
         (dict(i_cur=3, i_prev=2, i_cur_cluster=(3,), i_prev_cluster=(2,), n=11), "cover every"),
+        # a cluster of n/k = 2.5 or 1 vertices cannot hold more infected
+        (dict(i_cur=3, i_prev=2, i_cur_cluster=(3, 0, 0, 0), i_prev_cluster=(2, 0, 0, 0)), "n/k"),
+        (dict(i_cur=3, i_prev=2, i_cur_cluster=(1, 1, 1) + (0,) * 7, i_prev_cluster=(2,) + (0,) * 9),
+         "n/k"),
     ],
-    ids=["decreasing", "cur-cluster-sum", "prev-cluster-sum", "healthy-plus-infected"],
+    ids=["decreasing", "cur-cluster-sum", "prev-cluster-sum", "healthy-plus-infected",
+         "cur-cluster-above-size", "prev-cluster-above-size"],
 )
 def test_observed_state_rejects_inconsistent_counts(counts, message):
     with pytest.raises(ValueError, match=message):
@@ -385,7 +397,7 @@ def test_bolster_to_unreachable_threshold_halts_next_generation():
     trace = iv.apply_in_simulation(run.clone(), iv.Bolster({2: {huge: 1.0}}), substream(301, 2))
     assert trace.verdict == "halted"
     # only the already-doomed vertices turn after the intervention
-    assert trace.tau_end <= run.generation + 2
+    assert trace.tau_end <= len(run.totals) + 1
 
 
 def test_sequester_never_deletes_healthy_healthy_edges():
@@ -444,7 +456,7 @@ def test_run_to_trigger_save_vertices_pauses_before_the_crossing():
     assert triggered
     assert run.verdict is None
     assert run.totals[-1] <= trigger_at < run.totals[-1] + run._candidates().size
-    assert plain.generation == run.generation + 1
+    assert len(plain.totals) == len(run.totals) + 1
 
 
 def test_run_to_trigger_save_vertices_seeds_past_stop_fraction_trigger():
@@ -452,7 +464,7 @@ def test_run_to_trigger_save_vertices_seeds_past_stop_fraction_trigger():
     for save in (False, True):
         variant = iv.Bolster({2: {3: 1.0}}, save_vertices=save)
         run, triggered = iv.run_to_trigger(g, thresholds, seeds, variant, 0.0001, 0.001)
-        assert run.verdict == "spread" and run.generation == 0
+        assert run.verdict == "spread" and len(run.totals) == 1
         assert triggered
 
 
@@ -463,6 +475,37 @@ def test_snapshot_observed_consistency():
     assert observed.i_prev == run.totals[-2]
     assert observed.i_cur > observed.i_prev
     assert sum(observed.healthy_by_threshold.values()) == observed.n - observed.i_cur
+
+
+@pytest.mark.parametrize(
+    "template", [tpl.make_single(), tpl.make_ring(5, 1), tpl.make_planted(3)],
+    ids=["single", "ring", "planted"],
+)
+def test_snapshot_splits_match_reference_per_cluster_counts(template):
+    # the splits are recounted from the infected set and the last frontier;
+    # the reference keeps the per-generation history the engine no longer has
+    n = 150 * template.k
+    params = TMParams(template, n, 6.0 / (template.k_p * 150), 1.0 / n)
+    g = sample_graph(params, substream(311, template.k))
+    thresholds = assign_thresholds(ThresholdDistribution((0.0, 0.7, 0.3)), n, substream(311, 2))
+    seeds = select_seeds(n // 10, n, substream(311, 3))
+    _, per_cluster, _, _ = reference_standard(g, thresholds, seeds, 0.9)
+    assert len(per_cluster) > 3
+    zeros = (0,) * template.k
+    run = StandardRun(g, thresholds, seeds, 0.9)
+    for t in range(len(per_cluster)):  # generation 0 first, the finished run last
+        observed = iv.snapshot_observed(run)
+        assert observed.i_cur_cluster == tuple(per_cluster[t])
+        assert observed.i_prev_cluster == (tuple(per_cluster[t - 1]) if t else zeros)
+        if run.verdict is None:
+            run.step()
+    paused, triggered = iv.run_to_trigger(g, thresholds, seeds, iv.bolster_a(0.5, (2, 3)), 0.2, 0.9)
+    tau = len(paused.totals) - 1
+    assert triggered and paused.verdict is None and tau >= 2
+    observed = iv.snapshot_observed(paused)
+    assert observed.i_cur_cluster == tuple(per_cluster[tau])
+    assert observed.i_prev_cluster == tuple(per_cluster[tau - 1])
+    assert (observed.i_cur, observed.i_prev) == (paused.totals[-1], paused.totals[-2])
 
 
 def test_boundary_scan_brackets_actual_state():
@@ -602,3 +645,30 @@ def test_boundary_scan_on_sparse_ring_cluster_counts():
     rows = harness._intervention_graph_task((config, 9, harness._baseline_seed_count(config)))
     assert [row["point"] for row in rows] == list(range(6))
     assert rows[2]["boundary_i_cur"] == 648.5
+
+
+def test_boundary_scan_keeps_scaled_clusters_within_their_size(monkeypatch):
+    # on this planted k = 2 sweep a scan used to build a profile with 1,063
+    # infected in a 1,000-vertex cluster, which build_profile clamped silently
+    raw = {
+        "name": "planted-overflow",
+        "master_seed": 7,
+        "graph": {"template": {"kind": "planted", "k": 2}, "n": 2000, "p": 0.006, "q": 5e-5},
+        "thresholds": {"zeta": {"2": 1.0}},
+        "sweep": {"axis": "alpha", "values": [0.3, 0.7]},
+        "graphs": 3,
+        "trials": 1,
+        "intervention": {"variant": "bolster_a", "baseline_seed_count": 30},
+    }
+    states = []
+    build = iv.build_profile
+
+    def recording(observed, params):
+        states.append(observed)
+        return build(observed, params)
+
+    monkeypatch.setattr(iv, "build_profile", recording)
+    rows = harness.run_intervention(harness.load_config(raw)).rows
+    assert any(row["triggered"] for row in rows)
+    # the scan's top state now fills its largest cluster exactly
+    assert max(max(s.i_cur_cluster + s.i_prev_cluster) for s in states) == 1000

@@ -52,25 +52,29 @@ def test_planted():
     assert tpl.make_planted(1) == tpl.make_single()
 
 
+# construction runs validate, so a broken template never exists
+
+
 def test_validate_detects_symmetry_violation():
-    broken = tpl.TemplateGraph(2, (frozenset({0, 1}), frozenset({1})))
-    report = tpl.validate(broken)
-    assert report is not None and "symmetry" in report
+    with pytest.raises(ValueError, match="invalid template: symmetry"):
+        tpl.TemplateGraph(2, (frozenset({0, 1}), frozenset({1})))
 
 
 def test_validate_detects_regularity_violation():
-    broken = tpl.TemplateGraph(
-        3,
-        (frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({1, 2})),
-    )
-    report = tpl.validate(broken)
-    assert report is not None and "regularity" in report
+    with pytest.raises(ValueError, match="invalid template: regularity"):
+        tpl.TemplateGraph(3, (frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({1, 2})))
 
 
 def test_validate_detects_missing_self_membership():
-    broken = tpl.TemplateGraph(2, (frozenset({1}), frozenset({0})))
-    report = tpl.validate(broken)
-    assert report is not None and "self-membership" in report
+    with pytest.raises(ValueError, match="invalid template: self-membership"):
+        tpl.TemplateGraph(2, (frozenset({1}), frozenset({0})))
+
+
+def test_validate_detects_bounds_violations():
+    with pytest.raises(ValueError, match="invalid template: bounds"):
+        tpl.TemplateGraph(2, (frozenset({0, 2}), frozenset({1})))
+    with pytest.raises(ValueError, match="invalid template: bounds"):
+        tpl.make_planted(0)
 
 
 def test_from_neighbors_accepts_valid_and_rejects_invalid():

@@ -125,7 +125,7 @@ def test_adjacency_symmetry_no_self_loops_no_duplicates():
 def test_cluster_sizes_exact():
     params = TMParams(tpl.make_planted(4), 40, 0.3, 0.1)
     g = sample_graph(params, substream(2, 2))
-    assert np.array_equal(np.bincount(g.clusters), np.full(4, 10))
+    assert (g.n, g.k, g.eta) == (40, 4, 10)  # cluster of u: u // eta
 
 
 def test_near_edge_count_concentration():
@@ -149,7 +149,7 @@ def test_edge_is_near_is_computed_once_and_read_only():
     near = g.edge_is_near()
     assert near is g.edge_is_near()
     assert not near.flags.writeable
-    assert np.array_equal(near, params.near_matrix()[g.clusters[g.edge_u], g.clusters[g.edge_v]])
+    assert np.array_equal(near, params.near_matrix()[g.edge_u // g.eta, g.edge_v // g.eta])
 
 
 def test_assign_thresholds_point_masses():
