@@ -50,18 +50,17 @@ def _exact_pi(t: int, r: int, params: TMParams) -> float:
 
 
 def check_templates() -> CheckResult:
-    builders = [
-        tpl.make_single(),
-        tpl.make_ring(10, 1),
-        tpl.make_ring(7, 2),
-        tpl.make_cube3(),
-        tpl.make_planted(5),
-    ]
-    for built in builders:
-        report = tpl.validate(built)
-        if report is not None:
-            return ("template-builders", False, report)
-    return ("template-builders", True, f"{len(builders)} builders valid")
+    try:  # construction checks every template rule
+        built = [
+            tpl.make_single(),
+            tpl.make_ring(10, 1),
+            tpl.make_ring(7, 2),
+            tpl.make_cube3(),
+            tpl.make_planted(5),
+        ]
+    except ValueError as exc:
+        return ("template-builders", False, str(exc))
+    return ("template-builders", True, f"{len(built)} builders valid")
 
 
 def check_pi_exact() -> CheckResult:
@@ -186,7 +185,7 @@ def check_residual_enumeration(instances: int = 25) -> CheckResult:
             healthy_by_threshold={r: n - m - delta},
         )
         params = TMParams(params_template, n, p)
-        mine = residual_tm(obs, r, params, 0)[0][:, 0]
+        mine = residual_tm(obs, r, params, 0)[:, 0]
         law: dict[int, float] = {}
         for vec in itertools.product([0, 1], repeat=m + delta):
             weight = 1.0

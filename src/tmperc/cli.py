@@ -31,17 +31,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load(args: argparse.Namespace) -> harness.ExperimentConfig:
-    config = harness.load_config(args.config)
-    if args.seed is not None:  # reparse the file as written, not the dict holding its defaults
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = harness.load_config({**json.load(fh), "master_seed": args.seed})
-    return config
-
-
-def _emit(table: harness.ResultTable, config: harness.ExperimentConfig, args) -> None:
-    base = args.out or config.output or f"out/{config.name}"
-    for path in harness.emit(table, base):
-        print(f"wrote {path}")
+    """Parse the config file once, with ``--seed`` set on the dict as written."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if args.seed is not None and isinstance(raw, dict):  # load_config rejects a non-object
+        raw = {**raw, "master_seed": args.seed}
+    return harness.load_config(raw)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -76,16 +71,11 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(row))
         return 0
     config = _load(args)
-    if args.command == "dichotomy":
-        table = harness.run_dichotomy(config, jobs=args.jobs)
-        _emit(table, config, args)
-        return 0
-    if args.command == "intervene":
-        table = harness.run_intervention(config, jobs=args.jobs)
-        _emit(table, config, args)
-        return 0
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    run = harness.run_dichotomy if args.command == "dichotomy" else harness.run_intervention
+    table = run(config, jobs=args.jobs)
+    for path in harness.emit(table, args.out or config.output or f"out/{config.name}"):
+        print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -663,8 +663,8 @@ def _intervention_graph_task(args: tuple) -> list[dict]:
                 "final_fraction": trace.final_fraction,
                 "agree": agree,
                 "boundary_i_cur": boundary,
-                "too_late": verdict.flags.get("too_late"),
-                "j_decay_ok": verdict.flags.get("j_decay_ok"),
+                "too_late": not profile.gate_ok,
+                "j_decay_ok": surrogate.j_decay_ok,
             }
         )
     return rows
@@ -717,16 +717,16 @@ def _format_value(value) -> str:
 def emit(table: ResultTable, path_base: str) -> list[str]:
     """Write the table as CSV and as JSON lines; returns the two paths.
 
-    Each file is written beside its final path and renamed into place, so a
-    failed write leaves any earlier file at that path intact.
+    Both files are written in full before either is renamed into place, so a
+    failed write leaves the earlier pair intact; a failure of the second
+    ``os.replace`` can still leave a new CSV beside an old JSONL.
     """
     directory = os.path.dirname(path_base)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    return [
-        _write_replace(path_base + ".csv", _csv_lines(table)),
-        _write_replace(path_base + ".jsonl", _jsonl_lines(table)),
-    ]
+    return _write_replace(
+        {path_base + ".csv": _csv_lines(table), path_base + ".jsonl": _jsonl_lines(table)}
+    )
 
 
 def _csv_lines(table: ResultTable) -> Iterator[str]:
@@ -743,16 +743,19 @@ def _jsonl_lines(table: ResultTable) -> Iterator[str]:
         yield json.dumps(clean, sort_keys=True) + "\n"
 
 
-def _write_replace(path: str, lines: Iterator[str]) -> str:
-    """Write ``lines`` to a temporary file beside ``path``, then rename it over ``path``."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+def _write_replace(files: Mapping[str, Iterator[str]]) -> list[str]:
+    """Write every file in full beside its path, then rename each temporary file over its path."""
+    tmps = {path: f"{path}.{os.getpid()}.tmp" for path in files}
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-        os.replace(tmp, path)
+        for path, lines in files.items():
+            with open(tmps[path], "w", encoding="utf-8") as fh:
+                fh.writelines(lines)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"writing {path}: {exc}") from exc
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-    return path
+        for tmp in tmps.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+    return list(files)

@@ -181,36 +181,32 @@ def snapshot_observed(run: StandardRun) -> ObservedState:
     )
 
 
-def _pmf_row(trials: int, prob: float) -> tuple[np.ndarray, float]:
-    """Binomial pmf over 0..trials covering all but ~1e-15 mass; returns (row, dropped)."""
+def _pmf_row(trials: int, prob: float) -> np.ndarray:
+    """Binomial pmf of Bin(trials, prob), cut where its tail is negligible, renormalized.
+
+    The row stops at mean + 12*sqrt(mean + 1) + 30.  Bernstein's bound puts
+    the tail past that below 4.3e-28, which for trials <= 2**32 is under the
+    cut of trailing entries below 1e-15 of the mode, so the row equals the
+    full-support row under that cut.
+    """
     if trials <= 0 or prob <= 0.0:
-        return np.array([1.0]), 0.0
+        return np.array([1.0])
     mean = trials * prob
-    soft = int(min(trials, math.ceil(mean + 12.0 * math.sqrt(mean + 1.0) + 30.0)))
-    row = np.exp(log_binom_row(trials, prob, soft))
-    covered = float(row.sum())
-    if covered < 1.0 - _TRUNCATION_EPS and soft < trials:
-        row = np.exp(log_binom_row(trials, prob, trials))
-        covered = float(row.sum())
-    dropped = max(0.0, 1.0 - covered)
-    # trim a trailing sliver of sub-threshold entries to keep supports small
+    cap = int(min(trials, math.ceil(mean + 12.0 * math.sqrt(mean + 1.0) + 30.0)))
+    row = np.exp(log_binom_row(trials, prob, cap))
     keep = max(np.flatnonzero(row > _TRUNCATION_EPS * row.max()), default=0)
     row = row[: int(keep) + 1]
-    if dropped > 0.0 or row.sum() != 1.0:
-        row = row / row.sum()
-    return row, dropped
+    return row / row.sum()
 
 
-def residual_tm(
-    observed: ObservedState, r: int, params: TMParams, cluster: int
-) -> tuple[np.ndarray, float]:
+def residual_tm(observed: ObservedState, r: int, params: TMParams, cluster: int) -> np.ndarray:
     """Joint law of (near, far) infected-neighbor counts for a healthy vertex.
 
     The exposure to I(tau-1) is a pair of binomials jointly conditioned on
     total at most r-1 (the vertex survived); fresh exposure to I(tau) -
     I(tau-1) convolves in independently.  Returns the 2D array indexed by
-    (near count b, far count c) and the binomial tail mass truncated from
-    the fresh exposure.  On a single cluster column 0 is the exposure law.
+    (near count b, far count c).  On a single cluster column 0 is the
+    exposure law.
     """
     near_set = params.template.neighbors[cluster]
     m_near = sum(observed.i_prev_cluster[i] for i in near_set)
@@ -227,8 +223,8 @@ def residual_tm(
     if total <= 0.0:
         raise ValueError("survival constraint has zero probability mass")
     prior /= total
-    fresh_near, drop_b = _pmf_row(d_near, params.p)
-    fresh_far, drop_c = _pmf_row(d_far, params.q)
+    fresh_near = _pmf_row(d_near, params.p)
+    fresh_far = _pmf_row(d_far, params.q)
     out = np.zeros((r + fresh_near.size - 1, r + fresh_far.size - 1))
     for d in range(r):
         for e in range(r - d):
@@ -237,7 +233,7 @@ def residual_tm(
                 out[d : d + fresh_near.size, e : e + fresh_far.size] += w * np.outer(
                     fresh_near, fresh_far
                 )
-    return out, drop_b + drop_c
+    return out
 
 
 @dataclass
@@ -249,8 +245,8 @@ class ResidualProfile:
     ``joints[r][b, c]`` is Pr[near = b, far = c | healthy, threshold r];
     ``weights[r]`` is |H(r)| / |H|.  ``gate_ok`` records whether the trigger
     happened early enough (|I(tau)| < k / (3*phi)) for the geometric-decay
-    guarantee to apply; violations of that decay in the threshold-mixture
-    marginal are stored regardless.
+    guarantee to apply; ``decay_violations`` checks that decay in the
+    threshold-mixture marginal regardless.
     """
 
     observed: ObservedState
@@ -258,8 +254,6 @@ class ResidualProfile:
     joints: dict[int, np.ndarray]
     weights: dict[int, float]
     gate_ok: bool
-    dropped_mass: float
-    cluster_tv_max: float
     # boundary_scan's profiles of scaled states by i_cur, shared by every variant
     _scan_profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -284,6 +278,25 @@ class ResidualProfile:
             elif marg[a + 1] >= (2.0 / 3.0) * marg[a] * _DECAY_SLACK:
                 bad.append((a, marg[a + 1] / marg[a]))
         return bad
+
+    def cluster_tv_max(self) -> float:
+        """Largest total-variation distance between two clusters' threshold-mixture exposure laws.
+
+        The per-cluster laws are rebuilt from ``observed`` and ``params``; 0.0
+        on a single cluster.
+        """
+        mixtures = []
+        for cluster in range(self.params.k):
+            mixture = np.zeros(0)
+            for r, weight in self.weights.items():
+                joint = residual_tm(self.observed, r, self.params, cluster)
+                mixture = _padded_add(mixture, weight * _marginal(joint))
+            mixtures.append(mixture)
+        return max(
+            (0.5 * float(np.abs(_padded_add(a, -b)).sum())
+             for a, b in itertools.combinations(mixtures, 2)),
+            default=0.0,
+        )
 
 
 def _marginal(joint: np.ndarray) -> np.ndarray:
@@ -314,30 +327,14 @@ def build_profile(observed: ObservedState, params: TMParams) -> ResidualProfile:
     )
     cluster_weight = healthy_per_cluster / healthy_per_cluster.sum()
     joints: dict[int, np.ndarray] = {}
-    per_cluster_mixtures: list[np.ndarray] = []
-    dropped = 0.0
     for cluster in range(params.k):
-        mixture = np.zeros(0)
         for r in weights:
-            joint, drop = residual_tm(observed, r, params, cluster)
-            dropped = max(dropped, drop)
-            share = cluster_weight[cluster] * joint
+            share = cluster_weight[cluster] * residual_tm(observed, r, params, cluster)
             joints[r] = _padded_add(joints.get(r, np.zeros((0, 0))), share)
-            mixture = _padded_add(mixture, weights[r] * _marginal(joint))
-        per_cluster_mixtures.append(mixture)
-    tv_max = 0.0
-    for a, b in itertools.combinations(per_cluster_mixtures, 2):
-        tv_max = max(tv_max, 0.5 * float(np.abs(_padded_add(a, -b)).sum()))
     phi_edge = params.phi
     gate_ok = phi_edge > 0 and observed.i_cur < params.k / (3.0 * phi_edge)
     return ResidualProfile(
-        observed=observed,
-        params=params,
-        joints=joints,
-        weights=weights,
-        gate_ok=gate_ok,
-        dropped_mass=dropped,
-        cluster_tv_max=tv_max,
+        observed=observed, params=params, joints=joints, weights=weights, gate_ok=gate_ok
     )
 
 
@@ -379,7 +376,6 @@ class SurrogateSpec:
     j: np.ndarray
     seed_count: float
     params: TMParams
-    flags: dict
 
     def __post_init__(self) -> None:
         balance = self.seed_count / self.params.n + float(self.j.sum())
@@ -407,15 +403,9 @@ def build_surrogate(profile: ResidualProfile, variant: Variant) -> SurrogateSpec
     if not isinstance(variant, (Bolster, Diminish)):
         raise TypeError(f"unknown intervention variant {variant!r}")
     params = profile.params
-    flags = {
-        "too_late": not profile.gate_ok,
-        "profile_decay_violations": len(profile.decay_violations()) if profile.gate_ok else 0,
-        "cluster_tv_max": profile.cluster_tv_max,
-    }
     p, q = params.p, params.q
     save = False
     if isinstance(variant, Bolster):
-        flags["modification2"] = variant.allow_weaken
         joints, size, save = profile.joints, variant.r_max_prime, variant.save_vertices
     else:
         if not isinstance(variant, Sequester):
@@ -441,7 +431,7 @@ def build_surrogate(profile: ResidualProfile, variant: Variant) -> SurrogateSpec
                     j[s - 1] += mass * prob
     healthy = profile.observed.healthy_total
     seed = healthy * max(0.0, 1.0 - float(j.sum()))
-    return SurrogateSpec(j, seed, TMParams(params.template, healthy, p, q), flags)
+    return SurrogateSpec(j, seed, TMParams(params.template, healthy, p, q))
 
 
 PREDICTED_HALT = "predicted-halt"
@@ -451,33 +441,33 @@ UNCERTAIN = "uncertain-band"
 
 @dataclass(frozen=True)
 class Verdict:
-    """Prediction for one intervention: seed count against the critical band."""
+    """Prediction for one intervention: seed count against the critical band.
+
+    ``within_theory`` holds when the surrogate meets the analytic model's
+    assumptions and its j_1 < (2/3) j_2 decay; it is None when every healthy
+    vertex is doomed and the surrogate is all seed.
+    """
 
     outcome: str
     phi_J: float
     Phi_J: int | None
     t_star_J: int | None
     band: tuple[float, float]
-    flags: dict
+    within_theory: bool | None
 
 
 def predict(surrogate: SurrogateSpec, epsilon: float = 0.1) -> Verdict:
     """Decide halt/spread by placing phi_J against (1 +/- epsilon) * Phi_J."""
-    flags = dict(surrogate.flags)
-    flags["j_decay_ok"] = surrogate.j_decay_ok
     total = float(surrogate.j.sum())
     if total <= 1e-12:
-        # every healthy vertex is doomed; the surrogate is all seed
-        flags["degenerate_all_seed"] = True
-        return Verdict(PREDICTED_SPREAD, surrogate.seed_count, 0, None, (0.0, 0.0), flags)
+        return Verdict(PREDICTED_SPREAD, surrogate.seed_count, 0, None, (0.0, 0.0), None)
     dist = ThresholdDistribution(tuple(surrogate.j / total))
-    model = AnalyticModel(surrogate.params, dist)
-    result = critical_seed(model)
-    flags["within_theory"] = result.assumptions.within_theory and surrogate.j_decay_ok
+    result = critical_seed(AnalyticModel(surrogate.params, dist))
+    within = result.assumptions.within_theory and surrogate.j_decay_ok
     phi_j = surrogate.seed_count
     if result.phi_critical is None:
         # subcritical for every seed size up to n_J
-        return Verdict(PREDICTED_HALT, phi_j, None, None, (math.inf, math.inf), flags)
+        return Verdict(PREDICTED_HALT, phi_j, None, None, (math.inf, math.inf), within)
     band = ((1.0 - epsilon) * result.phi_critical, (1.0 + epsilon) * result.phi_critical)
     if phi_j < band[0]:
         outcome = PREDICTED_HALT
@@ -485,7 +475,7 @@ def predict(surrogate: SurrogateSpec, epsilon: float = 0.1) -> Verdict:
         outcome = PREDICTED_SPREAD
     else:
         outcome = UNCERTAIN
-    return Verdict(outcome, phi_j, result.phi_critical, result.t_star, band, flags)
+    return Verdict(outcome, phi_j, result.phi_critical, result.t_star, band, within)
 
 
 # ---------------------------------------------------------------------------

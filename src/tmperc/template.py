@@ -17,16 +17,48 @@ from typing import Iterable, Mapping
 class TemplateGraph:
     """Cluster topology: ``neighbors[i]`` is the set of clusters near cluster i.
 
-    Construction runs ``validate`` and rejects an invalid topology.
+    Construction rejects an invalid topology with a ``ValueError`` naming the
+    first violated rule, checked in order: index bounds, symmetry,
+    regularity, self-membership.
     """
 
     k: int
     neighbors: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        report = validate(self)
-        if report is not None:
-            raise ValueError(f"invalid template: {report}")
+        k, neighbors = self.k, self.neighbors
+        if k < 1:
+            raise ValueError(f"invalid template: bounds: cluster count {k} < 1")
+        if len(neighbors) != k:
+            raise ValueError(
+                f"invalid template: bounds: {len(neighbors)} neighborhoods for {k} clusters"
+            )
+        for i, nbrs in enumerate(neighbors):
+            for j in nbrs:
+                if not 0 <= j < k:
+                    raise ValueError(
+                        f"invalid template: bounds: cluster {j} in neighborhood of {i}"
+                        f" outside [0, {k})"
+                    )
+        for i in range(k):
+            for j in neighbors[i]:
+                if i not in neighbors[j]:
+                    raise ValueError(
+                        f"invalid template: symmetry: {j} in neighborhood of {i}"
+                        f" but {i} not in neighborhood of {j}"
+                    )
+        degree = len(neighbors[0])
+        for i in range(k):
+            if len(neighbors[i]) != degree:
+                raise ValueError(
+                    f"invalid template: regularity: |neighborhood({i})| = {len(neighbors[i])}"
+                    f" != |neighborhood(0)| = {degree}"
+                )
+        for i in range(k):
+            if i not in neighbors[i]:
+                raise ValueError(
+                    f"invalid template: self-membership: {i} not in its own neighborhood"
+                )
 
     @property
     def k_p(self) -> int:
@@ -35,37 +67,6 @@ class TemplateGraph:
     @property
     def k_q(self) -> int:
         return self.k - self.k_p
-
-
-def validate(template: TemplateGraph) -> str | None:
-    """Return a description of the first violated invariant, or None if valid.
-
-    Checks, in order: index bounds, symmetry, regularity, self-membership.
-    """
-    k = template.k
-    if k < 1:
-        return f"bounds: cluster count {k} < 1"
-    if len(template.neighbors) != k:
-        return f"bounds: {len(template.neighbors)} neighborhoods for {k} clusters"
-    for i, nbrs in enumerate(template.neighbors):
-        for j in nbrs:
-            if not 0 <= j < k:
-                return f"bounds: cluster {j} in neighborhood of {i} outside [0, {k})"
-    for i in range(k):
-        for j in template.neighbors[i]:
-            if i not in template.neighbors[j]:
-                return f"symmetry: {j} in neighborhood of {i} but {i} not in neighborhood of {j}"
-    degree = len(template.neighbors[0])
-    for i in range(k):
-        if len(template.neighbors[i]) != degree:
-            return (
-                f"regularity: |neighborhood({i})| = {len(template.neighbors[i])}"
-                f" != |neighborhood(0)| = {degree}"
-            )
-    for i in range(k):
-        if i not in template.neighbors[i]:
-            return f"self-membership: {i} not in its own neighborhood"
-    return None
 
 
 def make_single() -> TemplateGraph:

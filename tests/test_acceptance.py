@@ -118,7 +118,7 @@ def test_acceptance_2_residual_exactness():
             healthy_by_threshold={r: n - m - delta},
         )
         params = TMParams(tpl.make_single(), n, p)
-        mine = iv.residual_tm(state, r, params, 0)[0][:, 0]
+        mine = iv.residual_tm(state, r, params, 0)[:, 0]
         truth = enum_residual_er(m, delta, p, r)
         worst = max(worst, tv_distance(mine, truth))
         instances += 1
@@ -142,7 +142,7 @@ def test_acceptance_2_residual_exactness():
             healthy_by_threshold={r: n - (m_near + d_near + m_far + d_far)},
         )
         params = TMParams(template, n, p, q)
-        mine, _ = iv.residual_tm(state, r, params, 0)
+        mine = iv.residual_tm(state, r, params, 0)
         truth = enum_residual_tm(m_near, d_near, m_far, d_far, p, q, r)
         worst = max(worst, tv_distance_2d(mine, truth))
         instances += 1

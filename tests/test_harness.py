@@ -166,9 +166,8 @@ def test_emit_failure_keeps_previous_file(tmp_path, fmt):
     bad = harness.ResultTable("bad", "beef", ["a"], [{"a": 1}, {"a": cell}])
     with pytest.raises((RuntimeError, TypeError)):
         harness.emit(bad, base)
-    assert open(f"{base}.{fmt}", "rb").read() == before[fmt]
-    if fmt == "jsonl":
-        assert open(f"{base}.csv", "rb").read() != before["csv"]
+    # both files are written before either is renamed, so the pair stays as it was
+    assert {ext: open(f"{base}.{ext}", "rb").read() for ext in ("csv", "jsonl")} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "rows.jsonl"]
 
 
@@ -627,6 +626,12 @@ def test_cli_seed_override_is_validated_and_keeps_the_config_hash(tmp_path, monk
     monkeypatch.setattr(harness, "run_dichotomy", lambda *a, **k: pytest.fail("work started"))
     with pytest.raises(ConfigError):
         cli.main(["dichotomy", "-c", str(path), "--seed", "-3", "--out", str(tmp_path / "x")])
+    # a top level that is not a JSON object is rejected with or without the override
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([base_config()]))
+    for seed in (None, 12):
+        with pytest.raises(ConfigError, match="config must be an object"):
+            cli._load(argparse.Namespace(config=str(listed), seed=seed))
     args = argparse.Namespace(config=str(path), seed=12)
     overridden = cli._load(args)
     assert overridden.master_seed == 12
@@ -637,8 +642,8 @@ def test_cli_seed_override_is_validated_and_keeps_the_config_hash(tmp_path, monk
 
 
 def test_cli_seed_override_of_an_intervention_config(tmp_path):
-    # the override re-reads the file as written: the normalized dict carries
-    # top-level defaults that an intervention config may not set
+    # the override is set on the file's dict as written, not on the normalized
+    # dict, which carries top-level defaults an intervention config may not set
     path = tmp_path / "iv.json"
     path.write_text(json.dumps(_variant_config("bolster_a")))
     overridden = cli._load(argparse.Namespace(config=str(path), seed=12))

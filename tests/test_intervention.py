@@ -15,7 +15,7 @@ from oracles import (
 from tmperc import harness
 from tmperc import intervention as iv
 from tmperc import template as tpl
-from tmperc.analytic import AnalyticModel, critical_seed
+from tmperc.analytic import AnalyticModel, critical_seed, log_binom_row
 from tmperc.engine import StandardRun, run_standard
 from tmperc.rngutil import substream
 from tmperc.tmgraph import (
@@ -62,7 +62,7 @@ def test_observed_state_rejects_inconsistent_counts(counts, message):
 
 def test_residual_er_no_previous_infections_is_plain_binomial():
     params = TMParams(tpl.make_single(), 100, 0.2)
-    out = iv.residual_tm(er_state(100, 7, 0, 2), 2, params, 0)[0][:, 0]
+    out = iv.residual_tm(er_state(100, 7, 0, 2), 2, params, 0)[:, 0]
     expected = np.array([math.comb(7, a) * 0.2**a * 0.8 ** (7 - a) for a in range(8)])
     assert tv_distance(out, expected) < 1e-12
 
@@ -70,7 +70,7 @@ def test_residual_er_no_previous_infections_is_plain_binomial():
 def test_residual_er_pure_conditional_when_no_growth():
     params = TMParams(tpl.make_single(), 100, 0.3)
     m = 6
-    out = iv.residual_tm(er_state(100, m, m, 2), 2, params, 0)[0][:, 0]
+    out = iv.residual_tm(er_state(100, m, m, 2), 2, params, 0)[:, 0]
     b = [math.comb(m, d) * 0.3**d * 0.7 ** (m - d) for d in range(m + 1)]
     norm = b[0] + b[1]
     assert out[0] == pytest.approx(b[0] / norm, rel=1e-12)
@@ -86,7 +86,7 @@ def test_residual_er_matches_enumeration_randomized():
         r = int(rng.integers(1, 4))
         p = float(rng.uniform(0.05, 0.6))
         params = TMParams(tpl.make_single(), 50, p)
-        mine = iv.residual_tm(er_state(50, m + delta, m, r), r, params, 0)[0][:, 0]
+        mine = iv.residual_tm(er_state(50, m + delta, m, r), r, params, 0)[:, 0]
         truth = enum_residual_er(m, delta, p, r)
         assert tv_distance(mine, truth) < 1e-10
 
@@ -94,7 +94,7 @@ def test_residual_er_matches_enumeration_randomized():
 def test_residual_tm_reduces_to_er_when_far_is_empty():
     params = TMParams(tpl.make_single(), 60, 0.25)
     state = er_state(60, 9, 4, 3)
-    joint, _ = iv.residual_tm(state, 3, params, 0)
+    joint = iv.residual_tm(state, 3, params, 0)
     assert joint.shape[1] == 1 or np.allclose(joint[:, 1:], 0.0)
 
 
@@ -105,7 +105,7 @@ def test_residual_tm_symmetric_clusters_cluster_independent():
         i_cur_cluster=(2, 2, 2, 2), i_prev_cluster=(1, 1, 1, 1),
         healthy_by_threshold={2: 32},
     )
-    joints = [iv.residual_tm(state, 2, params, c)[0] for c in range(4)]
+    joints = [iv.residual_tm(state, 2, params, c) for c in range(4)]
     for other in joints[1:]:
         assert tv_distance_2d(joints[0], other) < 1e-12
 
@@ -131,9 +131,73 @@ def test_residual_tm_matches_joint_enumeration():
             healthy_by_threshold={r: n - (m_near + d_near + m_far + d_far)},
         )
         params = TMParams(template, n, p, q)
-        mine, _ = iv.residual_tm(state, r, params, 0)
+        mine = iv.residual_tm(state, r, params, 0)
         truth = enum_residual_tm(m_near, d_near, m_far, d_far, p, q, r)
         assert tv_distance_2d(mine, truth) < 1e-10
+
+
+def _trimmed_full_row(trials, prob):
+    """The pmf over the full support 0..trials, cut below 1e-15 of its mode and renormalized."""
+    row = np.exp(log_binom_row(trials, prob, trials))
+    row = row[: np.flatnonzero(row > 1e-15 * row.max()).max() + 1]
+    return row / row.sum()
+
+
+@pytest.mark.parametrize("trials", [1, 2, 5, 17, 100, 1000, 12345, 10**5])
+def test_pmf_row_cap_equals_full_support_row(trials):
+    # a cap at mean + 3 sigma would drop entries above the 1e-15 trim and fail here
+    for prob in [*np.geomspace(1e-13, 1.0, 27), 0.5, 0.9, 0.999999]:
+        assert np.array_equal(iv._pmf_row(trials, float(prob)), _trimmed_full_row(trials, prob))
+
+
+def test_pmf_row_empty_trials_and_zero_probability():
+    for trials in (-3, 0):
+        assert np.array_equal(iv._pmf_row(trials, 0.3), [1.0])
+    assert np.array_equal(_trimmed_full_row(0, 0.3), [1.0])
+    for trials in (1, 40, 10**5):
+        assert np.array_equal(iv._pmf_row(trials, 0.0), _trimmed_full_row(trials, 0.0))
+
+
+def _cluster_tv_reference(profile):
+    """Largest TV gap between per-cluster threshold mixtures, rebuilt from residual_tm."""
+    mixtures = []
+    for cluster in range(profile.params.k):
+        mixture = np.zeros(0)
+        for r, weight in profile.weights.items():
+            joint = iv.residual_tm(profile.observed, r, profile.params, cluster)
+            marginal = np.array([
+                sum(joint[b, a - b] for b in range(joint.shape[0]) if 0 <= a - b < joint.shape[1])
+                for a in range(sum(joint.shape) - 1)
+            ])
+            size = max(mixture.size, marginal.size)
+            mixture = np.pad(mixture, (0, size - mixture.size)) + np.pad(
+                weight * marginal, (0, size - marginal.size)
+            )
+        mixtures.append(mixture)
+    return max(tv_distance(a, b) for i, a in enumerate(mixtures) for b in mixtures[i + 1:])
+
+
+@pytest.mark.parametrize(
+    "template, n, p, q, cur, prev, healthy",
+    [
+        (tpl.make_ring(5, 1), 1000, 0.02, 0.002, (30, 10, 0, 5, 15), (20, 5, 0, 3, 10),
+         {2: 500, 3: 440}),
+        (tpl.make_planted(3), 600, 0.03, 0.001, (40, 5, 0), (25, 2, 0), {2: 300, 4: 255}),
+    ],
+    ids=["ring", "planted"],
+)
+def test_cluster_tv_max_matches_per_cluster_recomputation(template, n, p, q, cur, prev, healthy):
+    state = iv.ObservedState(n=n, i_cur=sum(cur), i_prev=sum(prev), i_cur_cluster=cur,
+                             i_prev_cluster=prev, healthy_by_threshold=healthy)
+    profile = iv.build_profile(state, TMParams(template, n, p, q))
+    expected = _cluster_tv_reference(profile)
+    assert expected > 1e-3
+    assert profile.cluster_tv_max() == pytest.approx(expected, rel=1e-12)
+
+
+def test_cluster_tv_max_is_zero_on_a_single_cluster():
+    profile = iv.build_profile(er_state(1000, 60, 40, 2), TMParams(tpl.make_single(), 1000, 0.01))
+    assert profile.cluster_tv_max() == 0.0
 
 
 def test_profile_masses_and_decay_gate():
@@ -341,11 +405,10 @@ def test_predict_noop_bolster_past_bottleneck_is_spread():
     variant = iv.Bolster({2: {2: 1.0}})
     run, triggered = iv.run_to_trigger(g, thresholds, seeds, variant, 0.1)
     assert triggered
-    observed = iv.snapshot_observed(run)
-    surrogate = iv.build_surrogate(iv.build_profile(observed, params), variant)
-    verdict = iv.predict(surrogate)
+    profile = iv.build_profile(iv.snapshot_observed(run), params)
+    verdict = iv.predict(iv.build_surrogate(profile, variant))
     assert verdict.outcome == iv.PREDICTED_SPREAD
-    assert verdict.flags["too_late"]
+    assert not profile.gate_ok
 
 
 def test_verdict_band_membership():
@@ -585,10 +648,20 @@ def test_modification1_save_vertices_changes_surrogate():
 
 
 def test_modification2_weaken_voids_decay_guarantee():
-    params, state, profile = uniform_r2_profile()
-    weaken = iv.Bolster({2: {2: 0.5, 3: 0.5}}, allow_weaken=True)
-    surrogate = iv.build_surrogate(profile, weaken)
-    assert surrogate.flags["modification2"]
+    n = 10000
+    params = TMParams(tpl.make_single(), n, 7 / n)
+    profile = iv.build_profile(er_state(n, 300, 200, 2, {2: 4850, 3: 4850}), params)
+    lower = {2: {2: 1.0}, 3: {2: 1.0}}  # threshold 3 drops to 2
+    with pytest.raises(ValueError, match="puts mass below 3"):
+        iv.Bolster(lower)
+    surrogate = iv.build_surrogate(profile, iv.Bolster(lower, allow_weaken=True))
+    # every vertex lands at residual threshold 2 - a, exposure a >= 2 is doomed
+    m2, m3 = profile.marginal(2), profile.marginal(3)
+    w2, w3 = profile.weights[2], profile.weights[3]
+    expected = [w2 * m2[1] + w3 * m3[1], w2 * m2[0] + w3 * m3[0]]
+    np.testing.assert_allclose(surrogate.j, expected, rtol=1e-12)
+    kept = iv.build_surrogate(profile, iv.Bolster({2: {2: 1.0}, 3: {3: 1.0}}))
+    assert surrogate.seed_count > kept.seed_count
 
 
 # ---------------------------------------------------------------------------

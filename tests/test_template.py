@@ -17,7 +17,6 @@ def test_single_is_one_selfloop_cluster():
     assert single.k == 1
     assert single.k_p == 1
     assert single.k_q == 0
-    assert tpl.validate(single) is None
     assert 0 in single.neighbors[0]
 
 
@@ -41,18 +40,16 @@ def test_cube3():
     assert cube.k == 8
     assert cube.k_p == 4
     assert sorted(cube.neighbors[0]) == [0, 1, 2, 4]
-    assert tpl.validate(cube) is None
 
 
 def test_planted():
     planted = tpl.make_planted(5)
     assert planted.k_p == 1
     assert planted.k_q == 4
-    assert tpl.validate(planted) is None
     assert tpl.make_planted(1) == tpl.make_single()
 
 
-# construction runs validate, so a broken template never exists
+# construction rejects a broken template, so one never exists
 
 
 def test_validate_detects_symmetry_violation():
@@ -91,7 +88,10 @@ def test_ring_degree_property(reach, extra):
     k = 2 * reach + 1 + extra
     ring = tpl.make_ring(k, reach)
     assert ring.k_p == 2 * reach + 1
-    assert tpl.validate(ring) is None
+    # the same neighborhoods without cluster 0's self-membership do not construct
+    broken = (ring.neighbors[0] - {0},) + ring.neighbors[1:]
+    with pytest.raises(ValueError, match="invalid template"):
+        tpl.TemplateGraph(k, broken)
 
 
 def test_ring_rotation_invariance():
@@ -111,6 +111,7 @@ def test_cube_bit_permutation_invariance():
 
 
 def test_every_builder_validates():
+    # each builder's neighborhoods survive a fresh construction, which checks every rule
     for built in (
         tpl.make_single(),
         tpl.make_ring(10, 1),
@@ -118,4 +119,14 @@ def test_every_builder_validates():
         tpl.make_cube3(),
         tpl.make_planted(4),
     ):
-        assert tpl.validate(built) is None
+        assert tpl.TemplateGraph(built.k, built.neighbors) == built
+
+
+def test_validate_battery_reports_a_builder_that_fails_construction(monkeypatch):
+    from tmperc import checks
+
+    assert checks.check_templates() == ("template-builders", True, "5 builders valid")
+    monkeypatch.setattr(tpl, "make_cube3", lambda: tpl.TemplateGraph(2, (frozenset({1}), frozenset({0}))))
+    name, ok, detail = checks.check_templates()
+    assert (name, ok) == ("template-builders", False)
+    assert detail.startswith("invalid template: self-membership")
