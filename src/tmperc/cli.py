@@ -45,6 +45,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_analytic = sub.add_parser("analytic", help="print critical seed sizes")
     _add_config(p_analytic)  # it draws nothing and writes no file
+    p_analytic.set_defaults(seed=None)
 
     p_dichotomy = sub.add_parser("dichotomy", help="run a dichotomy sweep")
     _add_common(p_dichotomy)
@@ -66,11 +67,11 @@ def main(argv: list[str] | None = None) -> int:
             failures += 0 if ok else 1
         return 1 if failures else 0
 
+    config = _load(args)
     if args.command == "analytic":
-        for row in harness.analytic_summary(harness.load_config(args.config)):
+        for row in harness.analytic_summary(config):
             print(json.dumps(row))
         return 0
-    config = _load(args)
     run = harness.run_dichotomy if args.command == "dichotomy" else harness.run_intervention
     table = run(config, jobs=args.jobs)
     for path in harness.emit(table, args.out or config.output or f"out/{config.name}"):

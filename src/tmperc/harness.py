@@ -1,16 +1,17 @@
 """Experiment harness: config parsing, sweep drivers, and tabular output.
 
-Configs are JSON with nested sections; a section that is not an object, or
-that has unknown keys, is rejected so typos fail loudly.  ``load_config``
-parses a config once: it checks every field, sets every default and builds
-the graph parameters, each sweep point's law and the typed intervention
-plan, whose ``variant_at`` gives the intervention at any strength alpha.  A
-bad config fails before any work, and the drivers and their workers read
-only typed fields.  The normalized dict ``raw`` is kept only as the input of
-``config_hash``.  Every row of a result table is regenerable from the config
-plus the master seed: each (sweep point, graph, trial) work item draws from
-its own RNG substream, and rows are sorted canonically, so parallel and
-serial execution emit identical files.
+Configs are JSON with nested sections.  ``load_config`` parses a config
+once, reading each key where it is used: it checks every field, sets every
+default and builds the graph parameters, each sweep point's law and the
+typed intervention plan, whose ``variant_at`` gives the intervention at any
+strength alpha.  A section that is not an object, or a key that the run
+would not read, is rejected so typos fail loudly.  A bad config fails before
+any work, and the drivers and their workers read only typed fields.  The
+config's hash digests its normalized form: the keys as written plus the
+defaults.  Every row of a result table is regenerable from the config plus
+the master seed: each (sweep point, graph, trial) work item draws from its
+own RNG substream, and rows are sorted canonically, so parallel and serial
+execution emit identical files.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "ExperimentConfig",
     "ResultTable",
     "load_config",
-    "config_hash",
     "analytic_summary",
     "run_dichotomy",
     "run_intervention",
@@ -67,56 +67,66 @@ class ConfigError(ValueError):
     pass
 
 
-def _section(value: Any, allowed: set[str] | None, where: str) -> dict:
-    """A copy of the JSON object ``value``, whose keys must lie in ``allowed`` unless it is None."""
+def _object(value: Any, where: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise ConfigError(f"{where} must be an object, not {type(value).__name__}")
-    unknown = set(value) - allowed if allowed is not None else set()
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
-    return dict(value)
+    return value
 
 
-_TEMPLATE_KEYS = {"kind", "k", "reach", "neighbors"}
-_GRAPH_KEYS = {"template", "n", "p", "q", "near_degree", "far_degree"}
-_THRESHOLD_KEYS = {"zeta", "coinflip"}
-_COINFLIP_KEYS = {"s", "z", "r_max"}
-_SWEEP_KEYS = {"axis", "values", "threshold", "complement"}
-_INTERVENTION_KEYS = {
-    "variant",
-    "lambda",
-    "baseline_seed_factor",
-    "baseline_seed_count",
-    "alpha_q_ratio",
-    "zeta_prime",
-    "z_prime",
-    "r_max_prime",
-    "allow_weaken",
-    "save_vertices",
-    "compute_boundary",
-    "stop_fraction",
-}
-_VARIANTS = ("bolster_a", "bolster_b", "bolster", "delay", "diminish", "sequester")
-# the intervention keys that only some variants read, and those variants
-_VARIANT_KEYS = {
-    **dict.fromkeys(("zeta_prime", "allow_weaken", "save_vertices"), ("bolster",)),
-    **dict.fromkeys(("z_prime", "r_max_prime"), ("delay",)),
-    "alpha_q_ratio": ("diminish", "sequester"),
-}
-_TOP_KEYS = {
-    "name",
-    "master_seed",
-    "graph",
-    "thresholds",
-    "sweep",
-    "graphs",
-    "trials",
-    "epsilon",
-    "stop_fraction",
-    "seed_factors",
-    "intervention",
-    "output",
-}
+_REQUIRED = object()
+
+
+class _Section:
+    """One JSON object of a config, read key by key.
+
+    ``get`` records each key it is asked for, and ``close`` rejects any key of
+    this section, or of a section read under it, that no read asked for.
+    ``data`` is the normalized section: the keys as written plus each default
+    read with ``normalize``, which ``config_hash`` digests.
+    """
+
+    def __init__(self, value: Any, where: str):
+        self.data, self.where = dict(_object(value, where)), where
+        self.read: set[str] = set()
+        self.children: list[_Section] = []
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.data
+
+    def get(self, key: str, default: Any = _REQUIRED, normalize: bool = False) -> Any:
+        self.read.add(key)
+        if key in self.data:
+            return self.data[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"{self.where} missing required key {key!r}")
+        if normalize:
+            self.data[key] = default
+        return default
+
+    def section(self, key: str) -> _Section:
+        """The object under ``key``, whose normalized form replaces it here."""
+        child = _Section(self.get(key), key if self.where == "config" else f"{self.where}.{key}")
+        self.data[key] = child.data
+        self.children.append(child)
+        return child
+
+    def close(self) -> dict:
+        unread = sorted(set(self.data) - self.read)
+        if unread:
+            raise ConfigError(f"{self.where} does not read {unread}")
+        for child in self.children:
+            child.close()
+        return self.data
+
+
+def _checked(where: str, build, *args):
+    """``build(*args)``, with a library ValueError or TypeError raised as a ConfigError."""
+    try:
+        return build(*args)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -148,13 +158,9 @@ class InterventionPlan:
     variants: tuple[Variant, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        variants = []
-        for alpha in self.alphas:
-            try:  # each point meets the library's own checks
-                variants.append(self.variant_at(alpha))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"sweep value {alpha!r}: {exc}") from exc
-        object.__setattr__(self, "variants", tuple(variants))
+        # each point meets the library's own checks
+        variants = tuple(_checked(f"sweep value {a!r}", self.variant_at, a) for a in self.alphas)
+        object.__setattr__(self, "variants", variants)
 
     def variant_at(self, alpha: float) -> Variant:
         """The intervention at strength ``alpha`` (the custom bolster has none)."""
@@ -182,11 +188,13 @@ class ExperimentConfig:
     """A parsed experiment: the typed fields every driver and worker reads.
 
     ``load_config`` is the only parser and builds the graph parameters, each
-    sweep point's law and the intervention plan once.  ``raw`` is the normalized
-    dict, kept only for ``config_hash``.
+    sweep point's law and the intervention plan once.  ``config_hash`` is the
+    digest of the normalized config.  ``trials``, ``stop_fraction`` and
+    ``seed_factors`` drive dichotomy runs; an intervention config runs one
+    trial per graph, stops at its plan's ``stop_fraction`` and has no factors.
     """
 
-    raw: dict
+    config_hash: str
     name: str
     master_seed: int
     graphs: int
@@ -195,7 +203,7 @@ class ExperimentConfig:
     stop_fraction: float
     seed_factors: tuple[float, ...]
     axis: str
-    sweep_values: tuple
+    sweep_values: tuple  # numbers, as written
     params: TMParams
     laws: tuple[ThresholdDistribution, ...]  # one per sweep point
     coins: tuple[tuple[int, float, int], ...] | None  # (s, z, r_max) per point of a coinflip config
@@ -221,11 +229,10 @@ def _key(key: Any, where: str) -> int:
 
 
 def _weights(law: Any, where: str) -> dict[int, float]:
-    """A threshold law written as {"2": 0.5, "3": 0.5}."""
-    return {
-        _key(r, f"{where} threshold"): _real(w, f"{where} weight")
-        for r, w in _section(law, None, where).items()
-    }
+    """A non-empty threshold law written as {"2": 0.5, "3": 0.5}."""
+    if not _object(law, where):
+        raise ConfigError(f"{where} has no thresholds")
+    return {_key(r, f"{where} threshold"): _real(w, f"{where} weight") for r, w in law.items()}
 
 
 def _flag(value: Any, key: str) -> bool:
@@ -243,184 +250,108 @@ def _fraction(value: Any, key: str, ends: str) -> float:
     return x
 
 
-def load_config(source: str | Mapping[str, Any]) -> ExperimentConfig:
-    """Parse, check and normalize a config from a JSON path or an in-memory mapping.
+def load_config(source: Mapping[str, Any]) -> ExperimentConfig:
+    """Parse and check a config mapping, reading each key once where it is used.
 
-    Every default is set and every field checked here, so a bad config raises
-    ``ConfigError`` before any work starts.
+    Every default is set and every field checked here, so a bad config, or a
+    key that its run would not read, raises ``ConfigError`` before any work.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            source = json.load(fh)
-    out = _section(source, _TOP_KEYS, "config")
-    for key in ("name", "graph", "thresholds", "sweep"):
-        if key not in out:
-            raise ConfigError(f"config missing required key {key!r}")
-    if out.get("intervention") is not None:
-        # checked as written: the defaults below still feed config_hash
-        if out.get("trials", 1) != 1:
-            raise ConfigError(f"trials {out['trials']!r}: an intervention sweep runs one trial per graph")
-        ignored = sorted({"seed_factors", "stop_fraction"} & set(out))
-        if ignored:
-            raise ConfigError(f"intervention sweeps do not read {ignored}; set stop_fraction in the section")
-    out.setdefault("master_seed", 0)
-    out.setdefault("graphs", 50)
-    out.setdefault("trials", 50)
-    out.setdefault("epsilon", 0.1)
-    out.setdefault("stop_fraction", 0.9)
-    stop_fraction = _fraction(out["stop_fraction"], "stop_fraction", "(]")
-    epsilon = _fraction(out["epsilon"], "epsilon", "[)")
-    out.setdefault("seed_factors", [1.0 - epsilon, 1.0 + epsilon])
-    factors = out["seed_factors"]
-    if not isinstance(factors, list) or not factors or not all(
-        isinstance(f, (int, float)) and not isinstance(f, bool) and math.isfinite(f) and f >= 0
-        for f in factors
-    ):
-        raise ConfigError(f"seed_factors {factors!r} is not a non-empty list of finite numbers >= 0")
-    graph = _section(out["graph"], _GRAPH_KEYS, "graph")
-    if "template" not in graph or "n" not in graph:
-        raise ConfigError("graph section needs 'template' and 'n'")
-    graph["template"] = _section(graph["template"], _TEMPLATE_KEYS, "graph.template")
-    family = ("p", "q") if "p" in graph else ("near_degree", "far_degree")
-    if family[0] not in graph or set(graph) - {"template", "n", *family}:
-        raise ConfigError("specify the graph by p/q or by near_degree/far_degree, not both")
-    out["graph"] = graph
-    thresholds = _section(out["thresholds"], _THRESHOLD_KEYS, "thresholds")
-    if ("zeta" in thresholds) == ("coinflip" in thresholds):
-        raise ConfigError("thresholds section needs exactly one of 'zeta' or 'coinflip'")
-    if "coinflip" in thresholds:
-        coin = _section(thresholds["coinflip"], _COINFLIP_KEYS, "thresholds.coinflip")
-        thresholds["coinflip"] = coin
-    out["thresholds"] = thresholds
-    sweep = _section(out["sweep"], _SWEEP_KEYS, "sweep")
-    if sweep.get("axis") not in ("zeta_fraction", "coin_z", "alpha", "seed_count", "none"):
-        raise ConfigError(f"unknown sweep axis {sweep.get('axis')!r}")
-    if not isinstance(sweep.get("values"), list) or not sweep["values"]:
+    top = _Section(source, "config")
+    name = top.get("name")
+    if not isinstance(name, str) or name.splitlines() != [name]:  # it ends the CSV's first line
+        raise ConfigError(f"name {name!r} is not a non-empty one-line string")
+    master_seed = _integer(top.get("master_seed", 0, True), "master_seed", 0)
+    graphs = _integer(top.get("graphs", 50, True), "graphs", 1)
+    epsilon = _fraction(top.get("epsilon", 0.1, True), "epsilon", "[)")
+    output = top.get("output", None)
+    params = _checked("graph", _graph_params, top.section("graph"))
+    sweep = top.section("sweep")
+    axis, values = sweep.get("axis"), sweep.get("values")
+    if axis not in ("zeta_fraction", "coin_z", "alpha", "seed_count", "none"):
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values must be a non-empty list")
-    out["sweep"] = sweep
-    section = out.get("intervention")
-    if section is not None:
-        if sweep["axis"] != "alpha":
-            raise ConfigError("intervention sweeps use the alpha axis")
-        section = _section(section, _INTERVENTION_KEYS, "intervention")
-        kind = section.get("variant")
-        if kind not in _VARIANTS:
-            raise ConfigError(f"unknown intervention variant {kind!r}")
-        ignored = sorted(key for key in section if kind not in _VARIANT_KEYS.get(key, (kind,)))
-        if ignored:
-            raise ConfigError(f"intervention variant {kind!r} does not read {ignored}")
-        section.setdefault("lambda", 0.1)
-        section.setdefault("baseline_seed_factor", 1.3)
-        section.setdefault("alpha_q_ratio", 1.0)
-        section.setdefault("compute_boundary", True)
-        # post-intervention threshold mixes finish near 90%, so the spread
-        # verdict for continuations uses a lower cutoff by default
-        section.setdefault("stop_fraction", 0.8)
-        out["intervention"] = section
-    n = _integer(graph["n"], "n", 1)
-    master_seed = _integer(out["master_seed"], "master_seed", 0)
-    graphs = _integer(out["graphs"], "graphs", 1)
-    trials = _integer(out["trials"], "trials", 1)
-    if sweep["axis"] == "seed_count":
-        for value in sweep["values"]:
-            if _integer(value, "seed_count", 0) > n:
-                raise ConfigError(f"seed_count {value} is above n = {n}")
-    try:
-        params = _graph_params(graph)
-    except KeyError as exc:
-        raise ConfigError(f"graph.template needs {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"graph: {exc}") from exc
-    points = []
-    for value in sweep["values"]:
-        try:  # each point meets the library's own checks
-            points.append(_law_at(thresholds, sweep, value))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep value {value!r}: {exc}") from exc
-    laws, coins = zip(*points)
-    keys = [_factor_key(factor) for factor in factors]
-    if section is None and sweep["axis"] != "seed_count" and len(set(keys)) < len(keys):
-        raise ConfigError(
-            f"seed_factors {factors} share RNG substreams (equal after rounding to 0.001);"
-            " give seed_factors that differ"
-        )
+    points = [_real(value, f"{axis} sweep value") for value in values]  # CSV cells stay numbers
+    if axis == "seed_count":
+        for value in values:
+            if _integer(value, "seed_count", 0) > params.n:
+                raise ConfigError(f"seed_count {value} is above n = {params.n}")
+    laws, coins = _laws(top.section("thresholds"), sweep, axis, points)
     plan = None
-    if section is not None:
-        # the alpha axis keeps the configured law, and so its thresholds, at every point
-        drawable = tuple(r for r, w in enumerate(laws[0].zeta, 1) if w > 0)
-        zeta_prime = None
-        if kind == "bolster":
-            zeta_prime = {
-                _key(r, "zeta_prime threshold"): _weights(inner, "zeta_prime")
-                for r, inner in _section(section.get("zeta_prime"), None, "zeta_prime").items()
-            }
-            missing = sorted(set(drawable) - set(zeta_prime))
-            if missing:
-                raise ConfigError(f"zeta_prime has no law for drawable thresholds {missing}")
-        count = section.get("baseline_seed_count")
-        plan = InterventionPlan(
-            kind=kind,
-            thresholds=drawable,
-            alpha_q_ratio=_real(section["alpha_q_ratio"], "alpha_q_ratio"),
-            zeta_prime=zeta_prime,
-            z_prime=_real(section["z_prime"], "z_prime") if "z_prime" in section else None,
-            r_max_prime=_integer(section.get("r_max_prime", 20), "r_max_prime", 1),
-            allow_weaken=_flag(section.get("allow_weaken", False), "allow_weaken"),
-            save_vertices=_flag(section.get("save_vertices", False), "save_vertices"),
-            trigger_fraction=_fraction(section["lambda"], "intervention lambda", "()"),
-            stop_fraction=_fraction(section["stop_fraction"], "intervention stop_fraction", "(]"),
-            baseline_seed_count=None if count is None else _integer(count, "baseline_seed_count", 0),
-            baseline_seed_factor=_real(section["baseline_seed_factor"], "baseline_seed_factor"),
-            compute_boundary=_flag(section["compute_boundary"], "compute_boundary"),
-            alphas=tuple(_real(value, "alpha") for value in sweep["values"]),
-        )
+    if top.get("intervention", None) is None:
+        trials = _integer(top.get("trials", 50, True), "trials", 1)
+        stop_fraction = _fraction(top.get("stop_fraction", 0.9, True), "stop_fraction", "(]")
+        factors = top.get("seed_factors", [1.0 - epsilon, 1.0 + epsilon], True)
+        if not isinstance(factors, list) or not factors:
+            raise ConfigError(f"seed_factors {factors!r} is not a non-empty list")
+        for f in factors:
+            if not 0 <= _real(f, "seed_factors entry") < math.inf:
+                raise ConfigError(f"seed_factors entry {f!r} is not finite and >= 0")
+        keys = [_factor_key(factor) for factor in factors]
+        if axis != "seed_count" and len(set(keys)) < len(keys):
+            raise ConfigError(
+                f"seed_factors {factors} share RNG substreams (equal after rounding to 0.001);"
+                " give seed_factors that differ"
+            )
+    else:
+        if axis != "alpha":
+            raise ConfigError("intervention sweeps use the alpha axis")
+        trials = _integer(top.get("trials", 1), "trials", 1)
+        if trials != 1:
+            raise ConfigError(f"trials {trials}: an intervention sweep runs one trial per graph")
+        plan = _plan(top.section("intervention"), laws[0], points)
+        stop_fraction, factors = plan.stop_fraction, []
+    normalized = top.close()
+    if plan is not None:
+        # defaults that no intervention run reads, digested so that every hash stays the same
+        normalized.setdefault("trials", 50)
+        normalized.update(stop_fraction=0.9, seed_factors=[1.0 - epsilon, 1.0 + epsilon])
+        normalized["intervention"].setdefault("alpha_q_ratio", 1.0)
+    canonical = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
     return ExperimentConfig(
-        raw=out,
-        name=out["name"],
+        config_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16],
+        name=name,
         master_seed=master_seed,
         graphs=graphs,
         trials=trials,
         epsilon=epsilon,
         stop_fraction=stop_fraction,
         seed_factors=tuple(factors),
-        axis=sweep["axis"],
-        sweep_values=tuple(sweep["values"]),
+        axis=axis,
+        sweep_values=tuple(values),
         params=params,
         laws=laws,
-        coins=coins if "coinflip" in thresholds else None,
+        coins=coins,
         intervention=plan,
-        output=out.get("output"),
+        output=output,
     )
 
 
-def config_hash(config: ExperimentConfig) -> str:
-    canonical = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def _graph_params(graph: Mapping[str, Any]) -> TMParams:
+def _graph_params(graph: _Section) -> TMParams:
     """Template and edge probabilities of a graph section, given by p/q or by expected degrees."""
-    spec, n = graph["template"], graph["n"]
+    n = _integer(graph.get("n"), "n", 1)
+    spec = graph.section("template")
     kind = spec.get("kind")
     if kind == "single":
         template = make_single()
     elif kind == "ring":
-        template = make_ring(_integer(spec["k"], "ring k", 1), _integer(spec["reach"], "reach", 0))
+        k, reach = _integer(spec.get("k"), "ring k", 1), _integer(spec.get("reach"), "reach", 0)
+        template = make_ring(k, reach)
     elif kind == "cube3":
         template = make_cube3()
     elif kind == "planted":
-        template = make_planted(_integer(spec["k"], "template k", 1))
+        template = make_planted(_integer(spec.get("k"), "template k", 1))
     elif kind == "custom":
-        neighbors = _section(spec["neighbors"], None, "graph.template neighbors")
+        neighbors = _object(spec.get("neighbors"), "graph.template neighbors")
         template = from_neighbors({_key(i, "cluster"): set(v) for i, v in neighbors.items()})
     else:
         raise ConfigError(f"unknown template kind {kind!r}")
     if n % template.k != 0:  # every sampled graph splits n into k equal clusters
-        raise ValueError(f"n={n} not divisible by k={template.k}")
+        raise ConfigError(f"n={n} not divisible by k={template.k}")
     if "p" in graph:
-        return TMParams(template, n, _real(graph["p"], "p"), _real(graph.get("q", 0.0), "q"))
+        return TMParams(template, n, _real(graph.get("p"), "p"), _real(graph.get("q", 0.0), "q"))
     eta = n / template.k
-    near = _real(graph["near_degree"], "near_degree")
+    near = _real(graph.get("near_degree"), "near_degree")
     far = _real(graph.get("far_degree", 0.0), "far_degree")
     if template.k_q == 0 and far != 0.0:
         raise ConfigError("far_degree given but the template has no far clusters")
@@ -428,21 +359,81 @@ def _graph_params(graph: Mapping[str, Any]) -> TMParams:
     return TMParams(template, n, near / (template.k_p * eta), q)
 
 
-def _law_at(thresholds: Mapping[str, Any], sweep: Mapping[str, Any], value):
-    """Threshold law at one sweep point, with the (s, z, r_max) of a coinflip law or None."""
-    axis, cf = sweep["axis"], thresholds.get("coinflip")
-    if cf is not None:
-        s, r_max = _integer(cf["s"], "coinflip s", 0), _integer(cf["r_max"], "coinflip r_max", 1)
-        z = _real(value if axis == "coin_z" else cf["z"], "coin probability")
-        return coinflip_reduce(CoinflipModel({s: 1.0}, z, r_max)), (s, z, r_max)
-    zeta = _weights(thresholds["zeta"], "zeta")
+def _laws(thresholds: _Section, sweep: _Section, axis: str, points: list[float]):
+    """The threshold law at every sweep point, and the (s, z, r_max) of each coinflip point."""
+    if "coinflip" in thresholds:
+        if axis == "zeta_fraction":
+            raise ConfigError("the zeta_fraction axis sweeps a zeta law, not a coinflip law")
+        coin = thresholds.section("coinflip")
+        s = _integer(coin.get("s"), "coinflip s", 0)
+        r_max = _integer(coin.get("r_max"), "coinflip r_max", 1)
+        # the coin_z axis replaces z, which it still checks when written
+        z = _real(coin.get("z"), "coinflip z") if axis != "coin_z" or "z" in coin else None
+        coins = tuple((s, x if axis == "coin_z" else z, r_max) for x in points)
+        models = [
+            _checked(f"sweep value {x!r}", CoinflipModel, {s: 1.0}, c[1], r_max)
+            for x, c in zip(points, coins)
+        ]
+        return tuple(map(coinflip_reduce, models)), coins
+    if axis == "coin_z":
+        raise ConfigError("the coin_z axis sweeps a coinflip law, not a zeta law")
+    zeta = _weights(thresholds.get("zeta"), "zeta")
+    masses = [zeta] * len(points)
     if axis == "zeta_fraction":
         high = _integer(sweep.get("threshold", max(zeta)), "sweep threshold", 1)
         low = _integer(sweep.get("complement", min(zeta)), "sweep complement", 1)
-        fraction = _real(value, "zeta_fraction")
-        zeta = {low: 1.0 - fraction, high: fraction}
-        zeta = {r: w for r, w in zeta.items() if w > 0.0}
-    return ThresholdDistribution.from_mapping(zeta), None
+        masses = [{r: w for r, w in {low: 1.0 - x, high: x}.items() if w > 0.0} for x in points]
+    build = ThresholdDistribution.from_mapping
+    return tuple(_checked(f"sweep value {x!r}", build, m) for x, m in zip(points, masses)), None
+
+
+def _plan(section: _Section, law: ThresholdDistribution, alphas: list[float]) -> InterventionPlan:
+    """The typed plan of an intervention section; ``law`` is the configured, baseline law."""
+    kind = section.get("variant")
+    # the alpha axis keeps the configured law, and so its thresholds, at every point
+    drawable = tuple(r for r, w in enumerate(law.zeta, 1) if w > 0)
+    ratio, zeta_prime, z_prime, r_max_prime = 1.0, None, None, 20
+    allow_weaken = save_vertices = False
+    if kind == "bolster":
+        zeta_prime = {
+            _key(r, "zeta_prime threshold"): _weights(inner, "zeta_prime")
+            for r, inner in _object(section.get("zeta_prime"), "zeta_prime").items()
+        }
+        missing = sorted(set(drawable) - set(zeta_prime))
+        if missing:
+            raise ConfigError(f"zeta_prime has no law for drawable thresholds {missing}")
+        allow_weaken = _flag(section.get("allow_weaken", False), "allow_weaken")
+        save_vertices = _flag(section.get("save_vertices", False), "save_vertices")
+    elif kind == "delay":
+        z_prime = _real(section.get("z_prime"), "z_prime") if "z_prime" in section else None
+        r_max_prime = _integer(section.get("r_max_prime", 20), "r_max_prime", 1)
+    elif kind in ("diminish", "sequester"):
+        ratio = _real(section.get("alpha_q_ratio", 1.0, True), "alpha_q_ratio")
+    elif kind not in ("bolster_a", "bolster_b"):
+        raise ConfigError(f"unknown intervention variant {kind!r}")
+    count = section.get("baseline_seed_count", None)
+    return InterventionPlan(
+        kind=kind,
+        thresholds=drawable,
+        alpha_q_ratio=ratio,
+        zeta_prime=zeta_prime,
+        z_prime=z_prime,
+        r_max_prime=r_max_prime,
+        allow_weaken=allow_weaken,
+        save_vertices=save_vertices,
+        trigger_fraction=_fraction(section.get("lambda", 0.1, True), "intervention lambda", "()"),
+        # post-intervention threshold mixes finish near 90%, so the spread
+        # verdict for continuations uses a lower cutoff by default
+        stop_fraction=_fraction(
+            section.get("stop_fraction", 0.8, True), "intervention stop_fraction", "(]"
+        ),
+        baseline_seed_count=None if count is None else _integer(count, "baseline_seed_count", 0),
+        baseline_seed_factor=_real(
+            section.get("baseline_seed_factor", 1.3, True), "baseline_seed_factor"
+        ),
+        compute_boundary=_flag(section.get("compute_boundary", True, True), "compute_boundary"),
+        alphas=tuple(alphas),
+    )
 
 
 @dataclass
@@ -698,7 +689,7 @@ def _table(config: ExperimentConfig, columns: list[str], tasks: list, fn, jobs: 
         return tuple((v is None, v if v is not None else 0) for v in (row.get(c) for c in columns))
 
     rows = sorted((row for chunk in chunks for row in chunk), key=key)
-    return ResultTable(config.name, config_hash(config), list(columns), rows)
+    return ResultTable(config.name, config.config_hash, list(columns), rows)
 
 
 # ---------------------------------------------------------------------------

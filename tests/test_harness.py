@@ -1,7 +1,7 @@
 import argparse
 import concurrent.futures
 import csv
-import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -87,7 +87,7 @@ def test_degree_shorthand_matches_paper_parameterization():
 
 def test_config_hash_changes_with_any_field():
     baseline = harness.load_config(base_config())
-    assert harness.config_hash(baseline) == harness.config_hash(harness.load_config(base_config()))
+    assert baseline.config_hash == harness.load_config(base_config()).config_hash
     changed = [
         base_config(master_seed=12),
         base_config(trials=2),
@@ -95,8 +95,8 @@ def test_config_hash_changes_with_any_field():
         base_config(graph={"template": {"kind": "single"}, "n": 1001, "p": 0.01}),
         base_config(thresholds={"zeta": {"2": 1.0}}),
     ]
-    hashes = {harness.config_hash(harness.load_config(c)) for c in changed}
-    hashes.add(harness.config_hash(baseline))
+    hashes = {harness.load_config(c).config_hash for c in changed}
+    hashes.add(baseline.config_hash)
     assert len(hashes) == len(changed) + 1
 
 
@@ -562,30 +562,6 @@ def test_intervention_plan_holds_one_typed_spec_per_alpha_point():
         )
 
 
-@pytest.mark.parametrize(
-    "variant, section",
-    [
-        ("delay", {"r_max_prime": 8}),
-        ("bolster", {"zeta_prime": {"2": {"3": 0.5, "4": 0.5}}, "save_vertices": True}),
-        ("sequester", {"alpha_q_ratio": 0.5, "compute_boundary": True, "stop_fraction": 0.7}),
-    ],
-)
-def test_intervention_drivers_read_no_raw_section(variant, section):
-    raw = base_config(
-        graph={"template": {"kind": "single"}, "n": 2000, "p": 0.0035},
-        thresholds={"zeta": {"2": 1.0}},
-        sweep={"axis": "alpha", "values": [0.2, 0.6]},
-        graphs=2,
-    )
-    raw["intervention"] = {"variant": variant, "baseline_seed_factor": 1.6, **section}
-    config = harness.load_config(raw)
-    stripped = {k: v for k, v in config.raw.items() if k != "intervention"}
-    rows = harness.run_intervention(config).rows
-    assert any(row["triggered"] for row in rows)
-    blind = harness.run_intervention(dataclasses.replace(config, raw=stripped)).rows
-    assert repr(blind) == repr(rows)
-
-
 def _n200(**overrides):
     # critical seed 2 at every sweep point
     graph = {"template": {"kind": "single"}, "n": 200, "p": 0.05}
@@ -635,28 +611,35 @@ def test_cli_seed_override_is_validated_and_keeps_the_config_hash(tmp_path, monk
     args = argparse.Namespace(config=str(path), seed=12)
     overridden = cli._load(args)
     assert overridden.master_seed == 12
-    # the hash of a valid override is the one the raw dict with that seed gets
-    expected = harness.load_config({**harness.load_config(str(path)).raw, "master_seed": 12})
-    assert harness.config_hash(overridden) == harness.config_hash(expected)
-    assert overridden.raw == expected.raw
+    # the hash of a valid override is the one the config with that seed written gets
+    expected = harness.load_config({**base_config(), "master_seed": 12})
+    assert overridden.config_hash == expected.config_hash
+    assert overridden.config_hash != harness.load_config(base_config()).config_hash
 
 
 def test_cli_seed_override_of_an_intervention_config(tmp_path):
-    # the override is set on the file's dict as written, not on the normalized
-    # dict, which carries top-level defaults an intervention config may not set
+    # the override is set on the file's dict as written; the hash also digests
+    # defaults that no intervention run reads and that its config may not write
     path = tmp_path / "iv.json"
     path.write_text(json.dumps(_variant_config("bolster_a")))
     overridden = cli._load(argparse.Namespace(config=str(path), seed=12))
     assert overridden.master_seed == 12
     expected = harness.load_config({**_variant_config("bolster_a"), "master_seed": 12})
-    assert overridden.raw == expected.raw
-    # the keys are checked as written; the defaults still feed config_hash
-    raw = expected.raw
-    assert (raw["stop_fraction"], raw["seed_factors"], raw["intervention"]["alpha_q_ratio"]) == (
-        0.9, [0.9, 1.1], 1.0
-    )
-    with pytest.raises(ConfigError, match="do not read"):
-        harness.load_config(raw)
+    assert overridden.config_hash == expected.config_hash
+    normalized = {**_variant_config("bolster_a"), "master_seed": 12, "epsilon": 0.1}
+    normalized.update(stop_fraction=0.9, seed_factors=[0.9, 1.1])
+    normalized["intervention"] = {
+        "variant": "bolster_a",
+        "lambda": 0.1,
+        "baseline_seed_factor": 1.3,
+        "alpha_q_ratio": 1.0,
+        "compute_boundary": True,
+        "stop_fraction": 0.8,
+    }
+    canonical = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
+    assert overridden.config_hash == hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    with pytest.raises(ConfigError, match="does not read"):
+        harness.load_config(normalized)
 
 
 def test_jobs_rejected_below_one_and_capped_at_task_count(monkeypatch):
@@ -860,3 +843,99 @@ def test_cli_analytic_rejects_options_it_ignores(tmp_path, capsys, flags):
         cli.main(["analytic", "-c", str(path), *flags])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# the config_hash each of these configs writes into its CSV header; a refactor of
+# load_config must keep every one
+PINNED_HASHES = {
+    "bench/coinflip": "f58a7936bd3be897",
+    "bench/dichotomy": "bbd341f6ddb69efb",
+    "bench/intervene_bolster_a": "196c9044918b1f36",
+    "bench/intervene_diminish_ring": "92c2e52d0ad9f6f7",
+    "golden/bolster": "ceac9695d4cf4a0e",
+    "golden/bolster_b": "867b33930797086b",
+    "golden/coinflip": "8867247de507520d",
+    "golden/delay": "e9fafe6bda370505",
+    "golden/dichotomy": "ad85fceb4603bbd4",
+    "golden/diminish": "c4c318b1581c27ae",
+    "golden/sequester": "91cd992f82afca81",
+}
+
+
+def test_config_hashes_of_the_bench_and_golden_configs_are_pinned():
+    from test_golden import CONFIGS
+
+    configs = {f"golden/{name}": raw for name, raw in CONFIGS.items()}
+    for path in (ROOT / "bench" / "configs").glob("*.json"):
+        configs[f"bench/{path.stem}"] = json.loads(path.read_text())
+    hashes = {key: harness.load_config(raw).config_hash for key, raw in configs.items()}
+    assert hashes == PINNED_HASHES
+
+
+def _coin_axis(axis, values, **law):
+    return base_config(
+        thresholds={"coinflip": {"s": 1, "r_max": 20, **law}},
+        sweep={"axis": axis, "values": values},
+    )
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (base_config(sweep={"axis": "none", "values": [0], "threshold": 3}), "does not read"),
+        (base_config(sweep={"axis": "seed_count", "values": [10], "complement": 2}), "does not read"),
+        (
+            _graph_config({"kind": "single", "k": 7, "reach": 3}, p=0.01)
+            | {"sweep": {"axis": "none", "values": [0], "threshold": 9}},
+            r"does not read \['k', 'reach'\]",
+        ),
+        (_graph_config({"kind": "cube3", "k": 8}, p=0.01), "does not read"),
+        (_graph_config({"kind": "planted", "k": 2, "reach": 1}, p=0.01), "does not read"),
+        (
+            _graph_config({"kind": "ring", "k": 10, "reach": 1, "neighbors": {"0": [0]}}, p=0.01),
+            "does not read",
+        ),
+        (_coin_axis("coin_z", [0.5], z="half"), "coinflip z 'half' is not a number"),
+        (_coin_axis("zeta_fraction", ["abc", None], z=0.5), "'abc' is not a number"),
+        (_coin_axis("zeta_fraction", [0.5], z=0.5), "zeta_fraction axis sweeps a zeta law"),
+        (base_config(sweep={"axis": "coin_z", "values": [0.5]}), "coin_z axis sweeps a coinflip"),
+        (base_config(sweep={"axis": "none", "values": ["a,b"]}), "'a,b' is not a number"),
+        (base_config(name="two\nlines"), "one-line string"),
+        (base_config(name=5), "one-line string"),
+        (base_config(name=""), "one-line string"),
+    ],
+    ids=[
+        "threshold-off-zeta_fraction",
+        "complement-off-zeta_fraction",
+        "k-and-reach-on-single",
+        "k-on-cube3",
+        "reach-on-planted",
+        "neighbors-on-ring",
+        "coin_z-with-string-z",
+        "coinflip-law-on-zeta_fraction-with-text-values",
+        "coinflip-law-on-zeta_fraction",
+        "zeta-law-on-coin_z",
+        "text-sweep-value",
+        "two-line-name",
+        "integer-name",
+        "empty-name",
+    ],
+)
+def test_config_rejects_keys_and_values_its_run_ignores_or_cannot_write(raw, message):
+    # each loaded: the key or the law went unread, or the value broke the
+    # CSV's rows or its "# config_hash=... name=..." line
+    with pytest.raises(ConfigError, match=message):
+        harness.load_config(raw)
+
+
+def test_sweep_values_are_numbers_written_as_given(tmp_path):
+    for law in ({}, {"z": 0.7}):  # a written z is checked, and the axis replaces it
+        config = harness.load_config(_coin_axis("coin_z", [1, 0.5], **law))
+        assert [coin[1] for coin in config.coins] == [1.0, 0.5]
+    config = harness.load_config(_n400(sweep={"axis": "none", "values": [0, 2.5]}))
+    assert config.sweep_values == (0, 2.5) and type(config.sweep_values[0]) is int
+    harness.emit(harness.run_dichotomy(config), str(tmp_path / "rows"))
+    with open(tmp_path / "rows.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert {row["value"] for row in rows} == {"0", "2.5"}
