@@ -2,6 +2,7 @@
 
 Generations are synchronous: generation t+1 infects exactly the healthy
 vertices whose infected-neighbor count against I(t) reaches their threshold.
+A coinflip run applies one ``CoinflipModel``'s s, z and r_max to every vertex.
 Propagation is frontier-based.  A standard or coinflip generation gathers the
 F adjacency entries of the vertices infected in the previous one and tallies
 them once, by one sort when F <= n and by an n-sized count when F > n, so it
@@ -16,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import CoinflipModel
 from .tmgraph import SampledGraph
 
 __all__ = [
     "EngineError",
     "PercolationTrace",
-    "CoinflipState",
     "StandardRun",
     "run_standard",
     "run_coinflip",
@@ -232,76 +233,55 @@ def run_standard(
     return run.trace()
 
 
-@dataclass
-class CoinflipState:
-    """Per-vertex coinflip bookkeeping: susceptibility, coin probability, cap."""
-
-    s: np.ndarray
-    z: np.ndarray
-    r_max: int
-
-    @classmethod
-    def uniform(cls, n: int, s: int, z: float, r_max: int) -> "CoinflipState":
-        return cls(np.full(n, s, dtype=np.int64), np.full(n, z, dtype=float), r_max)
-
-    def __post_init__(self) -> None:
-        self.s = np.asarray(self.s, dtype=np.int64)
-        self.z = np.asarray(self.z, dtype=float)
-        if self.s.min(initial=0) < 0:
-            raise ValueError("susceptibility counts must be >= 0")
-        if self.z.min(initial=0.0) < 0.0 or self.z.max(initial=0.0) > 1.0:
-            raise ValueError("coin probabilities must lie in [0, 1]")
-        if self.r_max <= int(self.s.max(initial=0)):
-            raise ValueError("forcing cap must exceed every susceptibility count")
-
-
 class _CoinflipRun(_Run):
     def __init__(
         self,
         g: SampledGraph,
-        cf: CoinflipState,
+        model: CoinflipModel,
         seeds: np.ndarray,
         stop_fraction: float,
         rng: np.random.Generator,
     ):
         super().__init__(g, seeds, stop_fraction)
-        self.cf = cf
-        self.rng = rng
+        (self.s,) = model.s_dist
+        self.z, self.r_max, self.rng = model.z, model.r_max, rng
 
     def _next_infected(self) -> np.ndarray:
-        cf = self.cf
         touched, hits = self._frontier_tally()
         healthy = ~self.infected[touched]
         touched = touched[healthy]
         old = self.counts[touched]
         new = old + hits[healthy]
         self.counts[touched] = new
-        infect = new >= cf.r_max
-        flips = new - np.maximum(old, cf.s[touched])
+        infect = new >= self.r_max
+        flips = new - np.maximum(old, self.s)
         eligible = np.flatnonzero((flips > 0) & ~infect)
         if eligible.size:
             flip_n = flips[eligible]
             draws = self.rng.random(int(flip_n.sum()))
-            success = draws < np.repeat(cf.z[touched[eligible]], flip_n)
-            infect[eligible] = np.logical_or.reduceat(success, np.cumsum(flip_n) - flip_n)
+            infect[eligible] = np.logical_or.reduceat(draws < self.z, np.cumsum(flip_n) - flip_n)
         return touched[infect]
 
 
 def run_coinflip(
     g: SampledGraph,
-    cf: CoinflipState,
+    model: CoinflipModel,
     seeds: np.ndarray,
     stop_fraction: float = 0.9,
     rng: np.random.Generator | None = None,
 ) -> PercolationTrace:
     """Coinflip dynamics: one coin per newly infected neighbor past susceptibility.
 
-    Coins are flipped in ascending vertex-id order each generation, so a run
-    is a pure function of (graph, state, seeds, rng seed).  A vertex whose
-    total contact count reaches r_max is infected unconditionally.
+    Every vertex follows ``model``, which must have one susceptibility class
+    s: past s contacts each new contact infects with probability z, and
+    r_max contacts infect unconditionally.  Coins are flipped in ascending
+    vertex-id order each generation, so a run is a pure function of (graph,
+    model, seeds, rng seed).
     """
+    if len(model.s_dist) != 1:
+        raise ValueError(f"coinflip runs need one susceptibility class, not {dict(model.s_dist)}")
     if rng is None:
         raise ValueError("coinflip mode requires an explicit rng")
-    run = _CoinflipRun(g, cf, seeds, stop_fraction, rng)
+    run = _CoinflipRun(g, model, seeds, stop_fraction, rng)
     run.finish()
     return run.trace()

@@ -26,7 +26,7 @@ from typing import Any, Iterator, Mapping
 
 from . import rngutil
 from .analytic import AnalyticModel, CoinflipModel, coinflip_reduce, critical_seed
-from .engine import CoinflipState, run_coinflip, run_standard
+from .engine import run_coinflip, run_standard
 from .intervention import (
     Bolster,
     Diminish,
@@ -38,6 +38,7 @@ from .intervention import (
     boundary_scan,
     build_profile,
     build_surrogate,
+    delay,
     predict,
     run_to_trigger,
     snapshot_observed,
@@ -171,14 +172,8 @@ class InterventionPlan:
         if self.kind == "bolster":
             return Bolster(self.zeta_prime, self.allow_weaken, self.save_vertices)
         if self.kind == "delay":
-            # cutting the coin probability to z' is the geometric bolster that
-            # preflips the coins of a vertex one contact short of threshold r
             z_prime = alpha if self.z_prime is None else self.z_prime
-            law = {}
-            for r in self.thresholds:
-                coins = CoinflipModel({r - 1: 1.0}, z_prime, max(self.r_max_prime, r))
-                law[r] = {v: w for v, w in enumerate(coinflip_reduce(coins).zeta, 1) if v >= r}
-            return Bolster(law)
+            return delay(z_prime, self.thresholds, self.r_max_prime)
         variant = Diminish if self.kind == "diminish" else Sequester
         return variant(alpha, alpha * self.alpha_q_ratio)
 
@@ -206,7 +201,7 @@ class ExperimentConfig:
     sweep_values: tuple  # numbers, as written
     params: TMParams
     laws: tuple[ThresholdDistribution, ...]  # one per sweep point
-    coins: tuple[tuple[int, float, int], ...] | None  # (s, z, r_max) per point of a coinflip config
+    coins: tuple[CoinflipModel, ...] | None  # one per point of a coinflip config
     intervention: InterventionPlan | None  # alpha sweeps only
     output: str | None
 
@@ -264,6 +259,8 @@ def load_config(source: Mapping[str, Any]) -> ExperimentConfig:
     graphs = _integer(top.get("graphs", 50, True), "graphs", 1)
     epsilon = _fraction(top.get("epsilon", 0.1, True), "epsilon", "[)")
     output = top.get("output", None)
+    if output is not None and (not isinstance(output, str) or not output):
+        raise ConfigError(f"output {output!r} is not a non-empty string or null")
     params = _checked("graph", _graph_params, top.section("graph"))
     sweep = top.section("sweep")
     axis, values = sweep.get("axis"), sweep.get("values")
@@ -279,6 +276,10 @@ def load_config(source: Mapping[str, Any]) -> ExperimentConfig:
     laws, coins = _laws(top.section("thresholds"), sweep, axis, points)
     plan = None
     if top.get("intervention", None) is None:
+        if axis == "alpha":
+            raise ConfigError("the alpha axis sweeps an intervention; add an intervention section")
+        if axis == "seed_count" and "seed_factors" in top:
+            raise ConfigError("the seed_count axis gives the seed counts; drop seed_factors")
         trials = _integer(top.get("trials", 50, True), "trials", 1)
         stop_fraction = _fraction(top.get("stop_fraction", 0.9, True), "stop_fraction", "(]")
         factors = top.get("seed_factors", [1.0 - epsilon, 1.0 + epsilon], True)
@@ -360,7 +361,7 @@ def _graph_params(graph: _Section) -> TMParams:
 
 
 def _laws(thresholds: _Section, sweep: _Section, axis: str, points: list[float]):
-    """The threshold law at every sweep point, and the (s, z, r_max) of each coinflip point."""
+    """The threshold law at every sweep point, and the coinflip model of each coinflip point."""
     if "coinflip" in thresholds:
         if axis == "zeta_fraction":
             raise ConfigError("the zeta_fraction axis sweeps a zeta law, not a coinflip law")
@@ -369,12 +370,11 @@ def _laws(thresholds: _Section, sweep: _Section, axis: str, points: list[float])
         r_max = _integer(coin.get("r_max"), "coinflip r_max", 1)
         # the coin_z axis replaces z, which it still checks when written
         z = _real(coin.get("z"), "coinflip z") if axis != "coin_z" or "z" in coin else None
-        coins = tuple((s, x if axis == "coin_z" else z, r_max) for x in points)
-        models = [
-            _checked(f"sweep value {x!r}", CoinflipModel, {s: 1.0}, c[1], r_max)
-            for x, c in zip(points, coins)
-        ]
-        return tuple(map(coinflip_reduce, models)), coins
+        models = tuple(
+            _checked(f"sweep value {x!r}", CoinflipModel, {s: 1.0}, coin_z, r_max)
+            for x, coin_z in zip(points, points if axis == "coin_z" else [z] * len(points))
+        )
+        return tuple(map(coinflip_reduce, models)), models
     if axis == "coin_z":
         raise ConfigError("the coin_z axis sweeps a coinflip law, not a zeta law")
     zeta = _weights(thresholds.get("zeta"), "zeta")
@@ -491,22 +491,20 @@ def _dichotomy_graph_task(args: tuple) -> list[dict]:
     params, seed = config.params, config.master_seed
     value = config.sweep_values[point_idx]
     g = sample_graph(params, rngutil.substream(seed, rngutil.GRAPH, point_idx, graph_idx))
-    coin = config.coins[point_idx] if config.coins else None
-    if coin is None:
+    model = config.coins[point_idx] if config.coins else None
+    if model is None:
         law_stream = rngutil.substream(seed, rngutil.THRESHOLDS, point_idx, graph_idx)
         thresholds = assign_thresholds(config.laws[point_idx], params.n, law_stream)
-    else:
-        cf_base = CoinflipState.uniform(params.n, *coin)
     rows: list[dict] = []
     for factor, count in seed_counts:
         for trial in range(config.trials):
             key = (point_idx, graph_idx, trial, _factor_key(factor))
             seeds = select_seeds(count, params.n, rngutil.substream(seed, rngutil.SEEDS, *key))
-            if coin is None:
+            if model is None:
                 trace = run_standard(g, thresholds, seeds, config.stop_fraction)
             else:
                 stream = rngutil.substream(seed, rngutil.ENGINE, *key)
-                trace = run_coinflip(g, cf_base, seeds, config.stop_fraction, stream)
+                trace = run_coinflip(g, model, seeds, config.stop_fraction, stream)
             rows.append(
                 {
                     "point": point_idx,

@@ -19,11 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analytic import (
-    AnalyticModel,
-    critical_seed,
-    log_binom_row,
-)
+from .analytic import AnalyticModel, CoinflipModel, coinflip_reduce, critical_seed, log_binom_row
 from .engine import PercolationTrace, StandardRun
 from .tmgraph import SampledGraph, TMParams, ThresholdDistribution
 
@@ -37,6 +33,7 @@ __all__ = [
     "Verdict",
     "bolster_a",
     "bolster_b",
+    "delay",
     "residual_tm",
     "build_profile",
     "thin_residual",
@@ -127,6 +124,17 @@ def bolster_b(alpha: float, thresholds: tuple[int, ...]) -> Bolster:
     the mass two apart.
     """
     return _raise_by({1: 0.5 + alpha / 2.0, 3: 0.5 - alpha / 2.0}, thresholds)
+
+
+def delay(z_prime: float, thresholds: tuple[int, ...], r_max_prime: int) -> Bolster:
+    """Cut the coin probability to z': the geometric bolster that preflips the
+    coins of a vertex one contact short of threshold r, capped at max(r_max_prime, r).
+    """
+    law = {}
+    for r in thresholds:
+        coins = CoinflipModel({r - 1: 1.0}, z_prime, max(r_max_prime, r))
+        law[r] = {v: w for v, w in enumerate(coinflip_reduce(coins).zeta, 1) if v >= r}
+    return Bolster(law)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from tmperc.analytic import (
     critical_seed,
     log_sum_row,
 )
-from tmperc.engine import CoinflipState, run_coinflip, run_standard
+from tmperc.engine import run_coinflip, run_standard
 from tmperc.rngutil import substream
 from tmperc.tmgraph import (
     TMParams,
@@ -493,8 +493,8 @@ Z_GRID = [0.3, 0.4, 0.5, 0.6, 0.7]
 def _empirical_critical_coinflip(z: float, trials: int = 20) -> tuple[int, float]:
     n = 10000
     params = TMParams(tpl.make_single(), n, 10 / n)
-    cf = CoinflipState.uniform(n, 1, z, 20)
-    dist = coinflip_reduce(CoinflipModel({1: 1.0}, z, 20))
+    cf = CoinflipModel({1: 1.0}, z, 20)
+    dist = coinflip_reduce(cf)
     phi = critical_seed(AnalyticModel(params, dist)).phi_critical
     lo, hi = max(1, phi // 3), min(n, 3 * phi)
     step = 0

@@ -9,13 +9,13 @@ from oracles import (
 )
 from tmperc import intervention as iv
 from tmperc import template as tpl
+from tmperc.analytic import CoinflipModel
 from tmperc.engine import (
     StandardRun,
     _gather_neighbors,
     _tally,
     run_coinflip,
     run_standard,
-    CoinflipState,
 )
 from tmperc.rngutil import substream
 from tmperc.tmgraph import SampledGraph, TMParams, sample_graph
@@ -152,28 +152,23 @@ def test_coinflip_deterministic_coin_equals_standard():
     params = TMParams(tpl.make_single(), 300, 10 / 300)
     g = sample_graph(params, substream(5, 5))
     seeds = np.arange(15)
-    cf = CoinflipState.uniform(300, s=1, z=1.0, r_max=20)
+    cf = CoinflipModel({1: 1.0}, 1.0, 20)
     coin_trace = run_coinflip(g, cf, seeds, rng=substream(5, 6))
     std_trace = run_standard(g, np.full(300, 2), seeds)
     assert np.array_equal(coin_trace.totals, std_trace.totals)
     assert np.array_equal(coin_trace.final_infected, std_trace.final_infected)
 
 
-def test_coinflip_zero_coin_equals_cap_threshold():
-    params = TMParams(tpl.make_single(), 200, 20 / 200)
-    g = sample_graph(params, substream(8, 5))
-    seeds = np.arange(30)
-    cf = CoinflipState.uniform(200, s=1, z=0.0, r_max=4)
-    coin_trace = run_coinflip(g, cf, seeds, rng=substream(8, 6))
-    std_trace = run_standard(g, np.full(200, 4), seeds)
-    assert np.array_equal(coin_trace.totals, std_trace.totals)
-    assert np.array_equal(coin_trace.final_infected, std_trace.final_infected)
+def test_coinflip_rejects_a_model_with_two_classes():
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="one susceptibility class"):
+        run_coinflip(g, CoinflipModel({0: 0.5, 1: 0.5}, 0.5, 3), np.array([0]), rng=substream(8))
 
 
 def test_coinflip_determinism_given_seed():
     params = TMParams(tpl.make_single(), 400, 10 / 400)
     g = sample_graph(params, substream(9, 1))
-    cf = CoinflipState.uniform(400, s=1, z=0.5, r_max=20)
+    cf = CoinflipModel({1: 1.0}, 0.5, 20)
     seeds = np.arange(25)
     a = run_coinflip(g, cf, seeds, rng=substream(9, 2))
     b = run_coinflip(g, cf, seeds, rng=substream(9, 2))
@@ -184,7 +179,7 @@ def test_coinflip_determinism_given_seed():
 def test_coinflip_monotone_and_conserving():
     params = TMParams(tpl.make_planted(2), 200, 0.1, 0.02)
     g = sample_graph(params, substream(10, 1))
-    cf = CoinflipState.uniform(200, s=1, z=0.4, r_max=6)
+    cf = CoinflipModel({1: 1.0}, 0.4, 6)
     trace = run_coinflip(g, cf, np.arange(10), rng=substream(10, 2))
     assert np.all(np.diff(trace.totals) >= 0)
     assert trace.totals[-1] == trace.final_infected.size
@@ -196,13 +191,13 @@ def test_duplicate_seeds_rejected_in_every_mode():
     with pytest.raises(ValueError):
         run_standard(g, np.full(5, 5), seeds, 1.0)
     with pytest.raises(ValueError):
-        run_coinflip(g, CoinflipState.uniform(5, 0, 1.0, 3), seeds, 1.0, substream(19, 1))
+        run_coinflip(g, CoinflipModel({0: 1.0}, 1.0, 3), seeds, 1.0, substream(19, 1))
 
 
 def test_coinflip_requires_rng():
     g = path_graph(4)
     with pytest.raises(ValueError):
-        run_coinflip(g, CoinflipState.uniform(4, 1, 0.5, 3), np.array([0]))
+        run_coinflip(g, CoinflipModel({1: 1.0}, 0.5, 3), np.array([0]))
 
 
 def test_engine_config_validation():
@@ -212,7 +207,7 @@ def test_engine_config_validation():
     with pytest.raises(ValueError, match="stop_fraction"):
         StandardRun(g, np.ones(4, dtype=int), np.array([0]), stop_fraction=1.5)
     with pytest.raises(ValueError, match="stop_fraction"):
-        run_coinflip(g, CoinflipState.uniform(4, 1, 0.5, 3), np.array([0]), 0.0, substream(19, 2))
+        run_coinflip(g, CoinflipModel({1: 1.0}, 0.5, 3), np.array([0]), 0.0, substream(19, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +277,13 @@ def test_coinflip_matches_reference_draw_for_draw():
     for i in range(100):
         g, _, seeds = (medium_instance if i % 2 else random_instance)(rng)
         r_max = int(rng.integers(2, 8))
-        s = rng.integers(0, r_max, size=g.n)
-        z = rng.uniform(0.0, 1.0, size=g.n)
+        s, z = int(rng.integers(0, r_max)), 1.0 - rng.random()  # z in (0, 1]
         stop = float(rng.choice([0.5, 1.0]))
         ours, theirs = substream(54, i), substream(54, i)
-        trace = run_coinflip(g, CoinflipState(s, z, r_max), seeds, stop, ours)
-        expected = reference_coinflip(g, s, z, r_max, seeds, stop, theirs)
+        trace = run_coinflip(g, CoinflipModel({s: 1.0}, z, r_max), seeds, stop, ours)
+        expected = reference_coinflip(
+            g, np.full(g.n, s), np.full(g.n, z), r_max, seeds, stop, theirs
+        )
         assert_trace_equals(trace, expected)
         assert ours.random() == theirs.random()  # same number of coins drawn
 

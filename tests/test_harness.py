@@ -10,7 +10,6 @@ import pytest
 
 from tmperc import cli, harness
 from tmperc import intervention as iv
-from tmperc.analytic import CoinflipModel, coinflip_reduce
 from tmperc.harness import ConfigError
 
 
@@ -516,15 +515,6 @@ def test_custom_bolster_needs_a_law_for_every_drawable_threshold():
     assert config.intervention.variants[0].zeta_prime == {2: {3: 1.0}, 3: {4: 1.0}}
 
 
-def _delay(z_prime, r_max_prime, thresholds):
-    """The geometric Bolster that preflips the coins one contact short of each threshold."""
-    law = {}
-    for r in thresholds:
-        coins = CoinflipModel({r - 1: 1.0}, z_prime, max(r_max_prime, r))
-        law[r] = {v: w for v, w in enumerate(coinflip_reduce(coins).zeta, 1) if v >= r}
-    return iv.Bolster(law)
-
-
 def test_intervention_plan_holds_one_typed_spec_per_alpha_point():
     raw = _variant_config("bolster_a", **{"lambda": 0.2})
     raw["sweep"]["values"] = [0, 0.5, 1]
@@ -554,8 +544,8 @@ def test_intervention_plan_holds_one_typed_spec_per_alpha_point():
         assert plans["bolster_b"].variant_at(alpha) == iv.bolster_b(alpha, drawable)
         assert plans["diminish"].variant_at(alpha) == iv.Diminish(alpha, 0.4 * alpha)
         assert plans["sequester"].variant_at(alpha) == iv.Sequester(alpha, 0.4 * alpha)
-        assert plans["delay"].variant_at(alpha) == _delay(alpha, 20, drawable)
-        assert fixed_delay.variant_at(alpha) == _delay(0.6, 8, drawable)
+        assert plans["delay"].variant_at(alpha) == iv.delay(alpha, drawable, 20)
+        assert fixed_delay.variant_at(alpha) == iv.delay(0.6, drawable, 8)
         # the custom law has no strength
         assert custom.variant_at(alpha) == iv.Bolster(
             {2: {3: 1.0}, 3: {4: 1.0}}, save_vertices=True
@@ -904,6 +894,13 @@ def _coin_axis(axis, values, **law):
         (base_config(name="two\nlines"), "one-line string"),
         (base_config(name=5), "one-line string"),
         (base_config(name=""), "one-line string"),
+        (base_config(sweep={"axis": "alpha", "values": [0.1, 0.9]}), "add an intervention"),
+        (base_config(output=5), "output 5 is not a non-empty string or null"),
+        (base_config(output=""), "output '' is not a non-empty string or null"),
+        (
+            _n400(seed_factors=[0.5, 7.0], sweep={"axis": "seed_count", "values": [10]}),
+            "seed_count axis gives the seed counts; drop seed_factors",
+        ),
     ],
     ids=[
         "threshold-off-zeta_fraction",
@@ -920,11 +917,15 @@ def _coin_axis(axis, values, **law):
         "two-line-name",
         "integer-name",
         "empty-name",
+        "alpha-axis-without-intervention",
+        "integer-output",
+        "empty-output",
+        "seed_factors-on-seed_count",
     ],
 )
 def test_config_rejects_keys_and_values_its_run_ignores_or_cannot_write(raw, message):
-    # each loaded: the key or the law went unread, or the value broke the
-    # CSV's rows or its "# config_hash=... name=..." line
+    # each loaded: the key, the law or the sweep went unread, or the value
+    # broke the CSV's rows, its "# config_hash=... name=..." line or its write
     with pytest.raises(ConfigError, match=message):
         harness.load_config(raw)
 
@@ -932,7 +933,7 @@ def test_config_rejects_keys_and_values_its_run_ignores_or_cannot_write(raw, mes
 def test_sweep_values_are_numbers_written_as_given(tmp_path):
     for law in ({}, {"z": 0.7}):  # a written z is checked, and the axis replaces it
         config = harness.load_config(_coin_axis("coin_z", [1, 0.5], **law))
-        assert [coin[1] for coin in config.coins] == [1.0, 0.5]
+        assert [coin.z for coin in config.coins] == [1.0, 0.5]
     config = harness.load_config(_n400(sweep={"axis": "none", "values": [0, 2.5]}))
     assert config.sweep_values == (0, 2.5) and type(config.sweep_values[0]) is int
     harness.emit(harness.run_dichotomy(config), str(tmp_path / "rows"))

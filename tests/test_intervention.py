@@ -268,20 +268,6 @@ def test_surrogate_bolster_point_mass_expansion():
     assert surrogate.seed_count == pytest.approx(state.healthy_total * doomed, rel=1e-9)
 
 
-def delay_bolster(z_prime, r_max_prime, zeta):
-    """The Bolster that load_config builds for a delay section."""
-    config = harness.load_config(
-        {
-            "name": "delay-unit",
-            "graph": {"template": {"kind": "single"}, "n": 1000, "p": 0.01},
-            "thresholds": {"zeta": zeta},
-            "sweep": {"axis": "alpha", "values": [0.5]},
-            "intervention": {"variant": "delay", "z_prime": z_prime, "r_max_prime": r_max_prime},
-        }
-    )
-    return config.intervention.variants[0]
-
-
 def test_surrogate_mass_balance():
     params, state, profile = uniform_r2_profile()
     for variant in (
@@ -289,7 +275,7 @@ def test_surrogate_mass_balance():
         iv.bolster_b(0.4, (2,)),
         iv.Diminish(0.6, 0.6),
         iv.Sequester(0.6, 0.6),
-        delay_bolster(0.5, 10, {"2": 1.0}),
+        iv.delay(0.5, (2,), 10),
     ):
         surrogate = iv.build_surrogate(profile, variant)
         balance = surrogate.seed_count / state.healthy_total + surrogate.j.sum()
@@ -297,7 +283,7 @@ def test_surrogate_mass_balance():
 
 
 def test_delay_is_geometric_bolster():
-    bolster = delay_bolster(0.5, 6, {"2": 0.5, "3": 0.5})
+    bolster = iv.delay(0.5, (2, 3), 6)
     assert isinstance(bolster, iv.Bolster)
     law = bolster.zeta_prime[2]
     assert law[2] == pytest.approx(0.5)

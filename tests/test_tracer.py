@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tmperc import harness
 
@@ -32,18 +33,34 @@ TINY_DICHOTOMY = {
     "seed_factors": [0.9, 1.1],
 }
 
+TINY_COINFLIP = {
+    "name": "tiny-coinflip",
+    "master_seed": 108,
+    "graph": {"template": {"kind": "single"}, "n": 800, "near_degree": 10.0},
+    "thresholds": {"coinflip": {"s": 1, "r_max": 20}},
+    "sweep": {"axis": "coin_z", "values": [0.4, 0.6]},
+    "graphs": 2,
+    "trials": 3,
+    "seed_factors": [0.9, 1.1],
+}
 
-def test_tracer_engine_counters_match_a_recount(monkeypatch):
-    config = harness.load_config(TINY_DICHOTOMY)
+
+@pytest.mark.parametrize(
+    "raw, engine",
+    [(TINY_DICHOTOMY, "run_standard"), (TINY_COINFLIP, "run_coinflip")],
+    ids=["standard", "coinflip"],
+)
+def test_tracer_engine_counters_match_a_recount(monkeypatch, raw, engine):
+    config = harness.load_config(raw)
     recorded = []
-    run_standard = harness.run_standard
+    run = getattr(harness, engine)
 
     def recording(g, *args):
-        trace = run_standard(g, *args)
+        trace = run(g, *args)
         recorded.append((g, trace))
         return trace
 
-    monkeypatch.setattr(harness, "run_standard", recording)
+    monkeypatch.setattr(harness, engine, recording)
     untraced = harness.run_dichotomy(config)
     monkeypatch.undo()
     tracer = bench_tracer.Tracer()
