@@ -29,7 +29,6 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -345,11 +344,7 @@ def check_convexity(model: AnalyticModel, tolerance: float = 1e-10) -> Convexity
     region phi*t <= 1/3 (which the tabulated horizon enforces); outside that
     hypothesis the scan still runs but the report flags the gate.
     """
-    hypothesis_ok = (
-        model.dist.zeta1_condition_ok
-        and model.params.p <= 0.5
-        and model.params.q <= 0.5
-    )
+    hypothesis_ok = model.assumptions.zeta1_condition_ok and model.assumptions.probabilities_small
     a = model.A
     second = a[2:] - 2.0 * a[1:-1] + a[:-2]
     bad = np.flatnonzero(second < -tolerance)
@@ -403,27 +398,20 @@ def check_growth_bounds(params: TMParams, r: int, t: int, x: int) -> GrowthBound
 class CoinflipModel:
     """Coinflip dynamics: susceptible after s contacts, then coin z per contact.
 
-    ``s_dist`` gives the law of the susceptibility count and ``z`` the coin
-    probability of every class.  Every vertex is unconditionally infected
-    at r_max contacts.
+    Every vertex turns susceptible after ``s`` contacts; each later contact
+    infects it with probability ``z``, and r_max contacts infect it
+    unconditionally.
     """
 
-    s_dist: Mapping[int, float]
+    s: int
     z: float
     r_max: int
 
     def __post_init__(self) -> None:
-        if not self.s_dist:
-            raise ValueError("susceptibility distribution is empty")
-        if any(s < 0 for s in self.s_dist):
-            raise ValueError("susceptibility counts must be >= 0")
-        total = math.fsum(self.s_dist.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"susceptibility probabilities sum to {total!r}, not 1")
-        if self.r_max <= max(self.s_dist):
-            raise ValueError(
-                f"forcing cap r_max={self.r_max} must exceed max susceptibility {max(self.s_dist)}"
-            )
+        if self.s < 0:
+            raise ValueError(f"susceptibility count s={self.s} must be >= 0")
+        if self.r_max <= self.s:
+            raise ValueError(f"forcing cap r_max={self.r_max} must exceed susceptibility s={self.s}")
         if not 0.0 < self.z <= 1.0:
             raise ValueError(f"coin probability {self.z} outside (0, 1]")
 
@@ -431,15 +419,14 @@ class CoinflipModel:
 def coinflip_reduce(cf: CoinflipModel) -> ThresholdDistribution:
     """Preflip the coins: reduce coinflip dynamics to a threshold distribution.
 
-    A vertex of class s receives threshold s+j with probability
-    (1-z)^(j-1) * z for 1 <= j < r_max - s, and the leftover geometric mass
-    lands on the forcing cap r_max.
+    A vertex receives threshold s+j with probability (1-z)^(j-1) * z for
+    1 <= j < r_max - s, and the leftover geometric mass lands on the
+    forcing cap r_max.
     """
     zeta = np.zeros(cf.r_max)
-    for s, weight in sorted(cf.s_dist.items()):
-        stay = 1.0
-        for j in range(1, cf.r_max - s):
-            zeta[s + j - 1] += weight * stay * cf.z
-            stay *= 1.0 - cf.z
-        zeta[cf.r_max - 1] += weight * stay
+    stay = 1.0
+    for j in range(1, cf.r_max - cf.s):
+        zeta[cf.s + j - 1] = stay * cf.z
+        stay *= 1.0 - cf.z
+    zeta[cf.r_max - 1] = stay
     return ThresholdDistribution(tuple(zeta))

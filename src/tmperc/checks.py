@@ -131,7 +131,7 @@ def check_convexity_samples() -> CheckResult:
 
 
 def check_coinflip_reduction() -> CheckResult:
-    dist = coinflip_reduce(CoinflipModel({1: 1.0}, 0.5, 4))
+    dist = coinflip_reduce(CoinflipModel(1, 0.5, 4))
     expected = {2: 0.5, 3: 0.25, 4: 0.25}
     for r, w in expected.items():
         if abs(dist.zeta[r - 1] - w) > 1e-12:

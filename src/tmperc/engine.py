@@ -243,8 +243,7 @@ class _CoinflipRun(_Run):
         rng: np.random.Generator,
     ):
         super().__init__(g, seeds, stop_fraction)
-        (self.s,) = model.s_dist
-        self.z, self.r_max, self.rng = model.z, model.r_max, rng
+        self.s, self.z, self.r_max, self.rng = model.s, model.z, model.r_max, rng
 
     def _next_infected(self) -> np.ndarray:
         touched, hits = self._frontier_tally()
@@ -267,21 +266,16 @@ def run_coinflip(
     g: SampledGraph,
     model: CoinflipModel,
     seeds: np.ndarray,
-    stop_fraction: float = 0.9,
-    rng: np.random.Generator | None = None,
+    stop_fraction: float,
+    rng: np.random.Generator,
 ) -> PercolationTrace:
     """Coinflip dynamics: one coin per newly infected neighbor past susceptibility.
 
-    Every vertex follows ``model``, which must have one susceptibility class
-    s: past s contacts each new contact infects with probability z, and
-    r_max contacts infect unconditionally.  Coins are flipped in ascending
-    vertex-id order each generation, so a run is a pure function of (graph,
-    model, seeds, rng seed).
+    Every vertex follows ``model``: past its s contacts each new contact
+    infects with probability z, and r_max contacts infect unconditionally.
+    Coins are flipped in ascending vertex-id order each generation, so a run
+    is a pure function of (graph, model, seeds, rng seed).
     """
-    if len(model.s_dist) != 1:
-        raise ValueError(f"coinflip runs need one susceptibility class, not {dict(model.s_dist)}")
-    if rng is None:
-        raise ValueError("coinflip mode requires an explicit rng")
     run = _CoinflipRun(g, model, seeds, stop_fraction, rng)
     run.finish()
     return run.trace()

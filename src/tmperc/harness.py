@@ -350,14 +350,16 @@ def _graph_params(graph: _Section) -> TMParams:
     if n % template.k != 0:  # every sampled graph splits n into k equal clusters
         raise ConfigError(f"n={n} not divisible by k={template.k}")
     if "p" in graph:
-        return TMParams(template, n, _real(graph.get("p"), "p"), _real(graph.get("q", 0.0), "q"))
-    eta = n / template.k
-    near = _real(graph.get("near_degree"), "near_degree")
-    far = _real(graph.get("far_degree", 0.0), "far_degree")
-    if template.k_q == 0 and far != 0.0:
-        raise ConfigError("far_degree given but the template has no far clusters")
-    q = far / (template.k_q * eta) if template.k_q > 0 else 0.0
-    return TMParams(template, n, near / (template.k_p * eta), q)
+        p, q = _real(graph.get("p"), "p"), _real(graph.get("q", 0.0), "q")
+    else:
+        eta = n / template.k
+        p = _real(graph.get("near_degree"), "near_degree") / (template.k_p * eta)
+        q = _real(graph.get("far_degree", 0.0), "far_degree")  # a degree until divided below
+        if template.k_q > 0:
+            q /= template.k_q * eta
+    if template.k_q == 0 and q != 0.0:  # no run samples a far edge, so the value goes unread
+        raise ConfigError(f"q or far_degree {q!r} given but the template has no far clusters")
+    return TMParams(template, n, p, q)
 
 
 def _laws(thresholds: _Section, sweep: _Section, axis: str, points: list[float]):
@@ -371,7 +373,7 @@ def _laws(thresholds: _Section, sweep: _Section, axis: str, points: list[float])
         # the coin_z axis replaces z, which it still checks when written
         z = _real(coin.get("z"), "coinflip z") if axis != "coin_z" or "z" in coin else None
         models = tuple(
-            _checked(f"sweep value {x!r}", CoinflipModel, {s: 1.0}, coin_z, r_max)
+            _checked(f"sweep value {x!r}", CoinflipModel, s, coin_z, r_max)
             for x, coin_z in zip(points, points if axis == "coin_z" else [z] * len(points))
         )
         return tuple(map(coinflip_reduce, models)), models
@@ -412,6 +414,8 @@ def _plan(section: _Section, law: ThresholdDistribution, alphas: list[float]) ->
     elif kind not in ("bolster_a", "bolster_b"):
         raise ConfigError(f"unknown intervention variant {kind!r}")
     count = section.get("baseline_seed_count", None)
+    if count is not None and "baseline_seed_factor" in section:
+        raise ConfigError("baseline_seed_count gives the baseline seeds; drop baseline_seed_factor")
     return InterventionPlan(
         kind=kind,
         thresholds=drawable,

@@ -72,6 +72,8 @@ class Bolster:
         for r, law in self.zeta_prime.items():
             if not law:
                 raise ValueError(f"empty reassignment law for threshold {r}")
+            if any(w < 0 for w in law.values()):
+                raise ValueError(f"reassignment law for r={r} has a negative weight: {dict(law)}")
             total = math.fsum(law.values())
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"reassignment law for r={r} sums to {total!r}")
@@ -132,7 +134,7 @@ def delay(z_prime: float, thresholds: tuple[int, ...], r_max_prime: int) -> Bols
     """
     law = {}
     for r in thresholds:
-        coins = CoinflipModel({r - 1: 1.0}, z_prime, max(r_max_prime, r))
+        coins = CoinflipModel(r - 1, z_prime, max(r_max_prime, r))
         law[r] = {v: w for v, w in enumerate(coinflip_reduce(coins).zeta, 1) if v >= r}
     return Bolster(law)
 
@@ -460,7 +462,6 @@ class Verdict:
     phi_J: float
     Phi_J: int | None
     t_star_J: int | None
-    band: tuple[float, float]
     within_theory: bool | None
 
 
@@ -468,22 +469,21 @@ def predict(surrogate: SurrogateSpec, epsilon: float = 0.1) -> Verdict:
     """Decide halt/spread by placing phi_J against (1 +/- epsilon) * Phi_J."""
     total = float(surrogate.j.sum())
     if total <= 1e-12:
-        return Verdict(PREDICTED_SPREAD, surrogate.seed_count, 0, None, (0.0, 0.0), None)
+        return Verdict(PREDICTED_SPREAD, surrogate.seed_count, 0, None, None)
     dist = ThresholdDistribution(tuple(surrogate.j / total))
     result = critical_seed(AnalyticModel(surrogate.params, dist))
     within = result.assumptions.within_theory and surrogate.j_decay_ok
     phi_j = surrogate.seed_count
     if result.phi_critical is None:
         # subcritical for every seed size up to n_J
-        return Verdict(PREDICTED_HALT, phi_j, None, None, (math.inf, math.inf), within)
-    band = ((1.0 - epsilon) * result.phi_critical, (1.0 + epsilon) * result.phi_critical)
-    if phi_j < band[0]:
+        return Verdict(PREDICTED_HALT, phi_j, None, None, within)
+    if phi_j < (1.0 - epsilon) * result.phi_critical:
         outcome = PREDICTED_HALT
-    elif phi_j > band[1]:
+    elif phi_j > (1.0 + epsilon) * result.phi_critical:
         outcome = PREDICTED_SPREAD
     else:
         outcome = UNCERTAIN
-    return Verdict(outcome, phi_j, result.phi_critical, result.t_star, band, within)
+    return Verdict(outcome, phi_j, result.phi_critical, result.t_star, within)
 
 
 # ---------------------------------------------------------------------------

@@ -493,7 +493,7 @@ Z_GRID = [0.3, 0.4, 0.5, 0.6, 0.7]
 def _empirical_critical_coinflip(z: float, trials: int = 20) -> tuple[int, float]:
     n = 10000
     params = TMParams(tpl.make_single(), n, 10 / n)
-    cf = CoinflipModel({1: 1.0}, z, 20)
+    cf = CoinflipModel(1, z, 20)
     dist = coinflip_reduce(cf)
     phi = critical_seed(AnalyticModel(params, dist)).phi_critical
     lo, hi = max(1, phi // 3), min(n, 3 * phi)

@@ -494,38 +494,31 @@ def test_growth_bounds_randomized():
 
 
 def test_coinflip_reduce_geometric_with_cap():
-    dist = coinflip_reduce(CoinflipModel({1: 1.0}, 0.5, 4))
+    dist = coinflip_reduce(CoinflipModel(1, 0.5, 4))
     assert dist.zeta == pytest.approx((0.0, 0.5, 0.25, 0.25))
 
 
 def test_coinflip_reduce_deterministic_coin():
-    dist = coinflip_reduce(CoinflipModel({2: 1.0}, 1.0, 10))
+    dist = coinflip_reduce(CoinflipModel(2, 1.0, 10))
     assert dist.zeta[2] == 1.0  # threshold 3 = s + 1
     assert sum(dist.zeta) == pytest.approx(1.0)
 
 
 def test_coinflip_reduce_support_and_mass():
-    dist = coinflip_reduce(CoinflipModel({1: 1.0}, 0.3, 20))
+    dist = coinflip_reduce(CoinflipModel(1, 0.3, 20))
     assert math.fsum(dist.zeta) == pytest.approx(1.0, abs=1e-12)
     assert dist.zeta[0] == 0.0  # no mass below s + 1
 
 
-def test_coinflip_reduce_mixture():
-    dist = coinflip_reduce(CoinflipModel({0: 0.5, 2: 0.5}, 0.5, 6))
-    # class 0 contributes z at threshold 1
-    assert dist.zeta[0] == pytest.approx(0.25)
-    assert math.fsum(dist.zeta) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_coinflip_model_rejections():
     with pytest.raises(ValueError):
-        CoinflipModel({1: 1.0}, 0.0, 10)  # z <= 0
+        CoinflipModel(1, 0.0, 10)  # z <= 0
     with pytest.raises(ValueError):
-        CoinflipModel({1: 1.0}, 1.2, 10)
+        CoinflipModel(1, 1.2, 10)
     with pytest.raises(ValueError):
-        CoinflipModel({5: 1.0}, 0.5, 5)  # cap not above max s
+        CoinflipModel(5, 0.5, 5)  # cap not above s
     with pytest.raises(ValueError):
-        CoinflipModel({1: 0.7}, 0.5, 10)  # mass not 1
+        CoinflipModel(-1, 0.5, 10)  # negative s
 
 
 # ---------------------------------------------------------------------------

@@ -152,26 +152,20 @@ def test_coinflip_deterministic_coin_equals_standard():
     params = TMParams(tpl.make_single(), 300, 10 / 300)
     g = sample_graph(params, substream(5, 5))
     seeds = np.arange(15)
-    cf = CoinflipModel({1: 1.0}, 1.0, 20)
-    coin_trace = run_coinflip(g, cf, seeds, rng=substream(5, 6))
+    cf = CoinflipModel(1, 1.0, 20)
+    coin_trace = run_coinflip(g, cf, seeds, 0.9, substream(5, 6))
     std_trace = run_standard(g, np.full(300, 2), seeds)
     assert np.array_equal(coin_trace.totals, std_trace.totals)
     assert np.array_equal(coin_trace.final_infected, std_trace.final_infected)
 
 
-def test_coinflip_rejects_a_model_with_two_classes():
-    g = path_graph(4)
-    with pytest.raises(ValueError, match="one susceptibility class"):
-        run_coinflip(g, CoinflipModel({0: 0.5, 1: 0.5}, 0.5, 3), np.array([0]), rng=substream(8))
-
-
 def test_coinflip_determinism_given_seed():
     params = TMParams(tpl.make_single(), 400, 10 / 400)
     g = sample_graph(params, substream(9, 1))
-    cf = CoinflipModel({1: 1.0}, 0.5, 20)
+    cf = CoinflipModel(1, 0.5, 20)
     seeds = np.arange(25)
-    a = run_coinflip(g, cf, seeds, rng=substream(9, 2))
-    b = run_coinflip(g, cf, seeds, rng=substream(9, 2))
+    a = run_coinflip(g, cf, seeds, 0.9, substream(9, 2))
+    b = run_coinflip(g, cf, seeds, 0.9, substream(9, 2))
     assert np.array_equal(a.totals, b.totals)
     assert np.array_equal(a.final_infected, b.final_infected)
 
@@ -179,8 +173,8 @@ def test_coinflip_determinism_given_seed():
 def test_coinflip_monotone_and_conserving():
     params = TMParams(tpl.make_planted(2), 200, 0.1, 0.02)
     g = sample_graph(params, substream(10, 1))
-    cf = CoinflipModel({1: 1.0}, 0.4, 6)
-    trace = run_coinflip(g, cf, np.arange(10), rng=substream(10, 2))
+    cf = CoinflipModel(1, 0.4, 6)
+    trace = run_coinflip(g, cf, np.arange(10), 0.9, substream(10, 2))
     assert np.all(np.diff(trace.totals) >= 0)
     assert trace.totals[-1] == trace.final_infected.size
 
@@ -191,13 +185,13 @@ def test_duplicate_seeds_rejected_in_every_mode():
     with pytest.raises(ValueError):
         run_standard(g, np.full(5, 5), seeds, 1.0)
     with pytest.raises(ValueError):
-        run_coinflip(g, CoinflipModel({0: 1.0}, 1.0, 3), seeds, 1.0, substream(19, 1))
+        run_coinflip(g, CoinflipModel(0, 1.0, 3), seeds, 1.0, substream(19, 1))
 
 
 def test_coinflip_requires_rng():
     g = path_graph(4)
-    with pytest.raises(ValueError):
-        run_coinflip(g, CoinflipModel({1: 1.0}, 0.5, 3), np.array([0]))
+    with pytest.raises(TypeError, match="rng"):
+        run_coinflip(g, CoinflipModel(1, 0.5, 3), np.array([0]), 0.9)
 
 
 def test_engine_config_validation():
@@ -207,7 +201,7 @@ def test_engine_config_validation():
     with pytest.raises(ValueError, match="stop_fraction"):
         StandardRun(g, np.ones(4, dtype=int), np.array([0]), stop_fraction=1.5)
     with pytest.raises(ValueError, match="stop_fraction"):
-        run_coinflip(g, CoinflipModel({1: 1.0}, 0.5, 3), np.array([0]), 0.0, substream(19, 2))
+        run_coinflip(g, CoinflipModel(1, 0.5, 3), np.array([0]), 0.0, substream(19, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +274,7 @@ def test_coinflip_matches_reference_draw_for_draw():
         s, z = int(rng.integers(0, r_max)), 1.0 - rng.random()  # z in (0, 1]
         stop = float(rng.choice([0.5, 1.0]))
         ours, theirs = substream(54, i), substream(54, i)
-        trace = run_coinflip(g, CoinflipModel({s: 1.0}, z, r_max), seeds, stop, ours)
+        trace = run_coinflip(g, CoinflipModel(s, z, r_max), seeds, stop, ours)
         expected = reference_coinflip(
             g, np.full(g.n, s), np.full(g.n, z), r_max, seeds, stop, theirs
         )

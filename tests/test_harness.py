@@ -181,14 +181,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert open(a + ".jsonl", "rb").read() == open(b + ".jsonl", "rb").read()
 
 
-def test_parallel_equals_serial():
-    config = harness.load_config(base_config(trials=2, graphs=2, sweep={
-        "axis": "zeta_fraction", "threshold": 3, "complement": 2, "values": [0.0, 1.0]}))
-    serial = harness.run_dichotomy(config, jobs=1)
-    parallel = harness.run_dichotomy(config, jobs=2)
-    assert serial.rows == parallel.rows
-
-
 def test_single_point_single_trial_row_count():
     config = harness.load_config(base_config(seed_factors=[1.1]))
     table = harness.run_dichotomy(config)
@@ -316,6 +308,35 @@ def _ring5_intervention(**section):
         "graphs": 1,
         "intervention": {"variant": "diminish", **section},
     }
+
+
+@pytest.mark.parametrize(
+    "raw, run",
+    [
+        (
+            base_config(trials=2, graphs=2, sweep={
+                "axis": "zeta_fraction", "threshold": 3, "complement": 2, "values": [0.0, 1.0]}),
+            harness.run_dichotomy,
+        ),
+        (
+            # workers unpickle the config's CoinflipModel
+            base_config(trials=2, graphs=2, thresholds={"coinflip": {"s": 1, "r_max": 20}},
+                        sweep={"axis": "coin_z", "values": [0.3, 1.0]}),
+            harness.run_dichotomy,
+        ),
+        (
+            _ring5_intervention(compute_boundary=True)
+            | {"graphs": 2, "sweep": {"axis": "alpha", "values": [0.2, 0.9]}},
+            harness.run_intervention,
+        ),
+    ],
+    ids=["standard", "coinflip", "intervention"],
+)
+def test_parallel_equals_serial(raw, run):
+    config = harness.load_config(raw)
+    serial = run(config, jobs=1)
+    parallel = run(config, jobs=2)
+    assert repr(serial.rows) == repr(parallel.rows)  # every cell exactly, NaN included
 
 
 @pytest.mark.parametrize(
@@ -901,6 +922,18 @@ def _coin_axis(axis, values, **law):
             _n400(seed_factors=[0.5, 7.0], sweep={"axis": "seed_count", "values": [10]}),
             "seed_count axis gives the seed counts; drop seed_factors",
         ),
+        (
+            _graph_config({"kind": "single"}, p=0.0035, q=0.002),
+            "q or far_degree 0.002 given but the template has no far clusters",
+        ),
+        (
+            _intervention_config(baseline_seed_count=10, baseline_seed_factor=9.0),
+            "baseline_seed_count gives the baseline seeds; drop baseline_seed_factor",
+        ),
+        (
+            _variant_config("bolster", zeta_prime={"2": {"3": 1.5, "4": -0.5}, "3": {"4": 1.0}}),
+            "reassignment law for r=2 has a negative weight",
+        ),
     ],
     ids=[
         "threshold-off-zeta_fraction",
@@ -921,11 +954,15 @@ def _coin_axis(axis, values, **law):
         "integer-output",
         "empty-output",
         "seed_factors-on-seed_count",
+        "q-on-single-block",
+        "baseline_seed_factor-beside-count",
+        "bolster-negative-weight",
     ],
 )
 def test_config_rejects_keys_and_values_its_run_ignores_or_cannot_write(raw, message):
-    # each loaded: the key, the law or the sweep went unread, or the value
-    # broke the CSV's rows, its "# config_hash=... name=..." line or its write
+    # each loaded: the key, the law or the sweep went unread, the value broke
+    # the CSV's rows, its "# config_hash=... name=..." line or its write, or a
+    # law summing to 1 with a negative weight failed only when graphs were sampled
     with pytest.raises(ConfigError, match=message):
         harness.load_config(raw)
 

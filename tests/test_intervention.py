@@ -304,6 +304,8 @@ def test_bolster_j_decay_under_gate():
 def test_bolster_rejects_bad_laws():
     with pytest.raises(ValueError):
         iv.Bolster({2: {3: 0.6}})  # mass not 1
+    with pytest.raises(ValueError, match="negative weight"):
+        iv.Bolster({2: {3: 1.5, 4: -0.5}})  # sums to 1
     with pytest.raises(ValueError):
         iv.Bolster({3: {2: 1.0}})  # below old threshold without the weaken flag
     weakened = iv.Bolster({3: {2: 1.0}}, allow_weaken=True)
@@ -400,8 +402,9 @@ def test_predict_noop_bolster_past_bottleneck_is_spread():
 def test_verdict_band_membership():
     params, state, profile = uniform_r2_profile()
     surrogate = iv.build_surrogate(profile, iv.bolster_a(0.5, (2,)))
-    verdict = iv.predict(surrogate, epsilon=0.1)
-    lo, hi = verdict.band
+    epsilon = 0.1
+    verdict = iv.predict(surrogate, epsilon)
+    lo, hi = (1.0 - epsilon) * verdict.Phi_J, (1.0 + epsilon) * verdict.Phi_J
     if verdict.outcome == iv.UNCERTAIN:
         assert lo <= verdict.phi_J <= hi
     elif verdict.outcome == iv.PREDICTED_HALT:
