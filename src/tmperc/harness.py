@@ -22,7 +22,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from functools import partial
+from typing import Any, Callable, Iterator, Mapping
 
 from . import rngutil
 from .analytic import AnalyticModel, CoinflipModel, coinflip_reduce, critical_seed
@@ -134,24 +135,18 @@ def _checked(where: str, build, *args):
 class InterventionPlan:
     """An alpha sweep's intervention section, parsed once into typed fields.
 
-    ``variant_at(alpha)`` is the intervention of kind ``kind`` at strength
-    alpha; its threshold laws cover ``thresholds``, the thresholds the
-    configured law can draw.  ``variants[i]`` is the one at sweep point i,
-    built with the plan so every point's law check fails before any work.
-    A baseline run triggers once |I| > trigger_fraction * n, and every run
-    of the plan counts as spread at ``stop_fraction``.
+    ``variant_at(alpha)`` is the intervention at strength alpha: a
+    ``functools.partial`` of a module-level builder that ``_plan`` binds once
+    with the kind's inputs, such as the thresholds the configured law can
+    draw.  It is called off the grid too, and it must pickle, because
+    ``--jobs`` sends the config to worker processes.  ``variants[i]`` is the
+    one at sweep point i, built with the plan so every point's law check
+    fails before any work.  A baseline run triggers once |I| >
+    trigger_fraction * n.
     """
 
-    kind: str
-    thresholds: tuple[int, ...]
-    alpha_q_ratio: float
-    zeta_prime: dict[int, dict[int, float]] | None  # the custom bolster's law
-    z_prime: float | None  # None: the delay's coin probability is alpha
-    r_max_prime: int
-    allow_weaken: bool
-    save_vertices: bool
+    variant_at: Callable[[float], Variant]
     trigger_fraction: float
-    stop_fraction: float
     baseline_seed_count: int | None  # None: a factor of the critical seed
     baseline_seed_factor: float
     compute_boundary: bool
@@ -163,19 +158,15 @@ class InterventionPlan:
         variants = tuple(_checked(f"sweep value {a!r}", self.variant_at, a) for a in self.alphas)
         object.__setattr__(self, "variants", variants)
 
-    def variant_at(self, alpha: float) -> Variant:
-        """The intervention at strength ``alpha`` (the custom bolster has none)."""
-        if self.kind == "bolster_a":
-            return bolster_a(alpha, self.thresholds)
-        if self.kind == "bolster_b":
-            return bolster_b(alpha, self.thresholds)
-        if self.kind == "bolster":
-            return Bolster(self.zeta_prime, self.allow_weaken, self.save_vertices)
-        if self.kind == "delay":
-            z_prime = alpha if self.z_prime is None else self.z_prime
-            return delay(z_prime, self.thresholds, self.r_max_prime)
-        variant = Diminish if self.kind == "diminish" else Sequester
-        return variant(alpha, alpha * self.alpha_q_ratio)
+
+def _edge_variant(variant: type[Diminish], alpha_q_ratio: float, alpha: float) -> Diminish:
+    """``Diminish`` or ``Sequester`` with near retention alpha and far retention ratio * alpha."""
+    return variant(alpha, alpha * alpha_q_ratio)
+
+
+def _fixed(variant: Variant, alpha: float) -> Variant:
+    """A law with no strength, built and checked once: the same at every alpha."""
+    return variant
 
 
 @dataclass(frozen=True)
@@ -186,7 +177,8 @@ class ExperimentConfig:
     sweep point's law and the intervention plan once.  ``config_hash`` is the
     digest of the normalized config.  ``trials``, ``stop_fraction`` and
     ``seed_factors`` drive dichotomy runs; an intervention config runs one
-    trial per graph, stops at its plan's ``stop_fraction`` and has no factors.
+    trial per graph, stops at its intervention section's ``stop_fraction``
+    and has no factors.
     """
 
     config_hash: str
@@ -300,8 +292,12 @@ def load_config(source: Mapping[str, Any]) -> ExperimentConfig:
         trials = _integer(top.get("trials", 1), "trials", 1)
         if trials != 1:
             raise ConfigError(f"trials {trials}: an intervention sweep runs one trial per graph")
-        plan = _plan(top.section("intervention"), laws[0], points)
-        stop_fraction, factors = plan.stop_fraction, []
+        section = top.section("intervention")
+        plan = _plan(section, laws[0], points)
+        # post-intervention threshold mixes finish near 90%, so the spread
+        # verdict for continuations uses a lower cutoff by default
+        stop = section.get("stop_fraction", 0.8, True)
+        stop_fraction, factors = _fraction(stop, "intervention stop_fraction", "(]"), []
     normalized = top.close()
     if plan is not None:
         # defaults that no intervention run reads, digested so that every hash stays the same
@@ -394,9 +390,18 @@ def _plan(section: _Section, law: ThresholdDistribution, alphas: list[float]) ->
     kind = section.get("variant")
     # the alpha axis keeps the configured law, and so its thresholds, at every point
     drawable = tuple(r for r, w in enumerate(law.zeta, 1) if w > 0)
-    ratio, zeta_prime, z_prime, r_max_prime = 1.0, None, None, 20
-    allow_weaken = save_vertices = False
-    if kind == "bolster":
+    if kind in ("bolster_a", "bolster_b"):
+        variant_at = partial(bolster_a if kind == "bolster_a" else bolster_b, thresholds=drawable)
+    elif kind in ("diminish", "sequester"):
+        ratio = _real(section.get("alpha_q_ratio", 1.0, True), "alpha_q_ratio")
+        variant_at = partial(_edge_variant, Diminish if kind == "diminish" else Sequester, ratio)
+    elif kind == "delay":
+        r_max_prime = _integer(section.get("r_max_prime", 20), "r_max_prime", 1)
+        variant_at = partial(delay, thresholds=drawable, r_max_prime=r_max_prime)
+        if "z_prime" in section:  # a fixed coin probability in place of alpha
+            z_prime = _real(section.get("z_prime"), "z_prime")
+            variant_at = partial(_fixed, _checked("z_prime", variant_at, z_prime))
+    elif kind == "bolster":
         zeta_prime = {
             _key(r, "zeta_prime threshold"): _weights(inner, "zeta_prime")
             for r, inner in _object(section.get("zeta_prime"), "zeta_prime").items()
@@ -406,35 +411,21 @@ def _plan(section: _Section, law: ThresholdDistribution, alphas: list[float]) ->
             raise ConfigError(f"zeta_prime has no law for drawable thresholds {missing}")
         allow_weaken = _flag(section.get("allow_weaken", False), "allow_weaken")
         save_vertices = _flag(section.get("save_vertices", False), "save_vertices")
-    elif kind == "delay":
-        z_prime = _real(section.get("z_prime"), "z_prime") if "z_prime" in section else None
-        r_max_prime = _integer(section.get("r_max_prime", 20), "r_max_prime", 1)
-    elif kind in ("diminish", "sequester"):
-        ratio = _real(section.get("alpha_q_ratio", 1.0, True), "alpha_q_ratio")
-    elif kind not in ("bolster_a", "bolster_b"):
+        custom = _checked("zeta_prime", Bolster, zeta_prime, allow_weaken, save_vertices)
+        variant_at = partial(_fixed, custom)
+    else:
         raise ConfigError(f"unknown intervention variant {kind!r}")
     count = section.get("baseline_seed_count", None)
     if count is not None and "baseline_seed_factor" in section:
         raise ConfigError("baseline_seed_count gives the baseline seeds; drop baseline_seed_factor")
+    factor = _real(section.get("baseline_seed_factor", 1.3, True), "baseline_seed_factor")
+    if not 0 <= factor < math.inf:
+        raise ConfigError(f"baseline_seed_factor {factor!r} is not finite and >= 0")
     return InterventionPlan(
-        kind=kind,
-        thresholds=drawable,
-        alpha_q_ratio=ratio,
-        zeta_prime=zeta_prime,
-        z_prime=z_prime,
-        r_max_prime=r_max_prime,
-        allow_weaken=allow_weaken,
-        save_vertices=save_vertices,
+        variant_at=variant_at,
         trigger_fraction=_fraction(section.get("lambda", 0.1, True), "intervention lambda", "()"),
-        # post-intervention threshold mixes finish near 90%, so the spread
-        # verdict for continuations uses a lower cutoff by default
-        stop_fraction=_fraction(
-            section.get("stop_fraction", 0.8, True), "intervention stop_fraction", "(]"
-        ),
         baseline_seed_count=None if count is None else _integer(count, "baseline_seed_count", 0),
-        baseline_seed_factor=_real(
-            section.get("baseline_seed_factor", 1.3, True), "baseline_seed_factor"
-        ),
+        baseline_seed_factor=factor,
         compute_boundary=_flag(section.get("compute_boundary", True, True), "compute_boundary"),
         alphas=tuple(alphas),
     )
@@ -601,7 +592,7 @@ def _intervention_graph_task(args: tuple) -> list[dict]:
         baseline, params.n, rngutil.substream(seed, rngutil.SEEDS, 0, graph_idx)
     )
     run, triggered = run_to_trigger(
-        g, thresholds, seeds, plan.variants[0], plan.trigger_fraction, plan.stop_fraction
+        g, thresholds, seeds, plan.variants[0], plan.trigger_fraction, config.stop_fraction
     )
     observed = snapshot_observed(run)
     shared = {"graph": graph_idx, "i_cur": observed.i_cur, "i_prev": observed.i_prev,

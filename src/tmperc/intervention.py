@@ -21,7 +21,7 @@ import numpy as np
 
 from .analytic import AnalyticModel, CoinflipModel, coinflip_reduce, critical_seed, log_binom_row
 from .engine import PercolationTrace, StandardRun
-from .tmgraph import SampledGraph, TMParams, ThresholdDistribution
+from .tmgraph import SampledGraph, TMParams, ThresholdDistribution, check_law
 
 __all__ = [
     "Bolster",
@@ -70,13 +70,7 @@ class Bolster:
 
     def __post_init__(self) -> None:
         for r, law in self.zeta_prime.items():
-            if not law:
-                raise ValueError(f"empty reassignment law for threshold {r}")
-            if any(w < 0 for w in law.values()):
-                raise ValueError(f"reassignment law for r={r} has a negative weight: {dict(law)}")
-            total = math.fsum(law.values())
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"reassignment law for r={r} sums to {total!r}")
+            check_law(law, f"reassignment law for r={r}")
             floor = 2 if self.allow_weaken else r
             bad = [v for v, w in law.items() if w > 0 and v < floor]
             if bad:

@@ -25,6 +25,7 @@ from .template import TemplateGraph
 __all__ = [
     "TMParams",
     "ThresholdDistribution",
+    "check_law",
     "SampledGraph",
     "sample_graph",
     "assign_thresholds",
@@ -86,6 +87,24 @@ class TMParams:
         return near
 
 
+def check_law(law: Mapping[int, float], name: str) -> None:
+    """Reject a threshold law that is empty, has a negative or non-finite weight,
+    or sums to more than 1e-12 away from 1; ``name`` names the law in the error.
+
+    A weight past 1 + 1e-12 is rejected before the sum: a NaN sum would pass
+    the tolerance test, and weights near 1e308 would overflow ``math.fsum``.
+    """
+    if not law:
+        raise ValueError(f"{name} needs at least one entry")
+    if any(w < 0 for w in law.values()):
+        raise ValueError(f"{name} has a negative weight: {dict(law)}")
+    if not all(w <= 1.0 + 1e-12 for w in law.values()):
+        raise ValueError(f"{name} has a non-finite weight or one above 1: {dict(law)}")
+    total = math.fsum(law.values())
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"{name} sums to {total!r}, not 1")
+
+
 @dataclass(frozen=True)
 class ThresholdDistribution:
     """Law of per-vertex thresholds: zeta[i] is the probability of threshold i+1."""
@@ -95,13 +114,7 @@ class ThresholdDistribution:
     def __post_init__(self) -> None:
         # Python floats, so the reports derived from the law hold JSON-ready bools
         object.__setattr__(self, "zeta", tuple(float(z) for z in self.zeta))
-        if len(self.zeta) == 0:
-            raise ValueError("threshold distribution needs at least one entry")
-        if any(z < 0 for z in self.zeta):
-            raise ValueError(f"negative probability in {self.zeta}")
-        total = math.fsum(self.zeta)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"threshold probabilities sum to {total!r}, not 1")
+        check_law(dict(enumerate(self.zeta, 1)), "threshold distribution")
 
     @classmethod
     def from_mapping(cls, mass: Mapping[int, float]) -> "ThresholdDistribution":

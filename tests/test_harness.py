@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import pickle
 from pathlib import Path
 
 import pytest
@@ -285,8 +286,7 @@ def test_config_rejects_intervention_lambda_outside_open_unit_interval(value):
 def test_config_rejects_intervention_stop_fraction_outside_unit_interval(value):
     with pytest.raises(ConfigError, match="stop_fraction"):
         harness.load_config(_intervention_config(stop_fraction=value))
-    config = harness.load_config(_intervention_config(stop_fraction=1.0))
-    assert config.intervention.stop_fraction == 1.0
+    assert harness.load_config(_intervention_config(stop_fraction=1.0)).stop_fraction == 1.0
 
 
 @pytest.mark.parametrize(
@@ -539,26 +539,30 @@ def test_custom_bolster_needs_a_law_for_every_drawable_threshold():
 def test_intervention_plan_holds_one_typed_spec_per_alpha_point():
     raw = _variant_config("bolster_a", **{"lambda": 0.2})
     raw["sweep"]["values"] = [0, 0.5, 1]
-    plan = harness.load_config(raw).intervention
+    config = harness.load_config(raw)
+    plan = config.intervention
     assert plan.alphas == (0.0, 0.5, 1.0) and all(type(a) is float for a in plan.alphas)
     assert plan.trigger_fraction == 0.2
     # every threshold the law can draw has a law, at every point
     assert [sorted(variant.zeta_prime) for variant in plan.variants] == [[2, 3]] * 3
     assert plan.variants[1].zeta_prime[3] == {4: 0.5, 5: 0.5}
-    assert (plan.stop_fraction, plan.baseline_seed_count, plan.baseline_seed_factor) == (0.8, None, 1.3)
+    assert (config.stop_fraction, plan.baseline_seed_count, plan.baseline_seed_factor) == (0.8, None, 1.3)
     assert plan.compute_boundary is True
     assert plan.variants == tuple(plan.variant_at(alpha) for alpha in plan.alphas)
     # off the grid, variant_at agrees with the public constructors of every kind
-    def plan_of(kind, **section):
+    def config_of(kind, **section):
         if kind in ("diminish", "sequester"):
             section["alpha_q_ratio"] = 0.4
-        return harness.load_config(_variant_config(kind, **section)).intervention
+        return harness.load_config(_variant_config(kind, **section))
 
-    plans = {
-        kind: plan_of(kind) for kind in ("bolster_a", "bolster_b", "diminish", "sequester", "delay")
+    configs = {
+        kind: config_of(kind) for kind in ("bolster_a", "bolster_b", "diminish", "sequester", "delay")
     }
-    fixed_delay = plan_of("delay", z_prime=0.6, r_max_prime=8)
-    custom = plan_of("bolster", zeta_prime=_RAISE_BY_ONE, save_vertices=True)
+    configs["fixed_delay"] = config_of("delay", z_prime=0.6, r_max_prime=8)
+    configs["custom"] = config_of("bolster", zeta_prime=_RAISE_BY_ONE, save_vertices=True)
+    plans = {name: config.intervention for name, config in configs.items()}
+    # --jobs pickles the config, and so each plan's builder, to its workers
+    unpickled = {name: pickle.loads(pickle.dumps(config)).intervention for name, config in configs.items()}
     drawable = (2, 3)
     for alpha in (0.13, 0.37, 0.81):
         assert plans["bolster_a"].variant_at(alpha) == iv.bolster_a(alpha, drawable)
@@ -566,11 +570,13 @@ def test_intervention_plan_holds_one_typed_spec_per_alpha_point():
         assert plans["diminish"].variant_at(alpha) == iv.Diminish(alpha, 0.4 * alpha)
         assert plans["sequester"].variant_at(alpha) == iv.Sequester(alpha, 0.4 * alpha)
         assert plans["delay"].variant_at(alpha) == iv.delay(alpha, drawable, 20)
-        assert fixed_delay.variant_at(alpha) == iv.delay(0.6, drawable, 8)
+        assert plans["fixed_delay"].variant_at(alpha) == iv.delay(0.6, drawable, 8)
         # the custom law has no strength
-        assert custom.variant_at(alpha) == iv.Bolster(
+        assert plans["custom"].variant_at(alpha) == iv.Bolster(
             {2: {3: 1.0}, 3: {4: 1.0}}, save_vertices=True
         )
+        for name, plan in plans.items():
+            assert unpickled[name].variant_at(alpha) == plan.variant_at(alpha), name
 
 
 def _n200(**overrides):
@@ -934,6 +940,23 @@ def _coin_axis(axis, values, **law):
             _variant_config("bolster", zeta_prime={"2": {"3": 1.5, "4": -0.5}, "3": {"4": 1.0}}),
             "reassignment law for r=2 has a negative weight",
         ),
+        (
+            base_config(thresholds={"zeta": {"2": math.nan}}, sweep={"axis": "none", "values": [0]}),
+            "threshold distribution has a non-finite weight",
+        ),
+        (
+            _variant_config("bolster", zeta_prime={"2": {"3": math.nan}, "3": {"4": 1.0}}),
+            "reassignment law for r=2 has a non-finite weight",
+        ),
+        (
+            base_config(
+                thresholds={"zeta": {"2": math.inf, "3": math.nan}}, sweep={"axis": "none", "values": [0]}
+            ),
+            "threshold distribution has a non-finite weight",
+        ),
+        (_intervention_config(baseline_seed_factor=math.nan), "baseline_seed_factor nan is not finite"),
+        (_intervention_config(baseline_seed_factor=math.inf), "baseline_seed_factor inf is not finite"),
+        (_intervention_config(baseline_seed_factor=-1.0), r"baseline_seed_factor -1.0 is not finite and >= 0"),
     ],
     ids=[
         "threshold-off-zeta_fraction",
@@ -957,12 +980,20 @@ def _coin_axis(axis, values, **law):
         "q-on-single-block",
         "baseline_seed_factor-beside-count",
         "bolster-negative-weight",
+        "zeta-nan-weight",
+        "zeta_prime-nan-weight",
+        "zeta-infinite-weight-beside-nan",
+        "baseline_seed_factor-nan",
+        "baseline_seed_factor-inf",
+        "baseline_seed_factor-negative",
     ],
 )
 def test_config_rejects_keys_and_values_its_run_ignores_or_cannot_write(raw, message):
     # each loaded: the key, the law or the sweep went unread, the value broke
-    # the CSV's rows, its "# config_hash=... name=..." line or its write, or a
-    # law summing to 1 with a negative weight failed only when graphs were sampled
+    # the CSV's rows, its "# config_hash=... name=..." line or its write, a
+    # law summing to 1 with a negative weight failed only when graphs were
+    # sampled, a NaN weight hung the critical-seed search, or a bad baseline
+    # seed factor failed only when the run computed its seed count
     with pytest.raises(ConfigError, match=message):
         harness.load_config(raw)
 

@@ -306,6 +306,11 @@ def test_bolster_rejects_bad_laws():
         iv.Bolster({2: {3: 0.6}})  # mass not 1
     with pytest.raises(ValueError, match="negative weight"):
         iv.Bolster({2: {3: 1.5, 4: -0.5}})  # sums to 1
+    for weight in (math.nan, math.inf):  # a NaN sum passes an abs(total - 1) > tol test
+        with pytest.raises(ValueError, match="non-finite weight"):
+            iv.Bolster({2: {3: weight}})
+    with pytest.raises(ValueError, match="one above 1"):
+        iv.Bolster({2: {3: 1e308, 4: 1e308}})  # math.fsum raises OverflowError on it
     with pytest.raises(ValueError):
         iv.Bolster({3: {2: 1.0}})  # below old threshold without the weaken flag
     weakened = iv.Bolster({3: {2: 1.0}}, allow_weaken=True)
