@@ -12,9 +12,10 @@ the bottleneck generation t* is the (smallest) minimizer of f at that seed
 size.  f is affine in phi, so the critical seed is a closed form: the
 largest per-generation root (k*t - n*A(t)) / (1 - A(t)), rounded up.  All
 binomial mass is computed in log space by one packed-triangle convolution
-kernel, ``log_sum_row``, that sums each row in index order; survival
-probabilities take the tail sum directly when the head is close to 1 so
-small activation probabilities keep full relative accuracy.
+kernel, ``log_sum_row``, that sums each row in index order.  ``pi_r``
+takes the tail sum directly when the head is close to 1, so a small
+activation probability keeps full relative accuracy; the model's table
+takes 1 minus the cumulative head, and so is accurate in absolute terms.
 
 The kernel needs only numpy and the standard library.  Log factorials come
 from one table of cephes ``lgam`` (the algorithm behind scipy's ``gammaln``)
@@ -292,11 +293,10 @@ def critical_seed(model: AnalyticModel) -> CriticalResult:
 
     f(phi, t) = n*A(t) - k*t + phi*(1 - A(t)) is affine in phi, so each t
     with A(t) < 1 needs phi >= (k*t - n*A(t)) / (1 - A(t)), and a t with
-    A(t) = 1 needs only k*t <= n.  The largest of those roots, rounded up,
-    is stepped by one until the feasibility test on the table holds at phi
-    and fails at phi - 1, which absorbs the rounding of the division.  The
-    minimizing t is found by full scan of the table; ties break to the
-    smallest t.
+    A(t) = 1 needs only k*t <= n, which the horizon check below ensures.
+    The critical seed is the largest of those roots rounded up (0 when every
+    A(t) = 1), capped at n.  The minimizing t is found by full scan of the
+    table; ties break to the smallest t.
     """
     params = model.params
     n, k = params.n, params.k
@@ -313,17 +313,9 @@ def critical_seed(model: AnalyticModel) -> CriticalResult:
         return infeasible
     t_arr = np.arange(1, model.t_max + 1)
     a_arr = model.A[1 : model.t_max + 1]
-
-    def feasible(phi: int) -> bool:
-        return bool(np.min((n - phi) * a_arr - k * t_arr + phi) >= 0.0)
-
     below = a_arr < 1.0
     roots = (k * t_arr[below] - n * a_arr[below]) / (1.0 - a_arr[below])
     phi_star = min(n, math.ceil(roots.max(initial=0.0)))
-    while not feasible(phi_star):
-        phi_star += 1
-    while phi_star > 0 and feasible(phi_star - 1):
-        phi_star -= 1
     curve = (n - phi_star) * a_arr - k * t_arr + phi_star
     t_star = int(t_arr[int(np.argmin(curve))])
     return CriticalResult(phi_star, t_star, model.assumptions, model.t_max)

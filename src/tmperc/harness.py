@@ -378,6 +378,8 @@ def _laws(thresholds: _Section, sweep: _Section, axis: str, points: list[float])
     zeta = _weights(thresholds.get("zeta"), "zeta")
     masses = [zeta] * len(points)
     if axis == "zeta_fraction":
+        for x in points:
+            _fraction(x, "zeta_fraction sweep value", "[]")
         high = _integer(sweep.get("threshold", max(zeta)), "sweep threshold", 1)
         low = _integer(sweep.get("complement", min(zeta)), "sweep complement", 1)
         masses = [{r: w for r, w in {low: 1.0 - x, high: x}.items() if w > 0.0} for x in points]

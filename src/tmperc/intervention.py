@@ -547,8 +547,6 @@ def _apply_bolster(run: StandardRun, bolster: Bolster, rng: np.random.Generator)
 def _apply_edge_removal(run: StandardRun, variant: Diminish, rng: np.random.Generator) -> None:
     """Drop edges at the variant's retention rates; Sequester spares healthy-healthy edges."""
     g = run.g
-    if g.num_edges == 0:
-        return
     keep = rng.random(g.num_edges) < np.where(g.edge_is_near(), variant.alpha_p, variant.alpha_q)
     if isinstance(variant, Sequester):
         keep |= ~(run.infected[g.edge_u] | run.infected[g.edge_v])

@@ -957,6 +957,18 @@ def _coin_axis(axis, values, **law):
         (_intervention_config(baseline_seed_factor=math.nan), "baseline_seed_factor nan is not finite"),
         (_intervention_config(baseline_seed_factor=math.inf), "baseline_seed_factor inf is not finite"),
         (_intervention_config(baseline_seed_factor=-1.0), r"baseline_seed_factor -1.0 is not finite and >= 0"),
+        (
+            _n400(sweep={"axis": "zeta_fraction", "values": [math.nan]}),
+            r"zeta_fraction sweep value nan outside \[0, 1\]",
+        ),
+        (
+            _n400(sweep={"axis": "zeta_fraction", "values": [0.5, 1.5]}),
+            r"zeta_fraction sweep value 1.5 outside \[0, 1\]",
+        ),
+        (
+            _n400(sweep={"axis": "zeta_fraction", "values": [-0.5]}),
+            r"zeta_fraction sweep value -0.5 outside \[0, 1\]",
+        ),
     ],
     ids=[
         "threshold-off-zeta_fraction",
@@ -986,6 +998,9 @@ def _coin_axis(axis, values, **law):
         "baseline_seed_factor-nan",
         "baseline_seed_factor-inf",
         "baseline_seed_factor-negative",
+        "zeta_fraction-nan",
+        "zeta_fraction-above-1",
+        "zeta_fraction-below-0",
     ],
 )
 def test_config_rejects_keys_and_values_its_run_ignores_or_cannot_write(raw, message):
@@ -993,9 +1008,29 @@ def test_config_rejects_keys_and_values_its_run_ignores_or_cannot_write(raw, mes
     # the CSV's rows, its "# config_hash=... name=..." line or its write, a
     # law summing to 1 with a negative weight failed only when graphs were
     # sampled, a NaN weight hung the critical-seed search, or a bad baseline
-    # seed factor failed only when the run computed its seed count
+    # seed factor failed only when the run computed its seed count, or a
+    # zeta_fraction outside [0, 1] failed with a message that named no axis
     with pytest.raises(ConfigError, match=message):
         harness.load_config(raw)
+
+
+def test_seed_count_axis_runs_the_given_counts(tmp_path):
+    config = harness.load_config(_n400(graphs=2, sweep={"axis": "seed_count", "values": [10, 60]}))
+    table = harness.run_dichotomy(config)
+    assert [row["seed_count"] for row in table.rows] == [10] * 6 + [60] * 6  # 2 graphs x 3 trials
+    assert all(math.isnan(row["seed_factor"]) for row in table.rows)
+    harness.emit(table, str(tmp_path / "rows"))
+    with open(tmp_path / "rows.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert [(row["seed_factor"], row["seed_count"]) for row in rows] == [
+        ("nan", str(row["seed_count"])) for row in table.rows
+    ]
+    with open(tmp_path / "rows.jsonl") as fh:
+        lines = [json.loads(line) for line in fh][1:]
+    assert [(line["seed_factor"], line["seed_count"]) for line in lines] == [
+        (None, row["seed_count"]) for row in table.rows
+    ]
+    assert repr(harness.run_dichotomy(config, jobs=2).rows) == repr(table.rows)
 
 
 def test_sweep_values_are_numbers_written_as_given(tmp_path):

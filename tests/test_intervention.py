@@ -216,6 +216,18 @@ def test_profile_masses_and_decay_gate():
     assert not late_profile.gate_ok
 
 
+def test_decay_violations_flag_slow_decay_and_mass_after_a_zero():
+    n = 10000
+    late = iv.build_profile(er_state(n, 3000, 2000, 2), TMParams(tpl.make_single(), n, 7 / n))
+    marg = late.mixture_marginal()
+    assert late.decay_violations() == [(0, marg[1] / marg[0])]
+    assert marg[1] / marg[0] >= 2 / 3
+    # at p = 1 every healthy vertex sees the one infected vertex: Pr[H_0] = 0 < Pr[H_1]
+    certain = iv.build_profile(er_state(10, 1, 0, 2), TMParams(tpl.make_single(), 10, 1.0))
+    assert certain.mixture_marginal()[:2].tolist() == [0.0, 1.0]
+    assert certain.decay_violations() == [(0, math.inf)]
+
+
 # ---------------------------------------------------------------------------
 # thinning
 
@@ -421,6 +433,13 @@ def test_verdict_band_membership():
     assert wide.outcome == iv.UNCERTAIN
 
 
+def test_predict_all_seed_surrogate_is_spread_outside_theory():
+    params = TMParams(tpl.make_single(), 100, 0.01)
+    verdict = iv.predict(iv.SurrogateSpec(np.zeros(3), 100.0, params))
+    # Phi_J 0, and within_theory None: the all-seed surrogate has no analytic model
+    assert verdict == iv.Verdict(iv.PREDICTED_SPREAD, 100.0, 0, None, None)
+
+
 # ---------------------------------------------------------------------------
 # live application
 
@@ -478,6 +497,22 @@ def test_diminish_alpha_zero_halts():
     params, g, thresholds, seeds, run = triggered_run()
     trace = iv.apply_in_simulation(run.clone(), iv.Diminish(0.0, 0.0), substream(301, 4))
     assert trace.verdict == "halted"
+
+
+def test_edge_removal_on_an_edgeless_graph_changes_nothing():
+    n = 50
+    g = sample_graph(TMParams(tpl.make_ring(5, 1), n, 0.0, 0.0), substream(320, 1))
+    assert g.num_edges == 0
+    thresholds = np.full(n, 2)
+    seeds = select_seeds(10, n, substream(320, 2))
+    baseline = run_standard(g, thresholds, seeds, stop_fraction=0.9)
+    for variant in (iv.Diminish(0.5, 0.5), iv.Sequester(0.5, 0.5)):
+        run = StandardRun(g, thresholds, seeds, 0.9)
+        trace = iv.apply_in_simulation(run, variant, substream(320, 3))
+        assert run.g.num_edges == 0
+        assert trace.verdict == baseline.verdict == "halted"
+        assert np.array_equal(trace.totals, baseline.totals)
+        assert np.array_equal(trace.final_infected, baseline.final_infected)
 
 
 def test_apply_in_simulation_rejects_unknown_variant():
@@ -574,6 +609,25 @@ def test_boundary_scan_brackets_actual_state():
     weak = iv.boundary_scan(profile, iv.bolster_a(1.0, (2,)))
     if not (math.isnan(strong) or math.isnan(weak)):
         assert strong > weak
+
+
+def test_boundary_scan_is_nan_on_an_empty_range():
+    # growth 70 of n = 100 puts the scan's bottom above its top (0.6 n)
+    profile = iv.build_profile(er_state(100, 70, 0, 2), TMParams(tpl.make_single(), 100, 0.01))
+    assert math.isnan(iv.boundary_scan(profile, iv.bolster_a(0.5, (2,))))
+    assert profile._scan_profiles == {}  # no scaled state was evaluated
+
+
+def test_boundary_scan_without_a_finite_critical_seed_is_nan():
+    # k * t_max = 3,333 exceeds every |H| <= 1,000, so no scaled surrogate has a finite Phi_J
+    n = 1000
+    profile = iv.build_profile(er_state(n, 30, 20, 2), TMParams(tpl.make_single(), n, 1e-4))
+    variant = iv.bolster_a(0.5, (2,))
+    assert math.isnan(iv.boundary_scan(profile, variant))
+    assert len(profile._scan_profiles) == 2  # both ends scored -inf, so no bisection
+    for scaled in profile._scan_profiles.values():
+        verdict = iv.predict(iv.build_surrogate(scaled, variant), epsilon=0.0)
+        assert verdict.Phi_J is None and verdict.outcome == iv.PREDICTED_HALT
 
 
 def _uncached_boundary_scan(observed, variant, params, lo_frac=0.001, hi_frac=0.6):

@@ -303,6 +303,27 @@ def test_graph_build_rss_growth_per_edge():
     assert growth <= 100 * edges
 
 
+def test_bernoulli_hits_below_1e12_places_the_drawn_count_uniformly():
+    # geometric gaps would overflow int64 here, so the count is drawn and placed
+    count = 10**15
+    hits = _bernoulli_hits(count, 1e-13, substream(34, 0))
+    assert 50 < hits.size < 200  # Bin(10**15, 1e-13) has mean 100
+    assert np.all(np.diff(hits) > 0)  # sorted and unique
+    assert 0 <= hits[0] and hits[-1] < count
+
+
+class _UnitGaps:
+    """A generator stub whose every geometric gap is 1."""
+
+    def geometric(self, prob, size):
+        return np.ones(size, dtype=np.int64)
+
+
+def test_bernoulli_hits_continues_past_its_first_batch():
+    # a first batch of 64 gaps ends inside [0, 200), so three more follow
+    assert np.array_equal(_bernoulli_hits(200, 0.01, _UnitGaps()), np.arange(200))
+
+
 def test_decode_triangle_is_exact_and_peaks_at_32_bytes_per_edge():
     # the single-block draw of a graph with n = 5*10**4, p = 20/n; the pairs
     # must invert the index formula exactly, and the fix-up works in place
