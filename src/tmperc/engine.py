@@ -176,7 +176,7 @@ class StandardRun(_Run):
         g: SampledGraph,
         thresholds: np.ndarray,
         seeds: np.ndarray,
-        stop_fraction: float = 0.9,
+        stop_fraction: float,
     ):
         self.thresholds = np.array(thresholds, dtype=np.int64, copy=True)
         if self.thresholds.shape != (g.n,):
@@ -225,7 +225,7 @@ def run_standard(
     g: SampledGraph,
     thresholds: np.ndarray,
     seeds: np.ndarray,
-    stop_fraction: float = 0.9,
+    stop_fraction: float,
 ) -> PercolationTrace:
     """Deterministic threshold percolation."""
     run = StandardRun(g, thresholds, seeds, stop_fraction)

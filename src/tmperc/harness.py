@@ -266,6 +266,7 @@ def load_config(source: Mapping[str, Any]) -> ExperimentConfig:
             if _integer(value, "seed_count", 0) > params.n:
                 raise ConfigError(f"seed_count {value} is above n = {params.n}")
     laws, coins = _laws(top.section("thresholds"), sweep, axis, points)
+    _checked("graph", critical_seed, AnalyticModel(params, laws[0]))  # an empty horizon fails here
     plan = None
     if top.get("intervention", None) is None:
         if axis == "alpha":
@@ -382,6 +383,8 @@ def _laws(thresholds: _Section, sweep: _Section, axis: str, points: list[float])
             _fraction(x, "zeta_fraction sweep value", "[]")
         high = _integer(sweep.get("threshold", max(zeta)), "sweep threshold", 1)
         low = _integer(sweep.get("complement", min(zeta)), "sweep complement", 1)
+        if high == low:  # the two-point mix would collapse to one threshold
+            raise ConfigError(f"sweep threshold and complement are both {high}, not two thresholds")
         masses = [{r: w for r, w in {low: 1.0 - x, high: x}.items() if w > 0.0} for x in points]
     build = ThresholdDistribution.from_mapping
     return tuple(_checked(f"sweep value {x!r}", build, m) for x, m in zip(points, masses)), None

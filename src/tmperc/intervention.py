@@ -61,7 +61,9 @@ class Bolster:
     threshold r, supported on [r, r_max_prime]; ``allow_weaken`` relaxes the
     support to [2, r_max_prime] (which voids the surrogate's threshold-1
     guarantee), ``save_vertices`` applies the reassignment before the
-    trigger generation's infection step so doomed vertices can be rescued.
+    trigger generation's infection step so doomed vertices can be rescued
+    (and ``run_to_trigger`` pauses one generation early).  ``apply`` draws
+    the new thresholds in a run paused at the trigger.
     """
 
     zeta_prime: Mapping[int, Mapping[int, float]]
@@ -82,17 +84,45 @@ class Bolster:
     def r_max_prime(self) -> int:
         return max(v for law in self.zeta_prime.values() for v, w in law.items() if w > 0)
 
+    def apply(self, run: StandardRun, rng: np.random.Generator) -> None:
+        """Draw new thresholds for a paused run's healthy vertices, or only its undoomed ones."""
+        eligible = ~run.infected
+        if not self.save_vertices:
+            eligible &= run.current_exposure() < run.thresholds
+        for r in np.flatnonzero(np.bincount(run.thresholds[eligible])):
+            law = self.zeta_prime.get(int(r))
+            if law is None:
+                raise KeyError(f"no reassignment law for threshold {int(r)}")
+            ids = np.flatnonzero(eligible & (run.thresholds == r))
+            values = np.array(sorted(law), dtype=np.int64)
+            probs = np.array([law[int(v)] for v in values])
+            run.thresholds[ids] = rng.choice(values, size=ids.size, p=probs / probs.sum())
+
 
 @dataclass(frozen=True)
 class Diminish:
-    """Delete every near edge w.p. 1-alpha_p and far edge w.p. 1-alpha_q."""
+    """Delete every near edge w.p. 1-alpha_p and far edge w.p. 1-alpha_q.
+
+    ``apply`` acts on a run paused at the trigger.  ``save_vertices`` is a
+    class constant, not a field: edges go only after the crossing generation
+    commits, so no doomed vertex is rescued and no pause comes early.
+    """
 
     alpha_p: float
     alpha_q: float
+    save_vertices = False
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha_p <= 1.0 and 0.0 <= self.alpha_q <= 1.0):
             raise ValueError("retention probabilities must lie in [0, 1]")
+
+    def apply(self, run: StandardRun, rng: np.random.Generator) -> None:
+        """Drop a paused run's edges; Sequester spares healthy-healthy ones."""
+        g = run.g
+        keep = rng.random(g.num_edges) < np.where(g.edge_is_near(), self.alpha_p, self.alpha_q)
+        if isinstance(self, Sequester):
+            keep |= ~(run.infected[g.edge_u] | run.infected[g.edge_v])
+        run.replace_graph(g.subgraph(keep))
 
 
 @dataclass(frozen=True)
@@ -100,7 +130,7 @@ class Sequester(Diminish):
     """Like Diminish, but only edges incident to an infected vertex are at risk."""
 
 
-Variant = Bolster | Diminish | Sequester
+Variant = Bolster | Diminish
 
 
 def _raise_by(steps: Mapping[int, float], thresholds: tuple[int, ...]) -> Bolster:
@@ -397,34 +427,29 @@ def build_surrogate(profile: ResidualProfile, variant: Variant) -> SurrogateSpec
     """Residual-threshold law of the profile's healthy population after the intervention.
 
     A healthy vertex with old threshold r and exposure a < r draws new
-    threshold r' from the variant's law and lands at residual threshold
+    threshold r' from the bolster's law and lands at residual threshold
     s = r' - a; exposure a >= r means the vertex is already doomed and joins
-    the seed mass.  Diminish and Sequester thin the residual exposures by the
-    retention rates and keep every threshold (the law {r: 1}); only Diminish
+    the seed mass.  Diminish and Sequester first thin the residual exposures
+    by the retention rates and then keep every threshold: they are the
+    identity bolster {r: {r: 1.0}} on the thinned exposures.  Only Diminish
     also thins the surrogate's future edges, since Sequester spares
     healthy-healthy edges.
     """
-    if not isinstance(variant, (Bolster, Diminish)):
-        raise TypeError(f"unknown intervention variant {variant!r}")
     params = profile.params
     p, q = params.p, params.q
-    save = False
-    if isinstance(variant, Bolster):
-        joints, size, save = profile.joints, variant.r_max_prime, variant.save_vertices
-    else:
+    joints, bolster = profile.joints, variant
+    if isinstance(variant, Diminish):
         if not isinstance(variant, Sequester):
             p, q = variant.alpha_p * p, variant.alpha_q * q
-        joints = thin_residual(profile.joints, variant.alpha_p, variant.alpha_q)
-        size = max(profile.weights)
-    j = np.zeros(size)
+        joints = thin_residual(joints, variant.alpha_p, variant.alpha_q)
+        bolster = Bolster({r: {r: 1.0} for r in profile.weights})
+    j = np.zeros(bolster.r_max_prime)
     for r, weight in profile.weights.items():
-        if weight <= 0.0:
-            continue
-        law = variant.zeta_prime.get(r) if isinstance(variant, Bolster) else {r: 1.0}
+        law = bolster.zeta_prime.get(r)
         if law is None:
             raise KeyError(f"no reassignment law for observed threshold {r}")
         marg = _marginal(joints[r])
-        a_limit = marg.size if save else min(r, marg.size)
+        a_limit = marg.size if bolster.save_vertices else min(r, marg.size)
         for a in range(a_limit):
             mass = weight * marg[a]
             if mass <= 0.0:
@@ -459,7 +484,7 @@ class Verdict:
     within_theory: bool | None
 
 
-def predict(surrogate: SurrogateSpec, epsilon: float = 0.1) -> Verdict:
+def predict(surrogate: SurrogateSpec, epsilon: float) -> Verdict:
     """Decide halt/spread by placing phi_J against (1 +/- epsilon) * Phi_J."""
     total = float(surrogate.j.sum())
     if total <= 1e-12:
@@ -490,7 +515,7 @@ def run_to_trigger(
     seeds: np.ndarray,
     variant: Variant,
     trigger_fraction: float,
-    stop_fraction: float = 0.9,
+    stop_fraction: float,
 ) -> tuple[StandardRun, bool]:
     """Drive a run until the infected count first exceeds lambda * n.
 
@@ -505,9 +530,8 @@ def run_to_trigger(
     trigger_at = trigger_fraction * g.n
     # a modification that rescues doomed vertices must fire before the
     # crossing generation commits, so it peeks one step ahead
-    peek = isinstance(variant, Bolster) and variant.save_vertices
     while run.verdict is None:
-        if run.totals[-1] + (run._candidates().size if peek else 0) > trigger_at:
+        if run.totals[-1] + (run._candidates().size if variant.save_vertices else 0) > trigger_at:
             return run, True
         run.step()
     return run, run.totals[-1] > trigger_at
@@ -517,40 +541,9 @@ def apply_in_simulation(
     run: StandardRun, variant: Variant, rng: np.random.Generator
 ) -> "PercolationTrace":
     """Mutate a triggered run according to the variant and finish it."""
-    if isinstance(variant, Bolster):
-        _apply_bolster(run, variant, rng)
-    elif isinstance(variant, Diminish):
-        _apply_edge_removal(run, variant, rng)
-    else:
-        raise TypeError(f"unknown intervention variant {variant!r}")
+    variant.apply(run, rng)
     run.finish()
     return run.trace()
-
-
-def _apply_bolster(run: StandardRun, bolster: Bolster, rng: np.random.Generator) -> None:
-    exposure = run.current_exposure()
-    healthy = ~run.infected
-    if bolster.save_vertices:
-        eligible = healthy
-    else:
-        eligible = healthy & (exposure < run.thresholds)
-    for r in np.flatnonzero(np.bincount(run.thresholds[eligible])):
-        law = bolster.zeta_prime.get(int(r))
-        if law is None:
-            raise KeyError(f"no reassignment law for threshold {int(r)}")
-        ids = np.flatnonzero(eligible & (run.thresholds == r))
-        values = np.array(sorted(law), dtype=np.int64)
-        probs = np.array([law[int(v)] for v in values])
-        run.thresholds[ids] = rng.choice(values, size=ids.size, p=probs / probs.sum())
-
-
-def _apply_edge_removal(run: StandardRun, variant: Diminish, rng: np.random.Generator) -> None:
-    """Drop edges at the variant's retention rates; Sequester spares healthy-healthy edges."""
-    g = run.g
-    keep = rng.random(g.num_edges) < np.where(g.edge_is_near(), variant.alpha_p, variant.alpha_q)
-    if isinstance(variant, Sequester):
-        keep |= ~(run.infected[g.edge_u] | run.infected[g.edge_v])
-    run.replace_graph(g.subgraph(keep))
 
 
 _SCAN_LO_FRAC = 0.001

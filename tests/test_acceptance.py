@@ -226,7 +226,7 @@ def _early_trigger_profiles():
             thresholds = assign_thresholds(dist, n, substream(5001, idx, graph_idx))
             seeds = select_seeds(int(1.4 * phi_base), n, substream(5002, idx, graph_idx))
             variant = iv.bolster_a(0.5, (2, 3))
-            run, triggered = iv.run_to_trigger(g, thresholds, seeds, variant, lam)
+            run, triggered = iv.run_to_trigger(g, thresholds, seeds, variant, lam, 0.9)
             if not triggered:
                 continue
             observed = iv.snapshot_observed(run)

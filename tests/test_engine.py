@@ -71,7 +71,7 @@ def assert_trace_equals(trace, expected):
 
 def test_no_seeds_halts_at_generation_zero():
     g = path_graph(5)
-    trace = run_standard(g, np.ones(5, dtype=int), np.empty(0, dtype=int))
+    trace = run_standard(g, np.ones(5, dtype=int), np.empty(0, dtype=int), 0.9)
     assert trace.verdict == "halted"
     assert trace.tau_end == 0
     assert trace.totals.tolist() == [0]
@@ -108,8 +108,8 @@ def test_standard_determinism():
     g = sample_graph(params, substream(3, 3))
     thresholds = np.full(500, 2)
     seeds = np.arange(40)
-    a = run_standard(g, thresholds, seeds)
-    b = run_standard(g, thresholds, seeds)
+    a = run_standard(g, thresholds, seeds, 0.9)
+    b = run_standard(g, thresholds, seeds, 0.9)
     assert np.array_equal(a.totals, b.totals)
     assert np.array_equal(a.final_infected, b.final_infected)
 
@@ -154,7 +154,7 @@ def test_coinflip_deterministic_coin_equals_standard():
     seeds = np.arange(15)
     cf = CoinflipModel(1, 1.0, 20)
     coin_trace = run_coinflip(g, cf, seeds, 0.9, substream(5, 6))
-    std_trace = run_standard(g, np.full(300, 2), seeds)
+    std_trace = run_standard(g, np.full(300, 2), seeds, 0.9)
     assert np.array_equal(coin_trace.totals, std_trace.totals)
     assert np.array_equal(coin_trace.final_infected, std_trace.final_infected)
 

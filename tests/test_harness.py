@@ -969,6 +969,25 @@ def _coin_axis(axis, values, **law):
             _n400(sweep={"axis": "zeta_fraction", "values": [-0.5]}),
             r"zeta_fraction sweep value -0.5 outside \[0, 1\]",
         ),
+        # phi = 0.5 > 1/3 leaves no analytic horizon
+        (_graph_config({"kind": "single"}, n=100, p=0.5), "graph: empty horizon"),
+        (
+            _intervention_config(baseline_seed_count=10)
+            | {"graph": {"template": {"kind": "single"}, "n": 100, "p": 0.5}},
+            "graph: empty horizon",
+        ),
+        *(
+            (
+                base_config(sweep={"axis": "zeta_fraction", "threshold": 2, "complement": 2,
+                                   "values": [value]}),
+                "sweep threshold and complement are both 2",
+            )
+            for value in (0.0, 0.5, 1.0)
+        ),
+        (
+            base_config(thresholds={"zeta": {"2": 1.0}}, sweep={"axis": "zeta_fraction", "values": [0.5]}),
+            "sweep threshold and complement are both 2",
+        ),
     ],
     ids=[
         "threshold-off-zeta_fraction",
@@ -1001,6 +1020,12 @@ def _coin_axis(axis, values, **law):
         "zeta_fraction-nan",
         "zeta_fraction-above-1",
         "zeta_fraction-below-0",
+        "empty-horizon",
+        "empty-horizon-with-baseline_seed_count",
+        "zeta_fraction-one-threshold-at-0",
+        "zeta_fraction-one-threshold-at-0.5",
+        "zeta_fraction-one-threshold-at-1",
+        "zeta_fraction-one-threshold-by-default",
     ],
 )
 def test_config_rejects_keys_and_values_its_run_ignores_or_cannot_write(raw, message):
@@ -1008,8 +1033,11 @@ def test_config_rejects_keys_and_values_its_run_ignores_or_cannot_write(raw, mes
     # the CSV's rows, its "# config_hash=... name=..." line or its write, a
     # law summing to 1 with a negative weight failed only when graphs were
     # sampled, a NaN weight hung the critical-seed search, or a bad baseline
-    # seed factor failed only when the run computed its seed count, or a
-    # zeta_fraction outside [0, 1] failed with a message that named no axis
+    # seed factor failed only when the run computed its seed count, a
+    # zeta_fraction outside [0, 1] failed with a message that named no axis,
+    # a graph with no analytic horizon failed in every command's critical
+    # seed, or a zeta_fraction threshold equal to its complement failed or
+    # ran one law at every point
     with pytest.raises(ConfigError, match=message):
         harness.load_config(raw)
 

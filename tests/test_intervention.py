@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -341,7 +342,7 @@ def test_surrogate_diminish_identity_and_annihilation():
     assert dead.j[1] == pytest.approx(1.0, abs=1e-12)  # all mass at full threshold
     assert dead.seed_count == pytest.approx(0.0, abs=1e-9)
     assert dead.params.p == 0.0
-    verdict = iv.predict(dead)
+    verdict = iv.predict(dead, 0.1)
     assert verdict.outcome == iv.PREDICTED_HALT
 
 
@@ -376,6 +377,25 @@ def test_sequester_keeps_probabilities_and_shares_j():
         assert seq.params.p >= dim.params.p and seq.params.q >= dim.params.q
 
 
+def test_edge_surrogates_are_the_identity_bolster_on_thinned_exposures():
+    # two thresholds on ring-5 with alpha_p != alpha_q: an edge variant thins
+    # the joints, then runs the bolster loop under the law {r: {r: 1.0}}
+    n, p, q, alpha_p, alpha_q = 1000, 0.02, 0.002, 0.7, 0.3
+    params = TMParams(tpl.make_ring(5, 1), n, p, q)
+    state = iv.ObservedState(n=n, i_cur=60, i_prev=38, i_cur_cluster=(30, 10, 0, 5, 15),
+                             i_prev_cluster=(20, 5, 0, 3, 10), healthy_by_threshold={2: 500, 3: 440})
+    profile = iv.build_profile(state, params)
+    thinned = dataclasses.replace(profile, joints=iv.thin_residual(profile.joints, alpha_p, alpha_q))
+    identity = iv.build_surrogate(thinned, iv.Bolster({2: {2: 1.0}, 3: {3: 1.0}}))
+    seq = iv.build_surrogate(profile, iv.Sequester(alpha_p, alpha_q))
+    dim = iv.build_surrogate(profile, iv.Diminish(alpha_p, alpha_q))
+    assert identity.j.size == 3 and identity.j.min() > 0.0
+    assert np.array_equal(seq.j, identity.j) and np.array_equal(dim.j, identity.j)
+    assert seq.seed_count == dim.seed_count == identity.seed_count
+    assert (seq.params.p, seq.params.q) == (identity.params.p, identity.params.q) == (p, q)
+    assert (dim.params.p, dim.params.q) == (alpha_p * p, alpha_q * q)
+
+
 def test_diminish_verdict_monotone_in_alpha():
     n = 10000
     params = TMParams(tpl.make_single(), n, 15 / n)
@@ -385,7 +405,7 @@ def test_diminish_verdict_monotone_in_alpha():
     phis, seeds, outcomes = [], [], []
     for alpha in alphas:
         surrogate = iv.build_surrogate(profile, iv.Diminish(alpha, alpha))
-        verdict = iv.predict(surrogate)
+        verdict = iv.predict(surrogate, 0.1)
         phis.append(math.inf if verdict.Phi_J is None else verdict.Phi_J)
         seeds.append(verdict.phi_J)
         outcomes.append(verdict.outcome)
@@ -408,10 +428,10 @@ def test_predict_noop_bolster_past_bottleneck_is_spread():
     base = critical_seed(model)
     seeds = select_seeds(2 * base.phi_critical, n, substream(200, 3))
     variant = iv.Bolster({2: {2: 1.0}})
-    run, triggered = iv.run_to_trigger(g, thresholds, seeds, variant, 0.1)
+    run, triggered = iv.run_to_trigger(g, thresholds, seeds, variant, 0.1, 0.9)
     assert triggered
     profile = iv.build_profile(iv.snapshot_observed(run), params)
-    verdict = iv.predict(iv.build_surrogate(profile, variant))
+    verdict = iv.predict(iv.build_surrogate(profile, variant), 0.1)
     assert verdict.outcome == iv.PREDICTED_SPREAD
     assert not profile.gate_ok
 
@@ -435,7 +455,7 @@ def test_verdict_band_membership():
 
 def test_predict_all_seed_surrogate_is_spread_outside_theory():
     params = TMParams(tpl.make_single(), 100, 0.01)
-    verdict = iv.predict(iv.SurrogateSpec(np.zeros(3), 100.0, params))
+    verdict = iv.predict(iv.SurrogateSpec(np.zeros(3), 100.0, params), 0.1)
     # Phi_J 0, and within_theory None: the all-seed surrogate has no analytic model
     assert verdict == iv.Verdict(iv.PREDICTED_SPREAD, 100.0, 0, None, None)
 
@@ -515,12 +535,6 @@ def test_edge_removal_on_an_edgeless_graph_changes_nothing():
         assert np.array_equal(trace.final_infected, baseline.final_infected)
 
 
-def test_apply_in_simulation_rejects_unknown_variant():
-    *_, run = triggered_run()
-    with pytest.raises(TypeError, match="unknown intervention variant"):
-        iv.apply_in_simulation(run.clone(), "diminish", substream(301, 5))
-
-
 def test_run_to_trigger_reports_subcritical_baseline():
     n = 3000
     params = TMParams(tpl.make_single(), n, 7 / n)
@@ -528,7 +542,7 @@ def test_run_to_trigger_reports_subcritical_baseline():
     g = sample_graph(params, substream(302, 1))
     thresholds = assign_thresholds(dist, n, substream(302, 2))
     seeds = select_seeds(5, n, substream(302, 3))  # far below critical
-    run, triggered = iv.run_to_trigger(g, thresholds, seeds, iv.bolster_a(0.5, (2,)), 0.1)
+    run, triggered = iv.run_to_trigger(g, thresholds, seeds, iv.bolster_a(0.5, (2,)), 0.1, 0.9)
     assert not triggered
     assert run.verdict == "halted"
 
@@ -537,7 +551,7 @@ def test_run_to_trigger_reports_subcritical_baseline():
 def test_run_to_trigger_rejects_lambda_outside_open_unit_interval(lam):
     g = sample_graph(TMParams(tpl.make_single(), 10, 0.5), substream(303, 1))
     with pytest.raises(ValueError, match=r"trigger fraction .* outside \(0, 1\)"):
-        iv.run_to_trigger(g, np.full(10, 2), np.array([0]), iv.bolster_a(0.5, (2,)), lam)
+        iv.run_to_trigger(g, np.full(10, 2), np.array([0]), iv.bolster_a(0.5, (2,)), lam, 0.9)
 
 
 def test_run_to_trigger_save_vertices_pauses_before_the_crossing():
@@ -672,12 +686,6 @@ def test_boundary_scan_profile_memo_matches_uncached_scans(monkeypatch):
     # kept on the graph's profile, so state A's second pass builds none
     assert built == [len(profiles[0]._scan_profiles), len(profiles[1]._scan_profiles), 0]
     assert min(built[:2]) > 0
-
-
-def test_build_surrogate_rejects_unknown_variant():
-    params, state, profile = uniform_r2_profile()
-    with pytest.raises(TypeError, match="unknown intervention variant"):
-        iv.build_surrogate(profile, "bolster_a")
 
 
 def test_build_surrogate_needs_a_law_for_every_observed_threshold():
