@@ -2,16 +2,16 @@
 
 Configs are JSON with nested sections.  ``load_config`` parses a config
 once, reading each key where it is used: it checks every field, sets every
-default and builds the graph parameters, each sweep point's law and the
-typed intervention plan, whose ``variant_at`` gives the intervention at any
-strength alpha.  A section that is not an object, or a key that the run
-would not read, is rejected so typos fail loudly.  A bad config fails before
-any work, and the drivers and their workers read only typed fields.  The
-config's hash digests its normalized form: the keys as written plus the
-defaults.  Every row of a result table is regenerable from the config plus
-the master seed: each (sweep point, graph, trial) work item draws from its
-own RNG substream, and rows are sorted canonically, so parallel and serial
-execution emit identical files.
+default and builds the graph parameters, each sweep point's law, critical
+seed and seed counts, and the typed intervention plan, whose ``variant_at``
+gives the intervention at any strength alpha.  A section that is not an
+object, or a key that the run would not read, is rejected so typos fail
+loudly.  A bad config fails before any work, and the sweep runners and
+their workers read only typed fields.  The config's hash digests its normalized
+form: the keys as written plus the defaults.  Every row of a result table is
+regenerable from the config plus the master seed: each (sweep point, graph,
+trial) work item draws from its own RNG substream, and rows are sorted
+canonically, so parallel and serial execution emit identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import partial
 from typing import Any, Callable, Iterator, Mapping
 
 from . import rngutil
-from .analytic import AnalyticModel, CoinflipModel, coinflip_reduce, critical_seed
+from .analytic import AnalyticModel, CoinflipModel, CriticalResult, coinflip_reduce, critical_seed
 from .engine import run_coinflip, run_standard
 from .intervention import (
     Bolster,
@@ -141,14 +141,14 @@ class InterventionPlan:
     draw.  It is called off the grid too, and it must pickle, because
     ``--jobs`` sends the config to worker processes.  ``variants[i]`` is the
     one at sweep point i, built with the plan so every point's law check
-    fails before any work.  A baseline run triggers once |I| >
-    trigger_fraction * n.
+    fails before any work.  A baseline run starts from
+    ``baseline_seed_count`` seeds, as written or resolved from the baseline
+    seed factor and critical seed, and triggers once |I| > trigger_fraction * n.
     """
 
     variant_at: Callable[[float], Variant]
     trigger_fraction: float
-    baseline_seed_count: int | None  # None: a factor of the critical seed
-    baseline_seed_factor: float
+    baseline_seed_count: int  # below n
     compute_boundary: bool
     alphas: tuple[float, ...]
     variants: tuple[Variant, ...] = field(init=False)
@@ -174,11 +174,13 @@ class ExperimentConfig:
     """A parsed experiment: the typed fields every driver and worker reads.
 
     ``load_config`` is the only parser and builds the graph parameters, each
-    sweep point's law and the intervention plan once.  ``config_hash`` is the
-    digest of the normalized config.  ``trials``, ``stop_fraction`` and
-    ``seed_factors`` drive dichotomy runs; an intervention config runs one
-    trial per graph, stops at its intervention section's ``stop_fraction``
-    and has no factors.
+    sweep point's law and critical seed, and the intervention plan once.
+    ``config_hash`` is the digest of the normalized config.  ``trials``,
+    ``stop_fraction`` and ``seed_counts`` drive dichotomy runs:
+    ``seed_counts[i]`` holds sweep point i's (seed factor, seed count) runs,
+    with a NaN factor on the seed_count axis.  An intervention config runs
+    one trial per graph, stops at its intervention section's
+    ``stop_fraction`` and has no seed counts.
     """
 
     config_hash: str
@@ -188,11 +190,11 @@ class ExperimentConfig:
     trials: int
     epsilon: float
     stop_fraction: float
-    seed_factors: tuple[float, ...]
-    axis: str
+    seed_counts: tuple[tuple[tuple[float, int], ...], ...]  # factors as written, counts <= n
     sweep_values: tuple  # numbers, as written
     params: TMParams
     laws: tuple[ThresholdDistribution, ...]  # one per sweep point
+    critical: tuple[CriticalResult, ...]  # one per sweep point
     coins: tuple[CoinflipModel, ...] | None  # one per point of a coinflip config
     intervention: InterventionPlan | None  # alpha sweeps only
     output: str | None
@@ -261,12 +263,9 @@ def load_config(source: Mapping[str, Any]) -> ExperimentConfig:
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values must be a non-empty list")
     points = [_real(value, f"{axis} sweep value") for value in values]  # CSV cells stay numbers
-    if axis == "seed_count":
-        for value in values:
-            if _integer(value, "seed_count", 0) > params.n:
-                raise ConfigError(f"seed_count {value} is above n = {params.n}")
     laws, coins = _laws(top.section("thresholds"), sweep, axis, points)
-    _checked("graph", critical_seed, AnalyticModel(params, laws[0]))  # an empty horizon fails here
+    # an empty horizon fails here
+    critical = tuple(_checked("graph", critical_seed, AnalyticModel(params, law)) for law in laws)
     plan = None
     if top.get("intervention", None) is None:
         if axis == "alpha":
@@ -287,6 +286,10 @@ def load_config(source: Mapping[str, Any]) -> ExperimentConfig:
                 f"seed_factors {factors} share RNG substreams (equal after rounding to 0.001);"
                 " give seed_factors that differ"
             )
+        seed_counts = tuple(
+            _seed_runs(axis, value, factors, result.phi_critical, params.n)
+            for value, result in zip(values, critical)
+        )
     else:
         if axis != "alpha":
             raise ConfigError("intervention sweeps use the alpha axis")
@@ -294,11 +297,12 @@ def load_config(source: Mapping[str, Any]) -> ExperimentConfig:
         if trials != 1:
             raise ConfigError(f"trials {trials}: an intervention sweep runs one trial per graph")
         section = top.section("intervention")
-        plan = _plan(section, laws[0], points)
+        # the alpha axis keeps the configured law at every point: laws[0] is the baseline's
+        plan = _plan(section, laws[0], critical[0].phi_critical, params.n, points)
         # post-intervention threshold mixes finish near 90%, so the spread
         # verdict for continuations uses a lower cutoff by default
         stop = section.get("stop_fraction", 0.8, True)
-        stop_fraction, factors = _fraction(stop, "intervention stop_fraction", "(]"), []
+        stop_fraction, seed_counts = _fraction(stop, "intervention stop_fraction", "(]"), ()
     normalized = top.close()
     if plan is not None:
         # defaults that no intervention run reads, digested so that every hash stays the same
@@ -314,15 +318,29 @@ def load_config(source: Mapping[str, Any]) -> ExperimentConfig:
         trials=trials,
         epsilon=epsilon,
         stop_fraction=stop_fraction,
-        seed_factors=tuple(factors),
-        axis=axis,
+        seed_counts=seed_counts,
         sweep_values=tuple(values),
         params=params,
         laws=laws,
+        critical=critical,
         coins=coins,
         intervention=plan,
         output=output,
     )
+
+
+def _seed_runs(axis: str, value, factors: list, phi: int | None, n: int) -> tuple:
+    """The (seed factor, seed count) runs at one dichotomy point: the seed_count
+    axis's count with a NaN factor, or each factor times the critical seed ``phi``."""
+    if axis == "seed_count":
+        runs = [(math.nan, _integer(value, "seed_count", 0))]
+    else:  # no runs at a point without a finite critical seed
+        runs = [(f, round(f * phi)) for f in factors] if phi is not None else []
+    for factor, count in runs:
+        if count > n:
+            how = "" if axis == "seed_count" else f"seed factor {factor!r} x phi_critical {phi} = "
+            raise ConfigError(f"sweep value {value!r}: {how}seed count {count} is above n = {n}")
+    return tuple(runs)
 
 
 def _graph_params(graph: _Section) -> TMParams:
@@ -377,21 +395,24 @@ def _laws(thresholds: _Section, sweep: _Section, axis: str, points: list[float])
     if axis == "coin_z":
         raise ConfigError("the coin_z axis sweeps a coinflip law, not a zeta law")
     zeta = _weights(thresholds.get("zeta"), "zeta")
-    masses = [zeta] * len(points)
-    if axis == "zeta_fraction":
-        for x in points:
-            _fraction(x, "zeta_fraction sweep value", "[]")
-        high = _integer(sweep.get("threshold", max(zeta)), "sweep threshold", 1)
-        low = _integer(sweep.get("complement", min(zeta)), "sweep complement", 1)
-        if high == low:  # the two-point mix would collapse to one threshold
-            raise ConfigError(f"sweep threshold and complement are both {high}, not two thresholds")
-        masses = [{r: w for r, w in {low: 1.0 - x, high: x}.items() if w > 0.0} for x in points]
     build = ThresholdDistribution.from_mapping
+    law = _checked("zeta", build, zeta)  # a law as written, even where the sweep replaces it
+    if axis != "zeta_fraction":
+        return (law,) * len(points), None
+    for x in points:
+        _fraction(x, "zeta_fraction sweep value", "[]")
+    high = _integer(sweep.get("threshold", max(zeta)), "sweep threshold", 1)
+    low = _integer(sweep.get("complement", min(zeta)), "sweep complement", 1)
+    if high == low:  # the two-point mix would collapse to one threshold
+        raise ConfigError(f"sweep threshold and complement are both {high}, not two thresholds")
+    masses = [{r: w for r, w in {low: 1.0 - x, high: x}.items() if w > 0.0} for x in points]
     return tuple(_checked(f"sweep value {x!r}", build, m) for x, m in zip(points, masses)), None
 
 
-def _plan(section: _Section, law: ThresholdDistribution, alphas: list[float]) -> InterventionPlan:
-    """The typed plan of an intervention section; ``law`` is the configured, baseline law."""
+def _plan(
+    section: _Section, law: ThresholdDistribution, phi: int | None, n: int, alphas: list[float]
+) -> InterventionPlan:
+    """The typed plan of an intervention section over the baseline law and its critical seed."""
     kind = section.get("variant")
     # the alpha axis keeps the configured law, and so its thresholds, at every point
     drawable = tuple(r for r, w in enumerate(law.zeta, 1) if w > 0)
@@ -399,6 +420,8 @@ def _plan(section: _Section, law: ThresholdDistribution, alphas: list[float]) ->
         variant_at = partial(bolster_a if kind == "bolster_a" else bolster_b, thresholds=drawable)
     elif kind in ("diminish", "sequester"):
         ratio = _real(section.get("alpha_q_ratio", 1.0, True), "alpha_q_ratio")
+        if not 0 <= ratio < math.inf:  # alpha = 0 would hide it: 0 * -1.0 is a valid -0.0
+            raise ConfigError(f"alpha_q_ratio {ratio!r} is not finite and >= 0")
         variant_at = partial(_edge_variant, Diminish if kind == "diminish" else Sequester, ratio)
     elif kind == "delay":
         r_max_prime = _integer(section.get("r_max_prime", 20), "r_max_prime", 1)
@@ -426,11 +449,17 @@ def _plan(section: _Section, law: ThresholdDistribution, alphas: list[float]) ->
     factor = _real(section.get("baseline_seed_factor", 1.3, True), "baseline_seed_factor")
     if not 0 <= factor < math.inf:
         raise ConfigError(f"baseline_seed_factor {factor!r} is not finite and >= 0")
+    how = ""
+    if count is None:
+        if phi is None:
+            raise ConfigError("baseline has no finite critical seed; set baseline_seed_count")
+        how, count = f"baseline_seed_factor {factor!r} x phi_critical {phi} = ", round(factor * phi)
+    if _integer(count, "baseline_seed_count", 0) >= n:
+        raise ConfigError(f"{how}baseline seed count {count} is not below n = {n}")
     return InterventionPlan(
         variant_at=variant_at,
         trigger_fraction=_fraction(section.get("lambda", 0.1, True), "intervention lambda", "()"),
-        baseline_seed_count=None if count is None else _integer(count, "baseline_seed_count", 0),
-        baseline_seed_factor=factor,
+        baseline_seed_count=count,
         compute_boundary=_flag(section.get("compute_boundary", True, True), "compute_boundary"),
         alphas=tuple(alphas),
     )
@@ -465,20 +494,17 @@ _DICHOTOMY_COLUMNS = [
 
 def analytic_summary(config: ExperimentConfig) -> list[dict]:
     """Critical seed size and assumption report for every sweep point."""
-    rows = []
-    for idx, (value, law) in enumerate(zip(config.sweep_values, config.laws)):
-        result = critical_seed(AnalyticModel(config.params, law))
-        rows.append(
-            {
-                "point": idx,
-                "value": value,
-                "phi_critical": result.phi_critical,
-                "t_star": result.t_star,
-                "t_max": result.t_max,
-                **result.assumptions.to_dict(),
-            }
-        )
-    return rows
+    return [
+        {
+            "point": idx,
+            "value": value,
+            "phi_critical": result.phi_critical,
+            "t_star": result.t_star,
+            "t_max": result.t_max,
+            **result.assumptions.to_dict(),
+        }
+        for idx, (value, result) in enumerate(zip(config.sweep_values, config.critical))
+    ]
 
 
 def _factor_key(factor: float) -> int:
@@ -487,16 +513,16 @@ def _factor_key(factor: float) -> int:
 
 
 def _dichotomy_graph_task(args: tuple) -> list[dict]:
-    config, point_idx, graph_idx, result, seed_counts = args
+    config, point_idx, graph_idx = args
     params, seed = config.params, config.master_seed
-    value = config.sweep_values[point_idx]
+    value, result = config.sweep_values[point_idx], config.critical[point_idx]
     g = sample_graph(params, rngutil.substream(seed, rngutil.GRAPH, point_idx, graph_idx))
     model = config.coins[point_idx] if config.coins else None
     if model is None:
         law_stream = rngutil.substream(seed, rngutil.THRESHOLDS, point_idx, graph_idx)
         thresholds = assign_thresholds(config.laws[point_idx], params.n, law_stream)
     rows: list[dict] = []
-    for factor, count in seed_counts:
+    for factor, count in config.seed_counts[point_idx]:
         for trial in range(config.trials):
             key = (point_idx, graph_idx, trial, _factor_key(factor))
             seeds = select_seeds(count, params.n, rngutil.substream(seed, rngutil.SEEDS, *key))
@@ -525,25 +551,10 @@ def _dichotomy_graph_task(args: tuple) -> list[dict]:
 
 
 def run_dichotomy(config: ExperimentConfig, jobs: int = 1) -> ResultTable:
-    """Simulate around the analytic critical seed size for every sweep point.
-
-    Every seed count is checked against n before any graph is sampled.
-    """
+    """Simulate the seed counts of every sweep point, which ``load_config`` set."""
     if config.intervention is not None:
         raise ConfigError("dichotomy configs must not carry an intervention section")
-    n = config.params.n
-    tasks = []
-    for point_idx, (value, law) in enumerate(zip(config.sweep_values, config.laws)):
-        result = critical_seed(AnalyticModel(config.params, law))
-        phi_crit = result.phi_critical
-        if config.axis == "seed_count":
-            counts = [(math.nan, value)]
-        else:  # no runs at a point without a finite critical seed
-            factors = config.seed_factors if phi_crit is not None else ()
-            counts = [(factor, int(round(factor * phi_crit))) for factor in factors]
-        if any(count > n for _, count in counts):
-            raise ConfigError(f"sweep value {value!r}: seed counts {counts} exceed n = {n}")
-        tasks.extend((config, point_idx, g_idx, result, counts) for g_idx in range(config.graphs))
+    tasks = [(config, p, g) for p in range(len(config.sweep_values)) for g in range(config.graphs)]
     return _table(config, _DICHOTOMY_COLUMNS, tasks, _dichotomy_graph_task, jobs)
 
 
@@ -571,30 +582,15 @@ _INTERVENTION_COLUMNS = [
 ]
 
 
-def _baseline_seed_count(config: ExperimentConfig) -> int:
-    """Seed count of the baseline runs: given, or a factor of the critical seed."""
-    plan, params = config.intervention, config.params
-    count = plan.baseline_seed_count
-    if count is None:
-        # the alpha axis keeps the configured law at every point: laws[0] is the baseline's
-        phi_crit = critical_seed(AnalyticModel(params, config.laws[0])).phi_critical
-        if phi_crit is None:
-            raise ConfigError("baseline has no finite critical seed; set baseline_seed_count")
-        count = int(round(plan.baseline_seed_factor * phi_crit))
-    if not 0 <= count < params.n:
-        raise ConfigError(f"baseline seed count {count} is not in [0, n = {params.n})")
-    return count
-
-
 def _intervention_graph_task(args: tuple) -> list[dict]:
-    config, graph_idx, baseline = args
+    config, graph_idx = args
     plan, params, seed = config.intervention, config.params, config.master_seed
     g = sample_graph(params, rngutil.substream(seed, rngutil.GRAPH, 0, graph_idx))
     thresholds = assign_thresholds(
         config.laws[0], params.n, rngutil.substream(seed, rngutil.THRESHOLDS, 0, graph_idx)
     )
     seeds = select_seeds(
-        baseline, params.n, rngutil.substream(seed, rngutil.SEEDS, 0, graph_idx)
+        plan.baseline_seed_count, params.n, rngutil.substream(seed, rngutil.SEEDS, 0, graph_idx)
     )
     run, triggered = run_to_trigger(
         g, thresholds, seeds, plan.variants[0], plan.trigger_fraction, config.stop_fraction
@@ -663,8 +659,7 @@ def run_intervention(config: ExperimentConfig, jobs: int = 1) -> ResultTable:
     """Trigger, predict, intervene and compare across the sweep grid."""
     if config.intervention is None:
         raise ConfigError("intervention configs need an intervention section")
-    baseline = _baseline_seed_count(config)
-    tasks = [(config, graph_idx, baseline) for graph_idx in range(config.graphs)]
+    tasks = [(config, graph_idx) for graph_idx in range(config.graphs)]
     return _table(config, _INTERVENTION_COLUMNS, tasks, _intervention_graph_task, jobs)
 
 

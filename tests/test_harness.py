@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -340,19 +341,47 @@ def test_parallel_equals_serial(raw, run):
 
 
 @pytest.mark.parametrize(
-    "section",
-    [{"baseline_seed_count": 600}, {"baseline_seed_count": 500}, {"baseline_seed_factor": 1000.0}],
+    "section, message",
+    [
+        ({"baseline_seed_count": 600}, "baseline seed count 600 is not below n = 500"),
+        ({"baseline_seed_count": 500}, "baseline seed count 500 is not below n = 500"),
+        (
+            {"baseline_seed_factor": 1000.0},
+            "baseline_seed_factor 1000.0 x phi_critical 15 = baseline seed count 15000 is not below n = 500",
+        ),
+    ],
     ids=["count-600", "count-500", "factor-1000"],
 )
-def test_baseline_seed_count_must_be_below_n(section, monkeypatch):
-    config = harness.load_config(_ring5_intervention(**section))
+def test_baseline_seed_count_must_be_below_n(section, message):
+    # load_config resolves the baseline seed count, so no run starts with a bad one
+    with pytest.raises(ConfigError, match=message):
+        harness.load_config(_ring5_intervention(**section))
+    assert harness.load_config(_ring5_intervention(baseline_seed_count=499)).intervention.baseline_seed_count == 499
+    # the default factor 1.3 of the critical seed 15
+    assert harness.load_config(_ring5_intervention()).intervention.baseline_seed_count == 20
 
-    def no_graph(*args):
-        raise AssertionError("sampled a graph before the baseline was checked")
 
-    monkeypatch.setattr(harness, "sample_graph", no_graph)
-    with pytest.raises(ConfigError, match="baseline seed count"):
-        harness.run_intervention(config)
+def test_sweeps_read_only_typed_fields(monkeypatch):
+    # load_config owns every critical seed and run size; the sweeps and their
+    # workers read them from the config and never call the analytic layer
+    configs = [
+        base_config(graphs=2),
+        base_config(thresholds={"coinflip": {"s": 1, "r_max": 20}}, sweep={"axis": "coin_z", "values": [0.3, 1.0]}),
+        base_config(sweep={"axis": "seed_count", "values": [10, 60]}),
+        _ring5_intervention() | {"graphs": 2},
+    ]
+    configs = [harness.load_config(raw) for raw in configs]
+
+    def analytic_layer(*args):
+        raise AssertionError("a sweep called the analytic layer")
+
+    monkeypatch.setattr(harness, "critical_seed", analytic_layer)
+    monkeypatch.setattr(harness, "AnalyticModel", analytic_layer)
+    for config in configs:
+        summary = harness.analytic_summary(config)
+        assert [row["phi_critical"] for row in summary] == [r.phi_critical for r in config.critical]
+        run = harness.run_dichotomy if config.intervention is None else harness.run_intervention
+        assert run(config).rows
 
 
 def _sweep_config(axis, value, **overrides):
@@ -546,7 +575,8 @@ def test_intervention_plan_holds_one_typed_spec_per_alpha_point():
     # every threshold the law can draw has a law, at every point
     assert [sorted(variant.zeta_prime) for variant in plan.variants] == [[2, 3]] * 3
     assert plan.variants[1].zeta_prime[3] == {4: 0.5, 5: 0.5}
-    assert (config.stop_fraction, plan.baseline_seed_count, plan.baseline_seed_factor) == (0.8, None, 1.3)
+    # the default baseline is 1.3 times the critical seed, resolved at load
+    assert (config.stop_fraction, config.critical[0].phi_critical, plan.baseline_seed_count) == (0.8, 12, 16)
     assert plan.compute_boundary is True
     assert plan.variants == tuple(plan.variant_at(alpha) for alpha in plan.alphas)
     # off the grid, variant_at agrees with the public constructors of every kind
@@ -585,17 +615,23 @@ def _n200(**overrides):
     return base_config(graph=graph, thresholds={"zeta": {"2": 1.0}}, **overrides)
 
 
-def test_seed_counts_above_n_fail_before_any_graph(monkeypatch):
+def test_seed_counts_above_n_fail_before_any_graph(tmp_path, monkeypatch):
     def no_graph(*args):
         raise AssertionError("sampled a graph before the seed counts were checked")
 
     monkeypatch.setattr(harness, "sample_graph", no_graph)
-    with pytest.raises(ConfigError, match="seed_count 5000"):
+    with pytest.raises(ConfigError, match="sweep value 5000: seed count 5000 is above n = 200"):
         harness.load_config(_n200(sweep={"axis": "seed_count", "values": [10, 5000]}))
-    config = harness.load_config(_n200(sweep={"axis": "none", "values": [0]}, seed_factors=[1, 500]))
-    assert harness.analytic_summary(config)[0]["phi_critical"] == 2
-    with pytest.raises(ConfigError, match="exceed n = 200"):
-        harness.run_dichotomy(config)
+    # one rule for a count given and a count the factor gives; it fails at load,
+    # so the analytic command rejects the config too
+    raw = _n200(sweep={"axis": "none", "values": [0]}, seed_factors=[1, 500])
+    path = tmp_path / "n200.json"
+    path.write_text(json.dumps(raw))
+    message = "sweep value 0: seed factor 500 x phi_critical 2 = seed count 1000 is above n = 200"
+    with pytest.raises(ConfigError, match=message):
+        cli.main(["analytic", "-c", str(path)])
+    config = harness.load_config(_n200(sweep={"axis": "none", "values": [0]}, seed_factors=[1, 100]))
+    assert config.seed_counts == (((1, 2), (100, 200)),)
 
 
 def test_config_accepts_sweep_and_count_boundaries():
@@ -806,8 +842,8 @@ def test_seed_factors_sharing_a_substream_are_rejected():
     # epsilon = 0 makes the default factors [1.0, 1.0]
     with pytest.raises(ConfigError, match=r"\[1.0, 1.0\] share .*give seed_factors"):
         harness.load_config(_n400(epsilon=0.0))
-    factors = harness.load_config(_n400(seed_factors=[1.0, 1.0006])).seed_factors
-    assert [harness._factor_key(f) for f in factors] == [1000, 1001]
+    runs = harness.load_config(_n400(seed_factors=[1.0, 1.0006])).seed_counts[0]
+    assert [harness._factor_key(f) for f, _ in runs] == [1000, 1001]
     # the seed-count axis reads no factor
     harness.load_config(_n400(epsilon=0.0, sweep={"axis": "seed_count", "values": [10]}))
 
@@ -988,6 +1024,22 @@ def _coin_axis(axis, values, **law):
             base_config(thresholds={"zeta": {"2": 1.0}}, sweep={"axis": "zeta_fraction", "values": [0.5]}),
             "sweep threshold and complement are both 2",
         ),
+        # the zeta_fraction axis replaces these laws, which loaded unchecked
+        (base_config(thresholds={"zeta": {"2": 5.0, "7": -3.0}}), "zeta: threshold distribution has a negative"),
+        (base_config(thresholds={"zeta": {"0": 1.0}}), r"zeta: thresholds must be >= 1, got \[0\]"),
+        (base_config(thresholds={"zeta": {"2": math.nan, "3": 0.1}}), "zeta: threshold distribution has a non-finite"),
+        # at alpha = 0 a negative ratio gave the valid far retention -0.0
+        *(
+            (
+                _sweep_config("alpha", 0.0, intervention={"variant": "diminish", "alpha_q_ratio": ratio}),
+                re.escape(f"alpha_q_ratio {ratio!r} is not finite and >= 0"),
+            )
+            for ratio in (-1.0, -1e300, math.inf)
+        ),
+        (
+            _ring5_intervention() | {"graph": {"template": {"kind": "ring", "k": 5, "reach": 1}, "n": 500, "p": 0.0}},
+            "baseline has no finite critical seed; set baseline_seed_count",
+        ),
     ],
     ids=[
         "threshold-off-zeta_fraction",
@@ -1026,6 +1078,13 @@ def _coin_axis(axis, values, **law):
         "zeta_fraction-one-threshold-at-0.5",
         "zeta_fraction-one-threshold-at-1",
         "zeta_fraction-one-threshold-by-default",
+        "zeta_fraction-over-negative-zeta",
+        "zeta_fraction-over-threshold-0-zeta",
+        "zeta_fraction-over-nan-zeta",
+        "alpha_q_ratio-negative",
+        "alpha_q_ratio-huge-negative",
+        "alpha_q_ratio-inf",
+        "edgeless-baseline-factor",
     ],
 )
 def test_config_rejects_keys_and_values_its_run_ignores_or_cannot_write(raw, message):
@@ -1036,8 +1095,10 @@ def test_config_rejects_keys_and_values_its_run_ignores_or_cannot_write(raw, mes
     # seed factor failed only when the run computed its seed count, a
     # zeta_fraction outside [0, 1] failed with a message that named no axis,
     # a graph with no analytic horizon failed in every command's critical
-    # seed, or a zeta_fraction threshold equal to its complement failed or
-    # ran one law at every point
+    # seed, a zeta_fraction threshold equal to its complement failed or
+    # ran one law at every point, a zeta_fraction sweep ignored a bad zeta,
+    # a negative alpha_q_ratio ran as 1.0 at alpha = 0, or a baseline with no
+    # finite critical seed failed only when the run computed its seed count
     with pytest.raises(ConfigError, match=message):
         harness.load_config(raw)
 
@@ -1065,9 +1126,14 @@ def test_sweep_values_are_numbers_written_as_given(tmp_path):
     for law in ({}, {"z": 0.7}):  # a written z is checked, and the axis replaces it
         config = harness.load_config(_coin_axis("coin_z", [1, 0.5], **law))
         assert [coin.z for coin in config.coins] == [1.0, 0.5]
-    config = harness.load_config(_n400(sweep={"axis": "none", "values": [0, 2.5]}))
+    config = harness.load_config(_n400(sweep={"axis": "none", "values": [0, 2.5]}, seed_factors=[1, 2.5]))
     assert config.sweep_values == (0, 2.5) and type(config.sweep_values[0]) is int
+    # seed factors too: an integer factor stays an integer in the CSV and the JSON lines
+    assert config.seed_counts == (((1, 4), (2.5, 10)),) * 2 and type(config.seed_counts[0][0][0]) is int
     harness.emit(harness.run_dichotomy(config), str(tmp_path / "rows"))
     with open(tmp_path / "rows.csv", newline="") as fh:
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     assert {row["value"] for row in rows} == {"0", "2.5"}
+    assert {(row["seed_factor"], row["seed_count"]) for row in rows} == {("1", "4"), ("2.5", "10")}
+    lines = [json.loads(line) for line in (tmp_path / "rows.jsonl").read_text().splitlines()[1:]]
+    assert {(type(line["seed_factor"]), line["seed_factor"]) for line in lines} == {(int, 1), (float, 2.5)}

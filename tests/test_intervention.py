@@ -771,7 +771,7 @@ def test_boundary_scan_on_sparse_ring_cluster_counts():
                          "alpha_q_ratio": 2 / 3, "compute_boundary": True},
     }
     config = harness.load_config(raw)
-    rows = harness._intervention_graph_task((config, 9, harness._baseline_seed_count(config)))
+    rows = harness._intervention_graph_task((config, 9))
     assert [row["point"] for row in rows] == list(range(6))
     assert rows[2]["boundary_i_cur"] == 648.5
 
