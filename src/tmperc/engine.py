@@ -4,10 +4,11 @@ Generations are synchronous: generation t+1 infects exactly the healthy
 vertices whose infected-neighbor count against I(t) reaches their threshold.
 A coinflip run applies one ``CoinflipModel``'s s, z and r_max to every vertex.
 Propagation is frontier-based.  A standard or coinflip generation gathers the
-F adjacency entries of the vertices infected in the previous one and tallies
-them once, by one sort when F <= n and by an n-sized count when F > n, so it
-costs O(min(F log F, n + F)), and a whole run costs O(n) set-up plus
-O(E log n) over its E scanned edges.
+F int32 adjacency entries of the vertices infected in the previous one and
+tallies them once, by one half-width sort when F <= n and by an n-sized count
+when F > n, so it costs O(min(F log F, n + F)), and a whole run costs O(n)
+set-up plus O(E log n) over its E scanned edges.  The tally returns its
+distinct ids as ``np.intp``, so every later fancy index stays native.
 """
 
 from __future__ import annotations
@@ -62,19 +63,19 @@ def _gather_neighbors(g: SampledGraph, frontier: np.ndarray) -> np.ndarray:
     lengths = g.indptr[frontier + 1] - starts
     total = int(lengths.sum())
     if total == 0:
-        return np.empty(0, dtype=np.int64)
+        return g.indices[:0]
     shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     return g.indices[np.arange(total, dtype=np.int64) + shift]
 
 
 def _tally(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending distinct entries of ``values`` (ids in [0, n)) and how often each occurs.
+    """Ascending distinct ``values`` (ids in [0, n)) as ``np.intp``, and how often each occurs.
 
     Switches direction on the F entries, as direction-optimizing BFS does:
     for F > n an n-sized ``bincount`` and scan cost O(n + F), and otherwise
-    one sort and a scan for run heads cost O(F log F) with no n-sized
-    temporary.  Both give the same arrays; the ascending order fixes the
-    coinflip draw order.
+    one sort at the width of ``values`` and a scan for run heads cost
+    O(F log F) with no n-sized temporary.  Both give the same arrays; the
+    ascending order fixes the coinflip draw order.
     """
     if values.size > n:
         counts = np.bincount(values, minlength=n)
@@ -84,7 +85,7 @@ def _tally(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     bound = np.ones(s.size + 1, dtype=bool)
     np.not_equal(s[1:], s[:-1], out=bound[1:-1])
     bounds = np.flatnonzero(bound)
-    return s[bounds[:-1]], bounds[1:] - bounds[:-1]
+    return s[bounds[:-1]].astype(np.intp), bounds[1:] - bounds[:-1]
 
 
 class _Run:
@@ -102,7 +103,7 @@ class _Run:
             raise ValueError(f"stop_fraction {stop_fraction} outside (0, 1]")
         self.g = g
         self.stop_fraction = stop_fraction
-        seeds = np.asarray(seeds, dtype=np.int64)
+        seeds = np.asarray(seeds, dtype=np.intp)
         if seeds.size and (seeds.min() < 0 or seeds.max() >= g.n):
             raise ValueError("seed ids outside the vertex range")
         self.infected = np.zeros(g.n, dtype=bool)

@@ -554,7 +554,8 @@ def run_dichotomy(config: ExperimentConfig, jobs: int = 1) -> ResultTable:
     """Simulate the seed counts of every sweep point, which ``load_config`` set."""
     if config.intervention is not None:
         raise ConfigError("dichotomy configs must not carry an intervention section")
-    tasks = [(config, p, g) for p in range(len(config.sweep_values)) for g in range(config.graphs)]
+    points = [p for p, counts in enumerate(config.seed_counts) if counts]
+    tasks = [(config, p, g) for p in points for g in range(config.graphs)]
     return _table(config, _DICHOTOMY_COLUMNS, tasks, _dichotomy_graph_task, jobs)
 
 

@@ -119,7 +119,9 @@ class Diminish:
     def apply(self, run: StandardRun, rng: np.random.Generator) -> None:
         """Drop a paused run's edges; Sequester spares healthy-healthy ones."""
         g = run.g
-        keep = rng.random(g.num_edges) < np.where(g.edge_is_near(), self.alpha_p, self.alpha_q)
+        draw = rng.random(g.num_edges)
+        keep = np.less(draw, self.alpha_p, out=draw < self.alpha_q, where=g.edge_is_near())
+        del draw
         if isinstance(self, Sequester):
             keep |= ~(run.infected[g.edge_u] | run.infected[g.edge_v])
         run.replace_graph(g.subgraph(keep))

@@ -8,8 +8,9 @@ geometric gap skipping per (cluster-pair, probability) block, and the edge
 list and CSR adjacency are grouped by endpoint with a radix pass over 16-bit
 digits instead of a comparison sort, so the whole build costs O(n + E) in the
 E edges rather than n^2 (one radix pass per grouping while n <= 2**16, two
-while n <= 2**32).  Buffers are dropped as their successors appear, so the
-build peaks at 50-60 traced bytes per edge; the finished graph keeps 32.
+while n < 2**31).  Buffers are dropped as their successors appear, so the
+build peaks at 40-50 traced bytes per edge; the finished graph keeps 16 of
+int32 ids per edge plus the int64 ``indptr``.
 """
 
 from __future__ import annotations
@@ -146,26 +147,34 @@ class ThresholdDistribution:
         return np.asarray(self.zeta, dtype=float)
 
 
+def _check_sampleable(params: TMParams) -> None:
+    if params.n % params.k != 0:
+        raise ValueError(f"n={params.n} not divisible by k={params.k}")
+    if params.n > 2**31 - 1:
+        raise ValueError(f"n={params.n} is above 2**31 - 1, the int32 vertex-id bound")
+
+
 class SampledGraph:
     """Concrete undirected graph; vertex u lies in cluster u // eta.
 
-    Immutable after construction: the edge and adjacency arrays are marked
-    read-only, so instances can be shared freely across worker processes.
+    Vertex ids (``edge_u``, ``edge_v``, ``indices``) are int32, so n <= 2**31 - 1;
+    ``indptr`` is int64, as 2E can pass 2**31.  Immutable after construction:
+    the arrays are read-only, so instances can be shared across worker processes.
     """
 
     def __init__(self, params: TMParams, edge_u: np.ndarray, edge_v: np.ndarray):
-        if params.n % params.k != 0:
-            raise ValueError(f"n={params.n} not divisible by k={params.k}")
+        _check_sampleable(params)
         self.params = params
         self.n = params.n
         self.k = params.k
         self.eta = params.n // params.k
-        self.edge_u = np.ascontiguousarray(edge_u, dtype=np.int64)
-        self.edge_v = np.ascontiguousarray(edge_v, dtype=np.int64)
-        if self.edge_u.shape != self.edge_v.shape:
+        edge_u, edge_v = np.asarray(edge_u), np.asarray(edge_v)
+        if edge_u.shape != edge_v.shape:
             raise ValueError("edge endpoint arrays must have equal length")
-        if self.edge_u.size and not np.all(self.edge_u < self.edge_v):
-            raise ValueError("edges must be stored with u < v")
+        if edge_u.size and (edge_u.min() < 0 or edge_v.max() >= self.n or (edge_u >= edge_v).any()):
+            raise ValueError(f"edges must be stored with 0 <= u < v < n = {self.n}")
+        self.edge_u = np.ascontiguousarray(edge_u, dtype=np.int32)
+        self.edge_v = np.ascontiguousarray(edge_v, dtype=np.int32)
         self.indptr, self.indices = _edges_to_csr(self.n, self.edge_u, self.edge_v)
         self._near = params.near_matrix()
         self._edge_near: np.ndarray | None = None
@@ -222,15 +231,15 @@ def _stable_order(parts: tuple[np.ndarray, ...], n: int) -> np.ndarray:
 
 
 def _edges_to_csr(n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``indptr``/``indices``, each vertex's neighbours in edge-list order.
+    """CSR int64 ``indptr`` and int32 ``indices``, each vertex's neighbours in edge-list order.
 
     Groups the 2E endpoints by `_stable_order` (20 or 40 traced bytes per
-    edge), then gathers the neighbours into its order array in place (32).
+    edge), then gathers the neighbours by its order array (32 with it).
     """
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(edge_u, minlength=n) + np.bincount(edge_v, minlength=n), out=indptr[1:])
     order = _stable_order((edge_u, edge_v), n)
-    return indptr, np.take(np.concatenate([edge_v, edge_u]), order, out=order, mode="clip")
+    return indptr, np.concatenate([edge_v, edge_u])[order]
 
 
 def _bernoulli_hits(count: int, prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -290,6 +299,7 @@ def _decode_triangle(idx: np.ndarray, eta: int) -> tuple[np.ndarray, np.ndarray]
 
 def sample_graph(params: TMParams, rng: np.random.Generator) -> SampledGraph:
     """Draw one graph from the family; deterministic given the generator state."""
+    _check_sampleable(params)
     eta = params.n // params.k
     near = params.near_matrix()
     # Blocks are drawn diagonal-first, but kept by row cluster: block (i, i)
@@ -304,8 +314,8 @@ def sample_graph(params: TMParams, rng: np.random.Generator) -> SampledGraph:
         for j in range(i + 1, params.k):
             hits = _bernoulli_hits(eta * eta, params.p if near[i, j] else params.q, rng)
             rows[i].append((hits // eta + i * eta, hits % eta + j * eta))
-    edge_u = np.concatenate([u for row in rows for u, _ in row])
-    edge_v = np.concatenate([v for row in rows for _, v in row])
+    edge_u = np.concatenate([u for row in rows for u, _ in row], dtype=np.int32)
+    edge_v = np.concatenate([v for row in rows for _, v in row], dtype=np.int32)
     del rows, a, b  # the block arrays, now copied into the edge list
     order = _stable_order((edge_u,), params.n)
     edge_u, edge_v = edge_u[order], edge_v[order]

@@ -242,6 +242,21 @@ def test_tally_matches_np_unique():
     assert sides == {False, True}
 
 
+def test_tally_of_int32_ids_returns_intp_ids():
+    # the graph's ids are int32; the tally sorts them at that width and hands
+    # back native indices on both sides of the switch at F = n
+    rng = np.random.default_rng(52)
+    for size in (0, 40, 50, 51, 400):
+        values = rng.integers(0, 50, size=size).astype(np.int32)
+        touched, hits = _tally(values, 50)
+        expected, counts = np.unique(values, return_counts=True)
+        assert touched.dtype == np.intp and hits.dtype == np.intp, size
+        assert np.array_equal(touched, expected) and np.array_equal(hits, counts)
+    g = path_graph(6)
+    assert _gather_neighbors(g, np.array([2, 3])).dtype == np.int32
+    assert _gather_neighbors(g, np.empty(0, dtype=np.intp)).dtype == np.int32
+
+
 def test_standard_matches_reference_step():
     rng = np.random.default_rng(51)
     for i in range(120):

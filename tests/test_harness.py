@@ -160,7 +160,7 @@ def test_emit_failure_keeps_previous_file(tmp_path, fmt):
     base = str(tmp_path / "rows")
     good = harness.ResultTable("good", "cafe", ["a"], [{"a": i} for i in range(3)])
     harness.emit(good, base)
-    before = {ext: open(f"{base}.{ext}", "rb").read() for ext in ("csv", "jsonl")}
+    before = {ext: Path(f"{base}.{ext}").read_bytes() for ext in ("csv", "jsonl")}
     # the second row fails after the header and first row are written: in the
     # CSV, which comes first, or only in the JSON lines
     cell = _Unprintable() if fmt == "csv" else _NotJson()
@@ -168,7 +168,7 @@ def test_emit_failure_keeps_previous_file(tmp_path, fmt):
     with pytest.raises((RuntimeError, TypeError)):
         harness.emit(bad, base)
     # both files are written before either is renamed, so the pair stays as it was
-    assert {ext: open(f"{base}.{ext}", "rb").read() for ext in ("csv", "jsonl")} == before
+    assert {ext: Path(f"{base}.{ext}").read_bytes() for ext in ("csv", "jsonl")} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "rows.jsonl"]
 
 
@@ -179,8 +179,8 @@ def test_rerun_is_byte_identical(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     harness.emit(first, a)
     harness.emit(second, b)
-    assert open(a + ".csv", "rb").read() == open(b + ".csv", "rb").read()
-    assert open(a + ".jsonl", "rb").read() == open(b + ".jsonl", "rb").read()
+    assert Path(a + ".csv").read_bytes() == Path(b + ".csv").read_bytes()
+    assert Path(a + ".jsonl").read_bytes() == Path(b + ".jsonl").read_bytes()
 
 
 def test_single_point_single_trial_row_count():
@@ -632,6 +632,19 @@ def test_seed_counts_above_n_fail_before_any_graph(tmp_path, monkeypatch):
         cli.main(["analytic", "-c", str(path)])
     config = harness.load_config(_n200(sweep={"axis": "none", "values": [0]}, seed_factors=[1, 100]))
     assert config.seed_counts == (((1, 2), (100, 200)),)
+
+
+def test_point_without_seed_counts_samples_no_graph(monkeypatch):
+    # p = 0 leaves the critical seed infinite, so the point has no runs to make
+    graph = {"template": {"kind": "single"}, "n": 1000, "p": 0.0}
+    config = harness.load_config(base_config(graph=graph, graphs=5, trials=2))
+    assert config.seed_counts == ((),)
+
+    def no_graph(*args):
+        raise AssertionError("sampled a graph for a point with no runs")
+
+    monkeypatch.setattr(harness, "sample_graph", no_graph)
+    assert harness.run_dichotomy(config).rows == []
 
 
 def test_config_accepts_sweep_and_count_boundaries():

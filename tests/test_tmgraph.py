@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tmperc import template as tpl
+from tmperc import tmgraph
 from tmperc.rngutil import substream
 from tmperc.tmgraph import (
     SampledGraph,
@@ -203,8 +204,9 @@ def _graph_arrays(g):
 
 
 def _assert_arrays_equal(got, expected):
-    for name, a, b in zip(("edge_u", "edge_v", "indptr", "indices"), got, expected):
-        assert a.dtype == np.int64, name
+    dtypes = (np.int32, np.int32, np.int64, np.int32)
+    for name, dtype, a, b in zip(("edge_u", "edge_v", "indptr", "indices"), dtypes, got, expected):
+        assert a.dtype == dtype, name
         assert np.array_equal(a, b), name
 
 
@@ -247,6 +249,40 @@ def test_subgraph_and_shuffled_edges_match_comparison_sort_reference(n):
         _assert_arrays_equal(_graph_arrays(shuffled), (eu, ev) + reference_csr(n, eu, ev))
 
 
+def test_graph_keeps_16_bytes_per_edge_of_vertex_ids():
+    params = TMParams(tpl.make_ring(10, 1), 10000, 5 / 3000, 5 / 7000)
+    g = sample_graph(params, substream(31, 0))
+    assert g.num_edges > 10000
+    assert g.edge_u.nbytes + g.edge_v.nbytes + g.indices.nbytes == 16 * g.num_edges
+    assert g.indptr.dtype == np.int64
+
+
+def test_sample_graph_rejects_n_past_int32_before_allocating(monkeypatch):
+    # neither edges nor CSR arrays may be built for such an n: they would wrap
+    def no_work(*args):
+        raise AssertionError("work began for an n past the int32 bound")
+
+    monkeypatch.setattr(tmgraph, "_bernoulli_hits", no_work)
+    monkeypatch.setattr(tmgraph, "_edges_to_csr", no_work)
+    params = TMParams(tpl.make_single(), 2**31, 0.0)
+    with pytest.raises(ValueError, match="above 2\\*\\*31 - 1"):
+        sample_graph(params, substream(0, 1))
+    with pytest.raises(ValueError, match="above 2\\*\\*31 - 1"):
+        SampledGraph(params, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "edge_u, edge_v",
+    [([0, 1], [1, 10]), ([-1, 2], [3, 4]), ([0], [2**32 + 1]), ([2], [1])],
+    ids=["v-at-n", "negative-u", "wraps-in-int32", "u-above-v"],
+)
+def test_sampled_graph_rejects_ids_outside_the_vertex_range(edge_u, edge_v):
+    # 2**32 + 1 would wrap to 1 in int32; the range check runs before the cast
+    params = TMParams(tpl.make_single(), 10, 0.5)
+    with pytest.raises(ValueError, match="0 <= u < v < n = 10"):
+        SampledGraph(params, np.array(edge_u, dtype=np.int64), np.array(edge_v, dtype=np.int64))
+
+
 def _traced_peak(fn):
     """``fn()`` and the peak bytes numpy and Python allocated while it ran."""
     tracemalloc.start()
@@ -264,7 +300,7 @@ def _traced_peak(fn):
 )
 def test_graph_build_and_subgraph_peak_bytes_per_edge(template, p, q):
     # numpy's traced allocations repeat exactly for a fixed seed; the finished
-    # graph keeps 32 bytes per edge, so the bounds leave room for one copy of
+    # graph keeps 16 bytes per edge plus indptr, so the bounds leave room for one copy of
     # the edge list and one radix pass, not for several copies at once
     params = TMParams(template, 50000, p, q)
     g, peak = _traced_peak(lambda: sample_graph(params, substream(33, 0)))
