@@ -3,10 +3,11 @@
 Generations are synchronous: generation t+1 infects exactly the healthy
 vertices whose infected-neighbor count against I(t) reaches their threshold.
 A coinflip run applies one ``CoinflipModel``'s s, z and r_max to every vertex.
-Propagation is frontier-based.  A standard or coinflip generation gathers the
-F int32 adjacency entries of the vertices infected in the previous one and
-tallies them once, by one half-width sort when F <= n and by an n-sized count
-when F > n, so it costs O(min(F log F, n + F)), and a whole run costs O(n)
+Propagation is frontier-based.  Committing a generation gathers its F int32
+adjacency entries and tallies them once into ``counts``, by one half-width
+sort when F <= n and by an n-sized count when F > n, so while a run goes on
+``counts`` are exposures against all of I(t) and only the tallied vertices
+can turn next.  A generation costs O(min(F log F, n + F)), a whole run O(n)
 set-up plus O(E log n) over its E scanned edges.  The tally returns its
 distinct ids as ``np.intp``, so every later fancy index stays native.
 """
@@ -91,11 +92,11 @@ def _tally(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 class _Run:
     """State and commit path shared by the standard and coinflip runs.
 
-    A subclass picks each generation's newly infected vertices in
-    ``_next_infected``; ``step`` commits the vertices and owns the totals and
-    verdict, and ``finish`` is the one loop that drives generations.
-    ``stop_fraction`` operationalizes "almost all vertices infected": a run
-    counts as spread once the infected fraction reaches it.
+    ``_commit`` adds a generation and, unless it ends the run, tallies it
+    into ``counts``, keeping ``touched`` (its neighbors, ascending) and
+    ``hits`` (their frontier-neighbor counts).  A subclass picks the next
+    generation in ``_next_infected``; ``finish`` is the one loop.  A run
+    counts as spread once the infected fraction reaches ``stop_fraction``.
     """
 
     def __init__(self, g: SampledGraph, seeds: np.ndarray, stop_fraction: float):
@@ -110,42 +111,33 @@ class _Run:
         self.infected[seeds] = True
         if np.count_nonzero(self.infected) != seeds.size:
             raise ValueError("duplicate seed ids")
-        self.counts = np.zeros(g.n, dtype=np.int64)  # infected neighbors seen so far
-        self.frontier = seeds  # the last generation's newly infected; the seeds at first
-        self._frontier_counts = None  # _frontier_tally of this frontier, once computed
-        self.totals = [int(seeds.size)]
+        self.counts = np.zeros(g.n, dtype=np.int64)
+        self.totals: list[int] = []
         self.verdict: str | None = None
-        if self.totals[0] >= stop_fraction * g.n:
-            self.verdict = SPREAD
-        elif seeds.size == 0:
-            self.verdict = HALTED
+        self._commit(seeds)
 
-    def _frontier_tally(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vertices adjacent to the frontier, ascending, and their frontier-neighbor counts.
-
-        Kept until the frontier or graph changes, so a peek, the exposure and
-        the step that follow share one tally.
-        """
-        if self._frontier_counts is None:
-            self._frontier_counts = _tally(_gather_neighbors(self.g, self.frontier), self.g.n)
-        return self._frontier_counts
-
-    def _next_infected(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def step(self) -> int:
-        """Advance one generation; returns the number of newly infected vertices."""
-        if self.verdict is not None:
-            raise EngineError("run already finished")
-        newly = self._next_infected()
-        self.infected[newly] = True
-        self.frontier, self._frontier_counts = newly, None
-        total = self.totals[-1] + int(newly.size)
+    def _commit(self, newly: np.ndarray) -> None:
+        self.frontier = newly
+        total = (self.totals[-1] if self.totals else 0) + int(newly.size)
         self.totals.append(total)
         if total >= self.stop_fraction * self.g.n:
             self.verdict = SPREAD
         elif newly.size == 0:
             self.verdict = HALTED
+        else:
+            self.touched, self.hits = _tally(_gather_neighbors(self.g, newly), self.g.n)
+            self.counts[self.touched] += self.hits
+
+    def _require_live(self) -> None:
+        if self.verdict is not None:
+            raise EngineError("run already finished")
+
+    def step(self) -> int:
+        """Advance one generation; returns the number of newly infected vertices."""
+        self._require_live()
+        newly = self._next_infected()
+        self.infected[newly] = True
+        self._commit(newly)
         return int(newly.size)
 
     def finish(self) -> str:
@@ -165,11 +157,12 @@ class _Run:
 
 
 class StandardRun(_Run):
-    """Steppable synchronous-threshold run; interventions mutate it mid-flight.
+    """Steppable synchronous-threshold run; interventions change it between generations.
 
-    Invariant between steps: ``counts`` holds infected-neighbor counts
-    against I(t-1) (the frontier of generation t has not yet been folded
-    in), which is exactly the state a subsequent step needs.
+    While the run goes on, ``counts`` holds every vertex's infected-neighbor
+    count against I(t), so generation t+1 is the healthy ``touched`` vertices
+    whose count meets their threshold.  After construction only ``reassign``
+    writes ``thresholds`` and only ``replace_graph`` swaps the graph.
     """
 
     def __init__(
@@ -192,34 +185,40 @@ class StandardRun(_Run):
 
     def _candidates(self) -> np.ndarray:
         """Vertices that generation t+1 would infect, without committing."""
-        touched, hits = self._frontier_tally()
-        ready = ~self.infected[touched] & (self.counts[touched] + hits >= self.thresholds[touched])
-        return touched[ready]
+        self._require_live()
+        touched = self.touched
+        return touched[~self.infected[touched] & (self.counts[touched] >= self.thresholds[touched])]
 
-    def _next_infected(self) -> np.ndarray:
-        newly = self._candidates()
-        touched, hits = self._frontier_tally()
-        self.counts[touched] += hits
-        return newly
+    _next_infected = _candidates
 
     def current_exposure(self) -> np.ndarray:
-        """Infected-neighbor counts against the full current infected set I(t)."""
-        exposure = self.counts.copy()
-        touched, hits = self._frontier_tally()
-        exposure[touched] += hits
-        return exposure
+        """Infected-neighbor counts against I(t): the run's own array, not a copy."""
+        self._require_live()
+        return self.counts
+
+    def reassign(self, ids: np.ndarray, values: np.ndarray) -> None:
+        """Give ``ids`` the thresholds ``values``; the only write after construction."""
+        self._require_live()
+        self.thresholds[ids] = values
+        hits = np.full(self.g.n, -1, dtype=np.int64)  # -1 off the touched set
+        hits[self.touched] = self.hits
+        ready = ids[self.counts[ids] >= self.thresholds[ids]]  # exposed enough: turns next
+        hits[ready] = np.maximum(hits[ready], 0)
+        self.touched = np.flatnonzero(hits >= 0)
+        self.hits = hits[self.touched]
 
     def replace_graph(self, new_g: SampledGraph) -> None:
-        """Swap in an edge-deleted graph, recounting exposures against I(t-1)."""
+        """Swap in an edge-deleted graph, recounting exposures against I(t).
+
+        ``touched`` is kept: deleting edges turns no vertex outside it.
+        """
         if new_g.n != self.g.n:
             raise ValueError("replacement graph must keep the vertex set")
-        prev_infected = self.infected.copy()
-        prev_infected[self.frontier] = False
         eu, ev = new_g.edge_u, new_g.edge_v
-        self.counts = np.bincount(ev[prev_infected[eu]], minlength=new_g.n) + np.bincount(
-            eu[prev_infected[ev]], minlength=new_g.n
+        self.counts = np.bincount(ev[self.infected[eu]], minlength=new_g.n) + np.bincount(
+            eu[self.infected[ev]], minlength=new_g.n
         )
-        self.g, self._frontier_counts = new_g, None
+        self.g = new_g
 
 
 def run_standard(
@@ -247,12 +246,10 @@ class _CoinflipRun(_Run):
         self.s, self.z, self.r_max, self.rng = model.s, model.z, model.r_max, rng
 
     def _next_infected(self) -> np.ndarray:
-        touched, hits = self._frontier_tally()
-        healthy = ~self.infected[touched]
-        touched = touched[healthy]
-        old = self.counts[touched]
-        new = old + hits[healthy]
-        self.counts[touched] = new
+        healthy = ~self.infected[self.touched]
+        touched = self.touched[healthy]
+        new = self.counts[touched]
+        old = new - self.hits[healthy]
         infect = new >= self.r_max
         flips = new - np.maximum(old, self.s)
         eligible = np.flatnonzero((flips > 0) & ~infect)

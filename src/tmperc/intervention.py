@@ -89,14 +89,16 @@ class Bolster:
         eligible = ~run.infected
         if not self.save_vertices:
             eligible &= run.current_exposure() < run.thresholds
-        for r in np.flatnonzero(np.bincount(run.thresholds[eligible])):
+        ids = np.flatnonzero(eligible)
+        old = run.thresholds[ids]  # each vertex draws once, by its threshold at the pause
+        for r in np.flatnonzero(np.bincount(old)):
             law = self.zeta_prime.get(int(r))
             if law is None:
                 raise KeyError(f"no reassignment law for threshold {int(r)}")
-            ids = np.flatnonzero(eligible & (run.thresholds == r))
+            group = ids[old == r]
             values = np.array(sorted(law), dtype=np.int64)
             probs = np.array([law[int(v)] for v in values])
-            run.thresholds[ids] = rng.choice(values, size=ids.size, p=probs / probs.sum())
+            run.reassign(group, rng.choice(values, size=group.size, p=probs / probs.sum()))
 
 
 @dataclass(frozen=True)
@@ -542,8 +544,9 @@ def run_to_trigger(
 def apply_in_simulation(
     run: StandardRun, variant: Variant, rng: np.random.Generator
 ) -> "PercolationTrace":
-    """Mutate a triggered run according to the variant and finish it."""
-    variant.apply(run, rng)
+    """Mutate a triggered run by the variant and finish it; a finished run is left as is."""
+    if run.verdict is None:
+        variant.apply(run, rng)
     run.finish()
     return run.trace()
 

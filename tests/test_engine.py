@@ -11,6 +11,7 @@ from tmperc import intervention as iv
 from tmperc import template as tpl
 from tmperc.analytic import CoinflipModel
 from tmperc.engine import (
+    EngineError,
     StandardRun,
     _gather_neighbors,
     _tally,
@@ -144,6 +145,18 @@ def test_current_exposure_counts_full_infected_set():
     assert exposure[3] == 0
 
 
+def test_reassign_turns_vertices_already_exposed_enough():
+    # vertex 4 is exposed to seed 3 but to no vertex of the last frontier {1}
+    run = StandardRun(path_graph(7), np.array([3, 1, 3, 3, 3, 3, 3]), np.array([0, 3]), 1.0)
+    run.step()
+    assert np.array_equal(run.frontier, [1]) and run._candidates().size == 0
+    run.reassign(np.array([4]), np.array([1]))
+    run.reassign(np.array([6]), np.array([2]))  # a later call keeps vertex 4 queued
+    assert np.array_equal(run._candidates(), [4])
+    assert run.finish() == "halted"
+    assert np.array_equal(run.trace().final_infected, [0, 1, 3, 4])
+
+
 # ---------------------------------------------------------------------------
 # coinflip mode
 
@@ -267,18 +280,20 @@ def test_standard_matches_reference_step():
 
 
 def test_candidates_and_exposure_match_reference():
+    # a finished run has no next generation: its last one is never tallied
     rng = np.random.default_rng(52)
     for i in range(60):
         g, thresholds, seeds = (medium_instance if i % 2 else random_instance)(rng)
         run = StandardRun(g, thresholds, seeds, stop_fraction=1.0)
-        while True:
+        while run.verdict is None:
             exposure = reference_exposure(g, run.infected)
             assert np.array_equal(run.current_exposure(), exposure)
             ready = np.flatnonzero(~run.infected & (exposure >= run.thresholds))
             assert np.array_equal(run._candidates(), ready)
-            if run.verdict is not None:
-                break
             run.step()
+        for peek in (run.current_exposure, run._candidates, run.step):
+            with pytest.raises(EngineError, match="run already finished"):
+                peek()
 
 
 def test_coinflip_matches_reference_draw_for_draw():
@@ -317,10 +332,10 @@ def _reference_generations(g, thresholds, infected, totals, stop, trigger_at=Non
 
 
 def test_save_vertices_runs_match_reference():
-    # run_to_trigger's peek tallies the frontier once; the exposure that
-    # _apply_bolster reads and the step that follows reuse that tally, and an
-    # edge removal must drop it.  Every run still ends where a dense recount
-    # of each generation ends.
+    # run_to_trigger's peek only filters the paused frontier's tally; a
+    # bolster reassigns thresholds against that tally's exposures and an edge
+    # removal recounts them.  Every run still ends where a dense recount of
+    # each generation ends.
     rng = np.random.default_rng(57)
     law = {r: {r + 1: 0.5, r + 2: 0.5} for r in (1, 2, 3)}
     paused = 0

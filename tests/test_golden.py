@@ -4,7 +4,10 @@ Each config is small (n = 2000, a few graphs) but runs the real sweep
 drivers end to end and emits through ``harness.emit``.  The sha256 of the
 CSV was recorded before the engine's scatter kernel replaced ``np.unique``
 and ``np.bincount(minlength=n)``; the sequester, delay and bolster_b digests
-were recorded before the three surrogate builders merged into one.  A change
+were recorded before the three surrogate builders merged into one.  The
+delay digest was re-recorded when a bolster began to draw each vertex's new
+threshold once, by its threshold at the pause: six ``final_fraction`` cells
+of the alpha 0.2 and 0.6 rows moved, and no verdict did.  A change
 to any digest means some row changed and must be explained, not re-recorded
 silently.  The eight results of the ``validate --quick`` battery are pinned
 the same way, with their floating-point error magnitudes masked.
@@ -136,7 +139,7 @@ DIGESTS = {
     "bolster": "c01346e3b0c44727af8260b12218aafdd9308458e3072b5d5b6c917ecce6b770",
     "diminish": "9896cf6e2a8c8fb78417618e7b3d2899312cf4c0cb11fe5248111ea7691558e4",
     "sequester": "b5a2d064cd1de329f4a0ac27b56684213ea64e81f7635c249f5c7e7cdc58e56d",
-    "delay": "2cf0506295f4c59c4bac6c0adf1b0cd5951f2761c37dae17fb06d82fad8454a0",
+    "delay": "021756bd2542c527f27fa3c6a33150a775b72553bd345386f302dfd112014505",
     "bolster_b": "274a26ab91dd57cfe14423bb555362b2e51a0f873fc4dbb1508e091c0dd335bd",
 }
 

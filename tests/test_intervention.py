@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from oracles import (
+    dense_fixpoint,
     enum_residual_er,
     enum_residual_tm,
     enum_thinning,
@@ -13,7 +14,7 @@ from oracles import (
     tv_distance,
     tv_distance_2d,
 )
-from tmperc import harness
+from tmperc import engine, harness
 from tmperc import intervention as iv
 from tmperc import template as tpl
 from tmperc.analytic import AnalyticModel, critical_seed, log_binom_row
@@ -572,6 +573,98 @@ def test_run_to_trigger_save_vertices_seeds_past_stop_fraction_trigger():
         run, triggered = iv.run_to_trigger(g, thresholds, seeds, variant, 0.0001, 0.001)
         assert run.verdict == "spread" and len(run.totals) == 1
         assert triggered
+
+
+def test_bolster_draws_each_vertex_once_by_its_threshold_at_the_pause():
+    # a vertex raised from 2 to 3 must not be drawn again from the law for 3
+    n = 2000
+    g = sample_graph(TMParams(tpl.make_single(), n, 0.0035), substream(330, 1))
+    dist = ThresholdDistribution.from_mapping({2: 0.6, 3: 0.4})
+    thresholds = assign_thresholds(dist, n, substream(330, 2))
+    variant = iv.Bolster({2: {3: 1.0}, 3: {4: 1.0}})
+    run, triggered = iv.run_to_trigger(
+        g, thresholds, select_seeds(60, n, substream(330, 3)), variant, 0.1, 1.0
+    )
+    assert triggered and run.verdict is None
+    before = run.thresholds.copy()
+    eligible = ~run.infected & (run.current_exposure() < before)
+    variant.apply(run, substream(330, 4))
+    assert eligible.sum() > 1000
+    assert np.array_equal(run.thresholds - before, eligible.astype(np.int64))
+
+
+# the same instances for every variant: n = 300, ER degree 6, thresholds 4 or 5
+LIVE_VARIANTS = {
+    "bolster_a": iv.bolster_a(0.5, (4, 5)),
+    "bolster_b": iv.bolster_b(0.5, (4, 5)),
+    "delay": iv.delay(0.5, (4, 5), 8),
+    "save_vertices": iv.Bolster({4: {5: 0.5, 6: 0.5}, 5: {6: 0.5, 7: 0.5}}, save_vertices=True),
+    "weaken": iv.Bolster({4: {2: 1.0}, 5: {2: 1.0}}, allow_weaken=True),
+    "diminish": iv.Diminish(0.5, 0.5),
+    "sequester": iv.Sequester(0.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIVE_VARIANTS))
+def test_intervened_run_ends_at_the_dense_fixpoint(name):
+    # bootstrap percolation ends at the closure of the paused infected set
+    # under the graph and thresholds the intervention left behind
+    n, variant = 300, LIVE_VARIANTS[name]
+    params = TMParams(tpl.make_single(), n, 6 / (n - 1))
+    dist = ThresholdDistribution.from_mapping({4: 0.5, 5: 0.5})
+    paused = 0
+    for i in range(40):
+        g = sample_graph(params, substream(331, i, 1))
+        thresholds = assign_thresholds(dist, n, substream(331, i, 2))
+        seeds = select_seeds(80, n, substream(331, i, 3))
+        run, triggered = iv.run_to_trigger(g, thresholds, seeds, variant, 0.3, 1.0)
+        if not triggered or run.verdict is not None:
+            continue
+        paused += 1
+        infected = np.flatnonzero(run.infected)
+        trace = iv.apply_in_simulation(run, variant, substream(331, i, 4))
+        expected = dense_fixpoint(n, run.g.edge_u, run.g.edge_v, run.thresholds, infected)
+        assert np.array_equal(trace.final_infected, expected), i
+    assert paused >= 30
+
+
+def test_intervention_sweep_tallies_each_paused_frontier_once(monkeypatch):
+    # every committed generation that does not end its run is tallied once:
+    # the paused frontier before the run is cloned, not again for each alpha
+    tally, trigger, apply = engine._tally, harness.run_to_trigger, harness.apply_in_simulation
+    calls, expected = [], []
+
+    def counting_tally(values, n):
+        calls.append(values.size)
+        return tally(values, n)
+
+    def counting_trigger(*args):
+        run, triggered = trigger(*args)
+        expected.append(len(run.totals) - (run.verdict is not None))
+        return run, triggered
+
+    def counting_apply(run, variant, rng):
+        paused = len(run.totals) if run.verdict is None else None
+        trace = apply(run, variant, rng)
+        expected.append(0 if paused is None else len(trace.totals) - paused - 1)
+        return trace
+
+    monkeypatch.setattr(engine, "_tally", counting_tally)
+    monkeypatch.setattr(harness, "run_to_trigger", counting_trigger)
+    monkeypatch.setattr(harness, "apply_in_simulation", counting_apply)
+    config = harness.load_config({
+        "name": "tally-count",
+        "master_seed": 109,
+        "graph": {"template": {"kind": "single"}, "n": 1000, "p": 0.007},
+        "thresholds": {"zeta": {"2": 0.6, "3": 0.4}},
+        "sweep": {"axis": "alpha", "values": [0.2, 0.6, 1.0]},
+        "graphs": 3,
+        "trials": 1,
+        "intervention": {"variant": "bolster_a", "lambda": 0.1, "baseline_seed_factor": 1.6},
+    })
+    table = harness.run_intervention(config)
+    assert sum(row["triggered"] for row in table.rows) == 9
+    assert len(calls) == sum(expected)
 
 
 def test_snapshot_observed_consistency():

@@ -1,7 +1,8 @@
 """The benchmark tracer's engine counters against a recount from plain traces.
 
 ``bench/tracer.py`` counts runs, generations and scanned edges from the
-``PercolationTrace`` fields it reads; this pins those fields.
+``PercolationTrace`` fields it reads; this pins those fields, and that a
+run tallies exactly one frontier per generation it counts.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from tmperc import harness
+from tmperc.engine import _tally
 
 # loaded by path, so the benchmark's other modules stay off sys.path
 _SPEC = importlib.util.spec_from_file_location(
@@ -63,6 +65,13 @@ def test_tracer_engine_counters_match_a_recount(monkeypatch, raw, engine):
     monkeypatch.setattr(harness, engine, recording)
     untraced = harness.run_dichotomy(config)
     monkeypatch.undo()
+    tallies = []
+
+    def counting_tally(values, n):
+        tallies.append(values.size)
+        return _tally(values, n)
+
+    monkeypatch.setattr("tmperc.engine._tally", counting_tally)
     tracer = bench_tracer.Tracer()
     bench_tracer.install(tracer)
     try:
@@ -73,6 +82,7 @@ def test_tracer_engine_counters_match_a_recount(monkeypatch, raw, engine):
     assert traced.rows == untraced.rows
     assert metrics["engine.runs"] == len(recorded) == len(untraced.rows) == 24
     assert metrics["engine.generations"] == sum(len(trace.totals) - 1 for _, trace in recorded)
+    assert len(tallies) == metrics["engine.generations"]
     assert metrics["engine.edges_scanned"] == sum(
         int(np.diff(g.indptr)[trace.final_infected].sum()) for g, trace in recorded
     )
